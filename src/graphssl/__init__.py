@@ -24,6 +24,7 @@ from .graph import (
     gaussian_weights,
     knn_sparsify,
     linear_kernel,
+    linear_knn_graph,
     normalized_laplacian,
 )
 from .spectral import (
@@ -82,6 +83,7 @@ __all__ = [
     "gaussian_weights",
     "knn_sparsify",
     "linear_kernel",
+    "linear_knn_graph",
     "normalized_laplacian",
     "SmoothnessReport",
     "SpectralBasis",

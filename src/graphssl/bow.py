@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IsolatedVertexError
-from .graph import GraphConfig, knn_sparsify, linear_kernel, normalized_laplacian
+from .graph import GraphConfig, linear_knn_graph, normalized_laplacian
 from .solver import SolverOptions, SolverReport, soft_threshold
 from .spectral import build_basis
 from .ssl import fit_scores
@@ -87,7 +87,7 @@ def apply_error_sparsity(y_star, y, gamma):
 def refine(y, other, cfg, seed=0):
     """Refine count matrix y on the graph of its counterpart modality.
 
-    The graph is the k-NN-sparsified linear kernel of `other`; a document
+    The graph is the k-NN linear-kernel graph of `other`; a document
     whose counterpart row is all zero has no edges and raises
     IsolatedVertexError naming it. Returns (refined, RefineReports).
     """
@@ -112,8 +112,7 @@ def refine(y, other, cfg, seed=0):
             for _ in range(y.shape[1])
         ]
     else:
-        kernel = linear_kernel(other)
-        graph = knn_sparsify(kernel, GraphConfig(k=cfg.k))
+        graph = linear_knn_graph(other, GraphConfig(k=cfg.k))
         lap = normalized_laplacian(graph)
         basis = build_basis(lap, cfg.m, seed=seed)
         smoothed, reports = fit_scores(basis, y, SolverOptions(lam=cfg.lam))

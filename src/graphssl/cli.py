@@ -400,22 +400,12 @@ def cmd_refine_bow(args):
     items += summary("visual", refined_visual, visual, rep_v)
     items += summary("textual", refined_textual, textual, rep_t)
 
-    tmp_v = _bow_text(refined_visual)
-    tmp_t = _bow_text(refined_textual)
     _emit(args, [
-        ("refined_visual.txt", tmp_v),
-        ("refined_textual.txt", tmp_t),
+        ("refined_visual.txt", fileio.format_bow(refined_visual)),
+        ("refined_textual.txt", fileio.format_bow(refined_textual)),
         ("metrics.txt", fileio.render_metrics(items)),
     ])
     return 0
-
-
-def _bow_text(matrix, threshold=1e-12):
-    rows, cols = np.nonzero(np.abs(matrix) > threshold)
-    lines = [f"{matrix.shape[0]} {matrix.shape[1]} {rows.size}"]
-    for i, j in zip(rows, cols):
-        lines.append(f"{i} {j} {fileio._render_float(matrix[i, j])}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_eigen_dump(args):

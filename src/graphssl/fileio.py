@@ -1,8 +1,8 @@
 """Plain-text file formats: features, labels, sparse count matrices, metrics.
 
 All writers produce byte-stable output for identical inputs: floats are
-rendered through json (shortest round-trip representation) and key order is
-the insertion order of the caller.
+rendered in their shortest round-trip form (repr, which is also what json
+emits for a finite float) and key order is the insertion order of the caller.
 """
 
 from __future__ import annotations
@@ -76,58 +76,120 @@ def read_truth(path):
     return np.asarray(labels, dtype=np.int64)
 
 
-def write_predictions(path, labels):
-    with open(path, "w", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(f"{int(label)}\n")
+# The ASCII whitespace that bytes.split() separates fields on.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
 
 
 def read_bow(path):
-    """Sparse triplet count matrix: header `n M nnz`, then `row col value` lines."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Sparse triplet count matrix: header `n M nnz`, then `row col value` lines.
+
+    Blank lines are skipped. Every line names a distinct in-range coordinate
+    and a finite value, and the entry count must match the header. The body
+    is split into tokens once and converted in bulk; only when that finds a
+    fault does a line-by-line pass run, to name the first bad line.
+    """
+    with open(path, "rb") as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: line 1: expected header `n M nnz`")
-        try:
-            n, m, nnz = (int(h) for h in header)
-        except ValueError:
-            raise ValueError(f"{path}: line 1: header fields must be integers") from None
-        if n < 1 or m < 1 or nnz < 0:
-            raise ValueError(f"{path}: line 1: invalid dimensions")
-        matrix = np.zeros((n, m))
-        count = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected `row col value`")
-            try:
-                i, j, value = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed triplet") from None
-            if not 0 <= i < n or not 0 <= j < m:
-                raise ValueError(f"{path}: line {lineno}: index out of range")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            matrix[i, j] = value
-            count += 1
-        if count != nnz:
-            raise ValueError(f"{path}: header declares {nnz} entries, found {count}")
+        body = fh.read()
+    if len(header) != 3:
+        raise ValueError(f"{path}: line 1: expected header `n M nnz`")
+    try:
+        n, m, nnz = (int(h) for h in header)
+    except ValueError:
+        raise ValueError(f"{path}: line 1: header fields must be integers") from None
+    if n < 1 or m < 1 or nnz < 0:
+        raise ValueError(f"{path}: line 1: invalid dimensions")
+    triplets = _bulk_triplets(body, n, m)
+    if triplets is None:
+        _raise_first_bad_line(path, body, n, m)
+    rows, cols, vals = triplets
+    if rows.size != nnz:
+        raise ValueError(f"{path}: header declares {nnz} entries, found {rows.size}")
+    matrix = np.zeros((n, m))
+    matrix[rows, cols] = vals
     return matrix
 
 
-def write_bow(path, matrix, threshold=1e-12):
-    """Write a matrix in the sparse triplet format, dropping |value| <= threshold."""
+def _bulk_triplets(body, n, m):
+    """(rows, cols, vals) of a valid triplet body, or None when any line is bad."""
+    tokens = body.split()
+    if not _three_fields_per_line(body, len(tokens)):
+        return None
+    try:
+        rows = np.array(tokens[0::3], dtype=np.int64)
+        cols = np.array(tokens[1::3], dtype=np.int64)
+        vals = np.array(tokens[2::3], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m):
+        return None
+    if not np.all(np.isfinite(vals)):
+        return None
+    keys = np.sort(rows * m + cols)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    return rows, cols, vals
+
+
+def _three_fields_per_line(body, count):
+    """True when every non-blank line of body holds exactly three of its count tokens."""
+    if count % 3:
+        return False
+    raw = np.frombuffer(body, dtype=np.uint8)
+    space = _SPACE[raw]
+    starts = ~space
+    starts[1:] &= space[:-1]
+    line = np.cumsum(raw == ord("\n"))[starts].reshape(-1, 3)
+    return bool(np.all(line[:, 0] == line[:, 2]) and np.all(line[1:, 0] > line[:-1, 2]))
+
+
+def _raise_first_bad_line(path, body, n, m):
+    """Raise the error of the first bad triplet line; runs only once a fault is known."""
+    seen = set()
+    for lineno, line in enumerate(body.split(b"\n"), start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected `row col value`")
+        try:
+            i, j, value = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed triplet") from None
+        if not 0 <= i < n or not 0 <= j < m:
+            raise ValueError(f"{path}: line {lineno}: index out of range")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        if (i, j) in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate coordinate ({i}, {j})")
+        seen.add((i, j))
+    raise ValueError(f"{path}: malformed triplet body")
+
+
+def format_bow(matrix, threshold=1e-12):
+    """A matrix as sparse triplet text, dropping |value| <= threshold.
+
+    Entries are in row-major order and values are rendered by repr, which
+    gives the same text as json for every finite float.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     rows, cols = np.nonzero(np.abs(matrix) > threshold)
+    vals = matrix[rows, cols]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("matrix entries must be finite")
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]} {rows.size}\n"]
+    lines += [f"{i} {j} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
+    return "".join(lines)
+
+
+def write_bow(path, matrix, threshold=1e-12):
+    """Write a matrix in the sparse triplet format, dropping |value| <= threshold."""
+    text = format_bow(matrix, threshold)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{matrix.shape[0]} {matrix.shape[1]} {rows.size}\n")
-        for i, j in zip(rows, cols):
-            fh.write(f"{i} {j} {_render_float(matrix[i, j])}\n")
+        fh.write(text)
 
 
 def _render_float(value):

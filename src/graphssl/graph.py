@@ -12,6 +12,8 @@ from .linalg import SparseSymMatrix
 
 SYMMETRIZATIONS = ("union", "mutual")
 WEIGHT_KINDS = ("gaussian", "linear", "precomputed")
+# Rows of the linear kernel that linear_knn_graph holds at once.
+LINEAR_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -87,18 +89,24 @@ def gaussian_weights(x, sigma):
     return WeightMatrix(SparseSymMatrix(n, iu[keep], ju[keep], vals[keep]), kind="gaussian")
 
 
+def _linear_features(x):
+    """Features for a linear kernel: finite, nonnegative, at least two samples."""
+    x = _as_features(x)
+    if np.any(x < 0.0):
+        raise ValueError("linear kernel requires nonnegative features")
+    if x.shape[0] < 2:
+        raise ValueError("need at least two samples")
+    return x
+
+
 def linear_kernel(x):
     """Inner-product affinities <xi, xj> for nonnegative features.
 
     Zero products (orthogonal rows) are not stored; any negative feature is
     rejected because it could produce a negative weight.
     """
-    x = _as_features(x)
-    if np.any(x < 0.0):
-        raise ValueError("linear kernel requires nonnegative features")
+    x = _linear_features(x)
     n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two samples")
     g = x @ x.T
     iu, ju = np.triu_indices(n, k=1)
     vals = g[iu, ju]
@@ -106,48 +114,96 @@ def linear_kernel(x):
     return WeightMatrix(SparseSymMatrix(n, iu[keep], ju[keep], vals[keep]), kind="linear")
 
 
+def _top_k_per_row(src, dst, vals, k):
+    """Positions of each source's k largest weights.
+
+    Within a source, entries rank by weight descending, then by destination
+    ascending, so ties go to the lowest column and the choice depends on the
+    values only.
+    """
+    order = np.lexsort((dst, -vals, src))
+    src = src[order]
+    first = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
+    rank = np.arange(src.size) - np.repeat(first, np.diff(np.r_[first, src.size]))
+    return order[rank < k]
+
+
+def _symmetrize(n, src, dst, vals, symmetrization):
+    """Undirected edges (lo, hi, weight), sorted by (lo, hi), from directed picks.
+
+    Union keeps an edge that either endpoint picked; mutual keeps only edges
+    picked from both ends. The weight is that of the first pick in input
+    order. Each (src, dst) pair must occur at most once.
+    """
+    lo_idx = np.minimum(src, dst)
+    hi_idx = np.maximum(src, dst)
+    keys = lo_idx * n + hi_idx
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    if symmetrization == "mutual":
+        counts = np.diff(np.append(first, keys.size))
+        first = first[counts == 2]
+        if first.size == 0:
+            raise ValueError("mutual symmetrization removed every edge")
+    pick = order[first]
+    return lo_idx[pick], hi_idx[pick], vals[pick]
+
+
 def knn_sparsify(w, config):
     """Keep each vertex's k strongest edges, then symmetrize.
 
     Union mode keeps (i, j) if either endpoint ranks the other among its top
-    k weights; mutual mode requires both. Surviving weights are unchanged.
+    k weights; mutual mode requires both. Ties go to the lowest column
+    index. Surviving weights are unchanged.
     """
     n = w.n
     if config.k >= n:
         raise ValueError(f"k={config.k} must be smaller than the number of vertices {n}")
     csr = w.inner.to_csr()
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    src_parts = []
-    dst_parts = []
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        deg = hi - lo
-        if deg == 0:
-            continue
-        if deg > config.k:
-            sel = np.argpartition(data[lo:hi], deg - config.k)[deg - config.k:]
-        else:
-            sel = np.arange(deg)
-        src_parts.append(np.full(sel.size, i, dtype=np.int64))
-        dst_parts.append(indices[lo:hi][sel].astype(np.int64))
-    if not src_parts:
+    if csr.nnz == 0:
         raise ValueError("weight matrix has no edges")
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+    dst = csr.indices.astype(np.int64)
+    keep = _top_k_per_row(src, dst, csr.data, config.k)
+    lo_idx, hi_idx, vals = _symmetrize(n, src[keep], dst[keep], csr.data[keep],
+                                       config.symmetrization)
+    return WeightMatrix(SparseSymMatrix(n, lo_idx, hi_idx, vals), kind=w.kind)
+
+
+def linear_knn_graph(x, config):
+    """k-NN linear-kernel graph built from row blocks of the features.
+
+    Matches knn_sparsify(linear_kernel(x), config) without forming the n x n
+    kernel: each block of LINEAR_BLOCK_ROWS rows is multiplied by x.T, its
+    self entries are zeroed and every row keeps its k largest positive
+    products (ties to the lowest column), so memory stays O(block * n) and
+    the result does not depend on the block size.
+    """
+    x = _linear_features(x)
+    n = x.shape[0]
+    if config.k >= n:
+        raise ValueError(f"k={config.k} must be smaller than the number of vertices {n}")
+    cut = n - config.k
+    src_parts, dst_parts, val_parts = [], [], []
+    for start in range(0, n, LINEAR_BLOCK_ROWS):
+        block = x[start:start + LINEAR_BLOCK_ROWS] @ x.T
+        local = np.arange(block.shape[0])
+        block[local, start + local] = 0.0
+        # A row's top k lie at or above its k-th largest product.
+        kth = np.partition(block, cut, axis=1)[:, cut, None]
+        rows, cols = np.nonzero((block >= kth) & (block > 0.0))
+        vals = block[rows, cols]
+        keep = _top_k_per_row(rows, cols, vals, config.k)
+        src_parts.append(rows[keep] + start)
+        dst_parts.append(cols[keep])
+        val_parts.append(vals[keep])
     src = np.concatenate(src_parts)
-    dst = np.concatenate(dst_parts)
-    lo_idx = np.minimum(src, dst)
-    hi_idx = np.maximum(src, dst)
-    keys = lo_idx * n + hi_idx
-    uniq, counts = np.unique(keys, return_counts=True)
-    if config.symmetrization == "mutual":
-        uniq = uniq[counts == 2]
-        if uniq.size == 0:
-            raise ValueError("mutual symmetrization removed every edge")
-    kept_rows = uniq // n
-    kept_cols = uniq % n
-    store_keys = w.inner.rows * n + w.inner.cols
-    pos = np.searchsorted(store_keys, uniq)
-    vals = w.inner.vals[pos]
-    return WeightMatrix(SparseSymMatrix(n, kept_rows, kept_cols, vals), kind=w.kind)
+    if src.size == 0:
+        raise ValueError("weight matrix has no edges")
+    dst, vals = np.concatenate(dst_parts), np.concatenate(val_parts)
+    lo_idx, hi_idx, vals = _symmetrize(n, src, dst, vals, config.symmetrization)
+    return WeightMatrix(SparseSymMatrix(n, lo_idx, hi_idx, vals), kind="linear")
 
 
 def gaussian_knn_graph(x, config):
@@ -179,22 +235,7 @@ def gaussian_knn_graph(x, config):
     wvals = np.exp(-(dd.reshape(-1) ** 2) / (2.0 * config.sigma * config.sigma))
     nz = wvals > 0.0
     src, dst, wvals = src[nz], dst[nz], wvals[nz]
-    lo_idx = np.minimum(src, dst)
-    hi_idx = np.maximum(src, dst)
-    keys = lo_idx * n + hi_idx
-    order = np.argsort(keys, kind="stable")
-    keys, lo_idx, hi_idx, wvals = keys[order], lo_idx[order], hi_idx[order], wvals[order]
-    uniq_mask = np.ones(keys.size, dtype=bool)
-    uniq_mask[1:] = keys[1:] != keys[:-1]
-    if config.symmetrization == "mutual":
-        first = np.flatnonzero(uniq_mask)
-        counts = np.diff(np.append(first, keys.size))
-        first = first[counts == 2]
-        if first.size == 0:
-            raise ValueError("mutual symmetrization removed every edge")
-        lo_idx, hi_idx, wvals = lo_idx[first], hi_idx[first], wvals[first]
-    else:
-        lo_idx, hi_idx, wvals = lo_idx[uniq_mask], hi_idx[uniq_mask], wvals[uniq_mask]
+    lo_idx, hi_idx, wvals = _symmetrize(n, src, dst, wvals, config.symmetrization)
     return WeightMatrix(SparseSymMatrix(n, lo_idx, hi_idx, wvals), kind="gaussian")
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphssl import fileio
+from graphssl.bow import RefineConfig, co_refine
 from graphssl.cli import MOONS_DEMO_KEYS
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.harness import confidence_halfwidth
@@ -172,6 +173,22 @@ class TestRefineBow:
         metrics = fileio.parse_metrics((out / "metrics.txt").read_text())
         assert metrics["visual.changed_entries"] > 0
         assert metrics["visual.changed_entries"] == int(np.count_nonzero(refined != original))
+
+    def test_refined_files_equal_write_bow_of_refined_matrices(self, tmp_path):
+        visual, textual = write_corpus(tmp_path, seed=3)
+        out = tmp_path / "out"
+        result = run_cli(
+            "refine-bow", "--input", visual, textual, "--output", out,
+            "--k", 29, "--m", 4, "--lambda", 0.01, "--gamma", 0.075, "--seed", 2,
+        )
+        assert result.returncode == 0, result.stderr
+        cfg = RefineConfig(lam=0.01, gamma=0.075, k=29, m=4)
+        (ref_v, _), (ref_t, _) = co_refine(fileio.read_bow(visual), fileio.read_bow(textual),
+                                           cfg, cfg, seed=2)
+        for name, matrix in (("refined_visual.txt", ref_v), ("refined_textual.txt", ref_t)):
+            expected = tmp_path / f"expected_{name}"
+            fileio.write_bow(expected, matrix)
+            assert (out / name).read_bytes() == expected.read_bytes()
 
     def test_unregularized_round_trips_input_bits(self, tmp_path):
         visual, textual = write_corpus(tmp_path, seed=1)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,86 @@ class TestBowFormat:
         path = tmp_path / "t.txt"
         fileio.write_bow(path, np.array([[1e-13, 2.0]]))
         assert fileio.read_bow(path).tolist() == [[0.0, 2.0]]
+
+    def test_duplicate_coordinate_names_repeat_line(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("2 2 3\n0 1 1.0\n1 1 2.0\n\n0 1 3.0\n")
+        with pytest.raises(ValueError, match=r"line 5: duplicate coordinate \(0, 1\)"):
+            fileio.read_bow(path)
+
+    def test_non_integer_index(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 2\n0 0 1.0\n1.5 0 1.0\n")
+        with pytest.raises(ValueError, match="line 3: malformed triplet"):
+            fileio.read_bow(path)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"3 2 3\n0 0 1.0\n\n1 1 2.0\n2 0 {value}\n")
+        with pytest.raises(ValueError, match="line 5: non-finite value"):
+            fileio.read_bow(path)
+
+    def test_four_field_line(self, tmp_path):
+        # Six tokens split as 4 + 2 would still read as two valid triplets.
+        path = tmp_path / "bad.txt"
+        path.write_text("3 3 2\n0 0 1.0 2\n1 1.5\n")
+        with pytest.raises(ValueError, match="line 2: expected `row col value`"):
+            fileio.read_bow(path)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("2 2 2\n0 0 1.0\n0 9 1.0\n0 0 x\n")
+        with pytest.raises(ValueError, match="line 3: index out of range"):
+            fileio.read_bow(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.txt"
+        path.write_text("2 2 2\n\n0 0 1.0\n   \n1 1 2.5\r\n\n")
+        assert fileio.read_bow(path).tolist() == [[1.0, 0.0], [0.0, 2.5]]
+
+    def test_empty_body(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("2 3 0\n")
+        assert np.array_equal(fileio.read_bow(path), np.zeros((2, 3)))
+
+
+def json_triplets(matrix, threshold=1e-12):
+    """Triplet text as rendered through json.dumps, one entry at a time."""
+    rows, cols = np.nonzero(np.abs(matrix) > threshold)
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]} {rows.size}"]
+    lines += [f"{i} {j} {json.dumps(float(matrix[i, j]))}" for i, j in zip(rows, cols)]
+    return "\n".join(lines) + "\n"
+
+
+class TestFormatBow:
+    def test_matches_json_rendering(self):
+        edge = np.nextafter(1e-12, 1.0)
+        matrix = np.array([
+            [0.1 + 0.2, 1e16, -2.5, 0.0],
+            [1e-12, -1e-12, edge, -edge],
+            [123456789.123, -1e-5, 1e22, 1.0 / 3.0],
+        ])
+        text = fileio.format_bow(matrix)
+        assert text == json_triplets(matrix)
+        assert "0 0 0.30000000000000004\n" in text
+        assert "0 1 1e+16\n" in text
+        assert " 1e-12\n" not in text
+        assert text.startswith("3 4 9\n")
+
+    def test_subnormal_matches_json(self):
+        matrix = np.array([[5e-324, 0.0], [-2.2250738585072014e-308, 1.5]])
+        assert fileio.format_bow(matrix, threshold=0.0) == json_triplets(matrix, threshold=0.0)
+        assert fileio.format_bow(matrix) == "2 2 1\n1 1 1.5\n"
+
+    def test_random_matrix_matches_json(self):
+        rng = np.random.default_rng(11)
+        matrix = rng.standard_normal((30, 20)) * 10.0 ** rng.integers(-15, 20, (30, 20))
+        assert fileio.format_bow(matrix) == json_triplets(matrix)
+
+    def test_rejects_infinite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            fileio.format_bow(np.array([[1.0, np.inf]]))
 
 
 class TestMetrics:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphssl import graph
 from graphssl.errors import IsolatedVertexError
 from graphssl.graph import (
     GraphConfig,
@@ -9,6 +10,7 @@ from graphssl.graph import (
     gaussian_weights,
     knn_sparsify,
     linear_kernel,
+    linear_knn_graph,
     normalized_laplacian,
 )
 from graphssl.linalg import SparseSymMatrix, spmv
@@ -16,6 +18,33 @@ from graphssl.linalg import SparseSymMatrix, spmv
 
 def weights_from_dense(w, kind="precomputed"):
     return WeightMatrix(SparseSymMatrix.from_dense(w), kind=kind)
+
+
+def same_graph(a, b):
+    return (a.kind == b.kind and a.n == b.n
+            and np.array_equal(a.inner.rows, b.inner.rows)
+            and np.array_equal(a.inner.cols, b.inner.cols)
+            and np.array_equal(a.inner.vals, b.inner.vals))
+
+
+def edges(w):
+    return set(zip(w.inner.rows.tolist(), w.inner.cols.tolist()))
+
+
+def tied_counts():
+    """Small integer counts whose linear kernel ties at the k-th place in many rows."""
+    return np.random.default_rng(0).integers(0, 3, size=(60, 5)).astype(np.float64)
+
+
+def knn_reference(dense, k, symmetrization):
+    """Row-by-row top k (largest weight, then lowest column), then symmetrization."""
+    picked = set()
+    for i, row in enumerate(dense):
+        ranked = sorted((-w, j) for j, w in enumerate(row) if j != i and w > 0.0)
+        picked.update((i, j) for _, j in ranked[:k])
+    if symmetrization == "mutual":
+        return {(i, j) for i, j in picked if i < j and (j, i) in picked}
+    return {(min(i, j), max(i, j)) for i, j in picked}
 
 
 def degrees(w):
@@ -151,6 +180,70 @@ class TestKnnSparsify:
         w = gaussian_weights(rng.standard_normal((5, 2)), sigma=1.0)
         with pytest.raises(ValueError, match="smaller"):
             knn_sparsify(w, GraphConfig(k=5))
+
+
+    @pytest.mark.parametrize("symmetrization", ["union", "mutual"])
+    def test_matches_row_loop_on_heavy_ties(self, symmetrization):
+        kernel = linear_kernel(tied_counts())
+        out = knn_sparsify(kernel, GraphConfig(k=4, symmetrization=symmetrization))
+        dense = kernel.inner.to_dense()
+        kth = -np.sort(-dense, axis=1)[:, 3]
+        assert np.sum(np.sum(dense == kth[:, None], axis=1) > 1) > 10  # ties at the k-th place
+        assert edges(out) == knn_reference(dense, 4, symmetrization)
+        assert np.array_equal(out.inner.vals, dense[out.inner.rows, out.inner.cols])
+
+    def test_ties_go_to_lowest_column(self):
+        # Vertex 0 weighs its three neighbors equally; k=1 keeps column 1.
+        dense = np.array([[0.0, 1.0, 1.0, 1.0],
+                          [1.0, 0.0, 0.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0]])
+        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="mutual"))
+        assert edges(out) == {(0, 1)}
+
+    def test_larger_weight_beats_lower_column(self):
+        dense = np.array([[0.0, 1.0, 1.0, 2.0],
+                          [1.0, 0.0, 0.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0],
+                          [2.0, 0.0, 0.0, 0.0]])
+        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="mutual"))
+        assert edges(out) == {(0, 3)}
+
+
+class TestLinearKnnGraph:
+    @pytest.mark.parametrize("symmetrization", ["union", "mutual"])
+    def test_matches_dense_route_on_heavy_ties(self, symmetrization):
+        x = tied_counts()
+        cfg = GraphConfig(k=4, symmetrization=symmetrization)
+        assert same_graph(linear_knn_graph(x, cfg), knn_sparsify(linear_kernel(x), cfg))
+
+    @pytest.mark.parametrize("symmetrization", ["union", "mutual"])
+    @pytest.mark.parametrize("block_rows", [1, 7, 59, 1000])
+    def test_block_size_does_not_change_graph(self, monkeypatch, block_rows, symmetrization):
+        x = tied_counts()
+        cfg = GraphConfig(k=4, symmetrization=symmetrization)
+        reference = linear_knn_graph(x, cfg)
+        monkeypatch.setattr(graph, "LINEAR_BLOCK_ROWS", block_rows)
+        assert same_graph(linear_knn_graph(x, cfg), reference)
+
+    def test_ties_go_to_lowest_column(self):
+        x = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert edges(linear_knn_graph(x, GraphConfig(k=1, symmetrization="mutual"))) == {(0, 1)}
+        assert edges(linear_knn_graph(x, GraphConfig(k=1))) == {(0, 1), (0, 2), (0, 3)}
+
+    def test_orthogonal_rows_are_not_neighbors(self):
+        x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [0.0, 5.0]])
+        out = linear_knn_graph(x, GraphConfig(k=3))
+        assert edges(out) == {(0, 1), (0, 2), (1, 2), (3, 4)}
+        assert same_graph(out, knn_sparsify(linear_kernel(x), GraphConfig(k=3)))
+
+    def test_rejects_negative_features(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            linear_knn_graph(np.array([[1.0, -0.1], [0.5, 0.2]]), GraphConfig(k=1))
+
+    def test_rejects_k_too_large(self):
+        with pytest.raises(ValueError, match="smaller"):
+            linear_knn_graph(np.ones((3, 2)), GraphConfig(k=3))
 
 
 class TestGaussianKnnGraph:
