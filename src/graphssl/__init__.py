@@ -3,9 +3,10 @@
 Classification propagates a handful of labels over a k-NN affinity graph.
 Two regularizers are provided: the classical quadratic Laplacian penalty,
 solved in closed form, and a weighted-L1 penalty over the coefficients of
-the smallest Laplacian eigenvectors, solved with an accelerated
-proximal-gradient method. The L1 route is robust to mislabeled points and
-also powers a co-refinement pipeline for paired bag-of-words matrices.
+the smallest Laplacian eigenvectors, solved exactly by a per-coefficient
+soft threshold because the eigenvectors are orthonormal. The L1 route is
+robust to mislabeled points and also powers a co-refinement pipeline for
+paired bag-of-words matrices.
 """
 
 from .errors import ComputationError, ConvergenceError, IsolatedVertexError
@@ -37,10 +38,8 @@ from .spectral import (
     smoothness_report,
 )
 from .solver import (
-    SolverOptions,
-    SolverReport,
-    fista_weighted_l1,
     kkt_residual,
+    l1_coefficients,
     l2_ssl_solve,
     objective,
     soft_threshold,
@@ -92,10 +91,8 @@ __all__ = [
     "l1_smoothness",
     "l2_smoothness",
     "smoothness_report",
-    "SolverOptions",
-    "SolverReport",
-    "fista_weighted_l1",
     "kkt_residual",
+    "l1_coefficients",
     "l2_ssl_solve",
     "objective",
     "soft_threshold",

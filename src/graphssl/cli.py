@@ -11,6 +11,7 @@ seed (timing is deliberately excluded from all documents).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -24,7 +25,7 @@ from .harness import MOONS_DEFAULTS
 from .spectral import build_basis
 from .ssl import evaluate
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Digit-dataset defaults: k=4, lam=0.01, m=20 with unit kernel bandwidth.
 MNIST_STYLE = {"k": 4, "lam": 0.01, "m": 20, "sigma": 1.0}
@@ -147,7 +148,10 @@ def _emit(args, documents):
     """Write named documents into the output directory, or print to stdout.
 
     documents is an ordered list of (filename, text). Without --output only
-    metrics.txt-style single documents may be emitted.
+    metrics.txt-style single documents may be emitted. Every document is
+    first written to a temporary name in the output directory and renamed
+    into place only after all writes succeeded; on failure the temporaries
+    are removed, so no partial set of files is left behind.
     """
     if args.output is None:
         if len(documents) != 1:
@@ -155,9 +159,20 @@ def _emit(args, documents):
         sys.stdout.write(documents[0][1])
         return
     os.makedirs(args.output, exist_ok=True)
-    for name, text in documents:
-        with open(os.path.join(args.output, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    staged = []  # (temporary, final) paths not yet renamed into place
+    try:
+        for name, text in documents:
+            temporary = os.path.join(args.output, f".{name}.{os.getpid()}.tmp")
+            staged.append((temporary, os.path.join(args.output, name)))
+            with open(temporary, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    finally:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
 
 
 def cmd_moons_demo(args):
@@ -383,12 +398,8 @@ def cmd_refine_bow(args):
             (f"{prefix}.k", reports.config.k),
             (f"{prefix}.m", reports.config.m),
             (f"{prefix}.changed_entries", changed),
-            (f"{prefix}.mean_iterations",
-             float(np.mean([r.iterations for r in reports.solver_reports]))),
-            (f"{prefix}.total_objective",
-             float(sum(r.final_objective for r in reports.solver_reports))),
-            (f"{prefix}.max_kkt_residual",
-             float(max(r.kkt_residual for r in reports.solver_reports))),
+            (f"{prefix}.total_objective", reports.total_objective),
+            (f"{prefix}.max_kkt_residual", reports.max_kkt_residual),
         ]
 
     items = [

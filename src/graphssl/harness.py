@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
-from .solver import (
-    SolverOptions,
-    SolverReport,
-    fista_weighted_l1,
-    l2_objective,
-    l2_ssl_solve_with_report,
-)
+from .solver import l1_coefficients, l2_ssl_solve
 from .spectral import build_basis, smoothness_report
 from .ssl import (
     NoiseSpec,
@@ -99,8 +93,6 @@ class MoonsTrial:
 
     l1_accuracy: float
     l2_accuracy: float
-    l1_report: object
-    l2_report: object
     l1_smoothness: object
     l2_smoothness: object
     features: np.ndarray
@@ -136,17 +128,8 @@ def run_moons_trial(master_seed, run_index, n=None, noise_sd=None, labels_per_cl
     basis = full_basis.truncate(cfg["m"])
 
     y = signed_label_vector(noisy, cfg["n"])
-    alpha, l1_report = fista_weighted_l1(basis, y, SolverOptions(lam=cfg["lam"]))
-    f_l1 = basis.vectors @ alpha
-    f_l2, cg_iterations, cg_residual = l2_ssl_solve_with_report(lap, y, cfg["lam"])
-    l2_value = l2_objective(lap, y, cfg["lam"], f_l2)
-    l2_report = SolverReport(
-        iterations=cg_iterations,
-        objective_trace=[l2_value],
-        final_objective=l2_value,
-        kkt_residual=cg_residual,
-        converged=True,
-    )
+    f_l1 = basis.expand(l1_coefficients(basis, y, cfg["lam"]))
+    f_l2 = l2_ssl_solve(lap, y, cfg["lam"])
 
     labeled = np.zeros(cfg["n"], dtype=bool)
     for index, _ in assignments:
@@ -157,8 +140,6 @@ def run_moons_trial(master_seed, run_index, n=None, noise_sd=None, labels_per_cl
     return MoonsTrial(
         l1_accuracy=evaluate(pred_l1, truth, mask),
         l2_accuracy=evaluate(pred_l2, truth, mask),
-        l1_report=l1_report,
-        l2_report=l2_report,
         l1_smoothness=smoothness_report(full_basis, lap, f_l1, y),
         l2_smoothness=smoothness_report(full_basis, lap, f_l2, y),
         features=x,
@@ -177,7 +158,7 @@ def run_moons_benchmark(master_seed, runs, **overrides):
 
 
 def multiclass_trial(x, truth, classes, labels_per_class, noise_fraction, seed,
-                     sigma, k, lam, m, basis_method="auto"):
+                     sigma, k, lam, m):
     """One multi-class run of both methods with globally injected label noise.
 
     Returns (l1_accuracy, l2_accuracy) measured on the unlabeled points.
@@ -192,13 +173,13 @@ def multiclass_trial(x, truth, classes, labels_per_class, noise_fraction, seed,
     noisy = inject_label_noise(assignments, spec, classes)
     graph = gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k))
     lap = normalized_laplacian(graph)
-    basis = build_basis(lap, min(m, n), seed=child_seed(seed, _STREAM_EIGEN), method=basis_method)
+    basis = build_basis(lap, min(m, n), seed=child_seed(seed, _STREAM_EIGEN))
     y = encode_labels(noisy, n, classes)
     labeled = np.zeros(n, dtype=bool)
     for index, _ in assignments:
         labeled[index] = True
     mask = ~labeled
-    sol_l1 = l1_ssl_fit(basis, y, SolverOptions(lam=lam))
+    sol_l1 = l1_ssl_fit(basis, y, lam)
     sol_l2 = l2_ssl_fit(lap, y, lam)
     return evaluate(sol_l1, truth, mask), evaluate(sol_l2, truth, mask)
 
@@ -251,10 +232,10 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
 
 
 def l1_classify(x, assignments, classes, sigma, k, lam, m, seed=0):
-    """Full pipeline: k-NN Gaussian graph, basis, per-class solve, argmax labels."""
+    """Full pipeline: k-NN Gaussian graph, basis, closed-form solve, argmax labels."""
     n = x.shape[0]
     graph = gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k))
     lap = normalized_laplacian(graph)
     basis = build_basis(lap, min(m, n), seed=child_seed(seed, _STREAM_EIGEN))
     y = encode_labels(assignments, n, classes)
-    return l1_ssl_fit(basis, y, SolverOptions(lam=lam))
+    return l1_ssl_fit(basis, y, lam)

@@ -280,9 +280,7 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
         values, vectors = _shift_invert_lanczos(a, m, seed, max_steps)
 
     # Rayleigh quotients tie the reported values to the returned vectors.
-    av = np.empty((a.n, m))
-    for i in range(m):
-        av[:, i] = spmv(a, vectors[:, i])
+    av = a.to_csr() @ vectors
     rayleigh = np.einsum("ij,ij->j", vectors, av)
     order = np.argsort(rayleigh, kind="stable")
     rayleigh = rayleigh[order]

@@ -1,72 +1,21 @@
-"""FISTA for the spectral weighted-L1 objective, and the quadratic baseline.
+"""Closed-form solve of the spectral weighted-L1 objective, and the quadratic baseline.
 
 The reduced objective over reconstruction coefficients a is
 
     0.5 * ||V_m a - y||^2 + lam * sum_i sqrt(eig_i) * |a_i|
 
-whose proximal step is a per-coordinate soft threshold. Because the basis
-columns are orthonormal the smooth part has Lipschitz constant exactly one;
-a backtracking estimate is kept as an option for non-orthonormal designs.
+Because the basis columns are orthonormal, 0.5 ||V_m a - y||^2 equals
+0.5 ||a - V_m' y||^2 plus a constant. The problem therefore separates per
+coordinate, and its exact minimizer is the soft threshold of the projection
+V_m' y at lam * sqrt(eig_i); no iteration is needed. The objective and the
+optimality residual are kept as independent checks of that solution.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .linalg import cg_solve, identity_plus_scaled, spmv
-
-LIPSCHITZ_MODES = ("exact_one", "backtracking")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Regularization weight, iteration budget, stopping rule, and step policy."""
-
-    lam: float = 0.01
-    max_iters: int = 2000
-    rel_tol: float = 1e-8
-    lipschitz: str = "exact_one"
-    backtracking_eta: float = 2.0
-    backtracking_l0: float = 0.5
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.lipschitz not in LIPSCHITZ_MODES:
-            raise ValueError(f"lipschitz must be one of {LIPSCHITZ_MODES}")
-        if self.backtracking_eta <= 1:
-            raise ValueError("backtracking_eta must exceed 1")
-        if self.backtracking_l0 <= 0:
-            raise ValueError("backtracking_l0 must be positive")
-
-
-@dataclass
-class SolverReport:
-    """Iteration count, best-so-far objective trace, and optimality residual.
-
-    FISTA iterates are not monotone, so the trace records the running best
-    and final_objective always equals its last entry.
-    """
-
-    iterations: int
-    objective_trace: list = field(default_factory=list)
-    final_objective: float = 0.0
-    kkt_residual: float = 0.0
-    converged: bool = False
-    wall_time_s: float = 0.0
-
-    def __post_init__(self):
-        if not self.objective_trace:
-            raise ValueError("objective trace must not be empty")
-        if self.final_objective != self.objective_trace[-1]:
-            raise ValueError("final objective must equal the last best value")
 
 
 def soft_threshold(x, t):
@@ -81,18 +30,54 @@ def soft_threshold(x, t):
     return out
 
 
-def objective(basis, y, lam, alpha):
-    """Evaluate the reduced weighted-L1 objective at coefficients alpha."""
+def _weights(basis, lam, ndim):
+    """Per-coordinate penalty lam * sqrt(eig), shaped to broadcast over columns."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    alpha = np.asarray(alpha, dtype=np.float64)
+    w = lam * basis.sqrt_eigenvalues
+    return w[:, None] if ndim == 2 else w
+
+
+def _check_target(basis, y):
     y = np.asarray(y, dtype=np.float64)
-    if alpha.shape != (basis.m,):
-        raise ValueError(f"alpha has length {alpha.size}, expected {basis.m}")
-    if y.shape != (basis.n,):
-        raise ValueError(f"target has length {y.size}, expected {basis.n}")
+    if y.ndim not in (1, 2) or y.shape[0] != basis.n:
+        raise ValueError(
+            f"target has shape {y.shape}, expected ({basis.n},) or ({basis.n}, c)"
+        )
+    return y
+
+
+def _check_pair(basis, y, alpha):
+    y = _check_target(basis, y)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (basis.m,) + y.shape[1:]:
+        raise ValueError(
+            f"coefficients have shape {alpha.shape}, expected {(basis.m,) + y.shape[1:]}"
+        )
+    return y, alpha
+
+
+def l1_coefficients(basis, y, lam):
+    """Exact minimizer soft(V_m' y, lam * sqrt(eig)) of the reduced objective.
+
+    y is one target vector or an n x c block whose columns are solved
+    independently. Coefficients on zero-eigenvalue directions carry zero
+    weight and are never thresholded.
+    """
+    y = _check_target(basis, y)
+    return soft_threshold(basis.project(y), _weights(basis, lam, y.ndim))
+
+
+def objective(basis, y, lam, alpha):
+    """Evaluate the reduced weighted-L1 objective at coefficients alpha.
+
+    For an n x c target block and m x c coefficients the value is the sum of
+    the per-column objectives.
+    """
+    y, alpha = _check_pair(basis, y, alpha)
+    w = _weights(basis, lam, alpha.ndim)
     r = basis.vectors @ alpha - y
-    return 0.5 * float(r @ r) + lam * float(basis.sqrt_eigenvalues @ np.abs(alpha))
+    return 0.5 * float(np.sum(r * r)) + float(np.sum(w * np.abs(alpha)))
 
 
 def kkt_residual(basis, y, lam, alpha):
@@ -100,96 +85,18 @@ def kkt_residual(basis, y, lam, alpha):
 
     With g = V_m' (V_m alpha - y) and per-coordinate weight w_i =
     lam * sqrt(eig_i): coordinates at zero must have |g_i| <= w_i, active
-    coordinates must have g_i + w_i * sign(alpha_i) = 0.
+    coordinates must have g_i + w_i * sign(alpha_i) = 0. For a block the
+    largest violation over all columns is returned.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    y, alpha = _check_pair(basis, y, alpha)
+    w = _weights(basis, lam, alpha.ndim)
     g = basis.vectors.T @ (basis.vectors @ alpha - y)
-    w = lam * basis.sqrt_eigenvalues
-    at_zero = alpha == 0.0
     violation = np.where(
-        at_zero,
+        alpha == 0.0,
         np.maximum(np.abs(g) - w, 0.0),
         np.abs(g + w * np.sign(alpha)),
     )
     return float(violation.max()) if violation.size else 0.0
-
-
-def _backtracking_step(v, y, z, grad, w, lip, eta):
-    r = v @ z - y
-    f_z = 0.5 * float(r @ r)
-    while True:
-        cand = soft_threshold(z - grad / lip, w / lip)
-        step = cand - z
-        rc = v @ cand - y
-        f_c = 0.5 * float(rc @ rc)
-        model = f_z + float(grad @ step) + 0.5 * lip * float(step @ step)
-        if f_c <= model + 1e-12:
-            return cand, lip
-        lip *= eta
-
-
-def fista_weighted_l1(basis, y, opts=None):
-    """Minimize the reduced weighted-L1 objective; returns (alpha, report).
-
-    Accelerated proximal-gradient iteration started at zero. Coefficients on
-    zero-eigenvalue directions carry zero weight and are never thresholded.
-    Stops when the relative objective change drops below opts.rel_tol; if the
-    budget runs out first the best iterate is still returned with
-    converged=False. The returned alpha is the best iterate seen, so
-    downstream objective comparisons are well defined.
-    """
-    if opts is None:
-        opts = SolverOptions()
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (basis.n,):
-        raise ValueError(f"target has length {y.size}, expected {basis.n}")
-    start = time.perf_counter()
-    v = basis.vectors
-    w = opts.lam * basis.sqrt_eigenvalues
-
-    alpha = np.zeros(basis.m)
-    best_alpha = alpha
-    best_obj = objective(basis, y, opts.lam, alpha)
-    prev_obj = best_obj
-    trace = [best_obj]
-    momentum = alpha
-    t = 1.0
-    lip = 1.0 if opts.lipschitz == "exact_one" else opts.backtracking_l0
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, opts.max_iters + 1):
-        grad = v.T @ (v @ momentum - y)
-        if opts.lipschitz == "exact_one":
-            new_alpha = soft_threshold(momentum - grad, w)
-        else:
-            new_alpha, lip = _backtracking_step(
-                v, y, momentum, grad, w, lip, opts.backtracking_eta
-            )
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = new_alpha + ((t - 1.0) / t_next) * (new_alpha - alpha)
-        alpha = new_alpha
-        t = t_next
-        obj = objective(basis, y, opts.lam, alpha)
-        if obj < best_obj:
-            best_obj = obj
-            best_alpha = alpha
-        trace.append(best_obj)
-        if abs(obj - prev_obj) / max(1.0, prev_obj) < opts.rel_tol:
-            converged = True
-            break
-        prev_obj = obj
-
-    report = SolverReport(
-        iterations=iterations,
-        objective_trace=trace,
-        final_objective=best_obj,
-        kkt_residual=kkt_residual(basis, y, opts.lam, best_alpha),
-        converged=converged,
-        wall_time_s=time.perf_counter() - start,
-    )
-    return best_alpha, report
 
 
 def l2_objective(lap, y, lam, f):
@@ -202,15 +109,8 @@ def l2_objective(lap, y, lam, f):
 
 def l2_ssl_solve(lap, y, lam, tol=1e-8):
     """Minimize the quadratic objective by solving (I + lam L) f = y."""
-    f, _, _ = l2_ssl_solve_with_report(lap, y, lam, tol=tol)
-    return f
-
-
-def l2_ssl_solve_with_report(lap, y, lam, tol=1e-8):
-    """As l2_ssl_solve, also returning CG iterations and the absolute residual."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     y = np.asarray(y, dtype=np.float64)
-    system = identity_plus_scaled(lap, lam)
-    f, iterations, rel_residual = cg_solve(system, y, tol=tol)
-    return f, iterations, rel_residual * float(np.linalg.norm(y))
+    f, _, _ = cg_solve(identity_plus_scaled(lap, lam), y, tol=tol)
+    return f

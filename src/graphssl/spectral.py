@@ -67,6 +67,14 @@ class SpectralBasis:
     def sqrt_eigenvalues(self):
         return np.sqrt(np.maximum(self.eigenvalues, 0.0))
 
+    def project(self, y):
+        """Coefficients V' y of a vector, or of each column of an n x c block."""
+        return _by_column(self.vectors.T, y)
+
+    def expand(self, alpha):
+        """Basis expansion V alpha of a vector, or of each column of an m x c block."""
+        return _by_column(self.vectors, alpha)
+
     def truncate(self, m):
         """Basis of the m smallest retained eigenpairs."""
         if not 1 <= m <= self.m:
@@ -76,6 +84,25 @@ class SpectralBasis:
             eigenvalues=self.eigenvalues[:m],
             full=(m == self.n),
         )
+
+
+def _by_column(matrix, block):
+    """matrix @ block, one contiguous column at a time.
+
+    A BLAS matrix-matrix product rounds an output column differently
+    depending on how many columns it is computed with, so column j of a
+    block product need not equal the product with column j alone. One
+    matrix-vector product per contiguous column makes every column of the
+    result bit-identical to the single-vector call.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim == 1:
+        return matrix @ np.ascontiguousarray(block)
+    columns = np.asfortranarray(block)
+    out = np.empty((matrix.shape[0], columns.shape[1]))
+    for j in range(columns.shape[1]):
+        out[:, j] = matrix @ columns[:, j]
+    return out
 
 
 def build_basis(lap, m, seed=0, method="auto", tol=1e-6):

@@ -1,8 +1,10 @@
 """Multi-class semi-supervised classification, label tooling, and two-moons data.
 
 The multi-class problem decomposes into one independent column problem per
-class; predictions take the argmax across class scores with ties resolved
-toward the lowest class index.
+class. The weighted-L1 fit solves every column in closed form at once; the
+quadratic baseline runs one conjugate-gradient solve per class. Predictions
+take the argmax across class scores with ties resolved toward the lowest
+class index.
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError
-from .solver import (
-    SolverReport,
-    fista_weighted_l1,
-    l2_objective,
-    l2_ssl_solve_with_report,
-)
+from .solver import l1_coefficients, l2_ssl_solve
 
 
 @dataclass(frozen=True)
@@ -37,11 +34,10 @@ class NoiseSpec:
 
 @dataclass
 class Solution:
-    """Score matrix (samples x classes), argmax labels, per-class solver reports."""
+    """Score matrix (samples x classes) and its argmax labels."""
 
     scores: np.ndarray
     labels: np.ndarray
-    reports: list
 
 
 def encode_labels(assignments, n, c):
@@ -75,33 +71,23 @@ def validate_label_matrix(y):
     return y
 
 
-def fit_scores(basis, y_matrix, opts=None):
+def fit_scores(basis, y_matrix, lam):
     """Solve the weighted-L1 problem for every column of y_matrix.
 
-    Returns (scores, reports) where column j of scores is the basis expansion
-    of the column-j coefficient solution. Errors from the per-class solves
-    are annotated with the class index.
+    Returns (scores, coefficients): the closed-form coefficients of each
+    column and their basis expansions.
     """
     y_matrix = np.asarray(y_matrix, dtype=np.float64)
     if y_matrix.ndim != 2 or y_matrix.shape[0] != basis.n:
         raise ValueError("label matrix rows must match the basis dimension")
-    n, c = y_matrix.shape
-    scores = np.zeros((n, c))
-    reports = []
-    for j in range(c):
-        try:
-            alpha, report = fista_weighted_l1(basis, y_matrix[:, j], opts)
-        except ComputationError as exc:
-            raise type(exc)(f"class {j}: {exc}") from exc
-        scores[:, j] = basis.vectors @ alpha
-        reports.append(report)
-    return scores, reports
+    alpha = l1_coefficients(basis, y_matrix, lam)
+    return basis.expand(alpha), alpha
 
 
-def l1_ssl_fit(basis, y_matrix, opts=None):
+def l1_ssl_fit(basis, y_matrix, lam):
     """Sparse spectral semi-supervised fit; argmax labels over class scores."""
-    scores, reports = fit_scores(basis, y_matrix, opts)
-    return Solution(scores=scores, labels=np.argmax(scores, axis=1), reports=reports)
+    scores, _ = fit_scores(basis, y_matrix, lam)
+    return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 
 def l2_ssl_fit(lap, y_matrix, lam, tol=1e-8):
@@ -111,24 +97,12 @@ def l2_ssl_fit(lap, y_matrix, lam, tol=1e-8):
         raise ValueError("label matrix rows must match the Laplacian dimension")
     n, c = y_matrix.shape
     scores = np.zeros((n, c))
-    reports = []
     for j in range(c):
         try:
-            f, iterations, residual = l2_ssl_solve_with_report(lap, y_matrix[:, j], lam, tol=tol)
+            scores[:, j] = l2_ssl_solve(lap, y_matrix[:, j], lam, tol=tol)
         except ComputationError as exc:
             raise type(exc)(f"class {j}: {exc}") from exc
-        scores[:, j] = f
-        value = l2_objective(lap, y_matrix[:, j], lam, f)
-        reports.append(
-            SolverReport(
-                iterations=iterations,
-                objective_trace=[value],
-                final_objective=value,
-                kkt_residual=residual,
-                converged=True,
-            )
-        )
-    return Solution(scores=scores, labels=np.argmax(scores, axis=1), reports=reports)
+    return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 
 def inject_label_noise(assignments, spec, c):

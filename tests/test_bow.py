@@ -87,13 +87,12 @@ class TestRefine:
         out, _ = refine(corrupted, other, RefineConfig(lam=0.05, gamma=0.0, k=19, m=4))
         # Manually run the smoothing stage on the same graph and basis.
         from graphssl.graph import GraphConfig, knn_sparsify, linear_kernel, normalized_laplacian
-        from graphssl.solver import SolverOptions
         from graphssl.spectral import build_basis
         from graphssl.ssl import fit_scores
 
         lap = normalized_laplacian(knn_sparsify(linear_kernel(other), GraphConfig(k=19)))
         basis = build_basis(lap, 4, seed=0)
-        smoothed, _ = fit_scores(basis, corrupted, SolverOptions(lam=0.05))
+        smoothed, _ = fit_scores(basis, corrupted, 0.05)
         assert np.array_equal(out, smoothed)
 
     def test_noise_free_corpus_with_large_gamma_is_untouched(self):

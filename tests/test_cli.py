@@ -1,10 +1,11 @@
+import errno
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from graphssl import fileio
+from graphssl import cli, fileio
 from graphssl.bow import RefineConfig, co_refine
 from graphssl.cli import MOONS_DEMO_KEYS
 from graphssl.datasets import gaussian_blobs, two_block_corpus
@@ -287,6 +288,43 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "isolated" in result.stderr
         assert not (tmp_path / "out").exists()
+
+
+class TestAtomicOutput:
+    def test_failed_second_write_leaves_no_files(self, tmp_path, monkeypatch, capsys):
+        real_open = open
+        opened = []
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def flaky_open(path, *args, **kwargs):
+            opened.append(path)
+            fh = real_open(path, *args, **kwargs)
+            return FullDisk(fh) if len(opened) == 2 else fh
+
+        monkeypatch.setattr(cli, "open", flaky_open, raising=False)
+        out = tmp_path / "out"
+        assert cli.main(["moons-demo", "--runs", "1", "--output", str(out)]) == 1
+        assert len(opened) == 2
+        assert list(out.iterdir()) == []
+        assert "No space left on device" in capsys.readouterr().err
+
+    def test_success_leaves_only_the_named_files(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["moons-demo", "--runs", "1", "--output", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "moons_points.txt"]
 
 
 class TestDeterminism:

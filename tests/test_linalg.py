@@ -82,6 +82,16 @@ class TestSpmv:
             got = spmv(SparseSymMatrix.from_dense(a), x)
             assert np.allclose(got, a @ x, atol=1e-12, rtol=0.0)
 
+    def test_block_product_matches_column_loop(self):
+        # smallest_eigenpairs multiplies all eigenvectors at once; each column
+        # must equal the per-vector product bit for bit.
+        rng = np.random.default_rng(3)
+        a = SparseSymMatrix.from_dense(random_psd(40, rng, density=0.2))
+        rows = rng.standard_normal((40, 7))
+        for block in (rows, np.asfortranarray(rows)):
+            columns = np.column_stack([spmv(a, block[:, i]) for i in range(7)])
+            assert np.array_equal(a.to_csr() @ block, columns)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
             spmv(PATH_GRAPH_2, [1.0, 2.0, 3.0])

@@ -6,10 +6,8 @@ from oracle_grid import grid_minimum, random_instance
 from graphssl.graph import gaussian_weights, normalized_laplacian
 from graphssl.linalg import SparseSymMatrix, spmv
 from graphssl.solver import (
-    SolverOptions,
-    SolverReport,
-    fista_weighted_l1,
     kkt_residual,
+    l1_coefficients,
     l2_objective,
     l2_ssl_solve,
     objective,
@@ -79,19 +77,20 @@ class TestObjective:
 
 
 class TestFista:
+    """The closed-form weighted-L1 coefficient solve, solver.l1_coefficients."""
+
     def test_zero_penalty_returns_projection_coefficients(self):
         rng = np.random.default_rng(4)
         basis = random_basis(rng, 12, 5)
         y = rng.standard_normal(12)
-        alpha, report = fista_weighted_l1(basis, y, SolverOptions(lam=0.0))
+        alpha = l1_coefficients(basis, y, 0.0)
         assert np.allclose(alpha, basis.vectors.T @ y, atol=1e-10)
-        assert report.converged
 
     def test_large_penalty_keeps_only_null_direction(self):
         rng = np.random.default_rng(5)
         basis = random_basis(rng, 12, 5)
         y = rng.standard_normal(12)
-        alpha, _ = fista_weighted_l1(basis, y, SolverOptions(lam=1e6))
+        alpha = l1_coefficients(basis, y, 1e6)
         c = basis.vectors.T @ y
         assert alpha[0] == pytest.approx(c[0], abs=1e-10)  # unpenalized null direction
         assert np.all(alpha[1:] == 0.0)
@@ -101,8 +100,8 @@ class TestFista:
         for _ in range(10):
             basis, y, lam = random_instance(rng)
             best_val, _ = grid_minimum(basis, y, lam, check_points=10, rng=rng)
-            alpha, report = fista_weighted_l1(basis, y, SolverOptions(lam=lam))
-            assert report.final_objective <= best_val + 1e-4
+            alpha = l1_coefficients(basis, y, lam)
+            assert objective(basis, y, lam, alpha) <= best_val + 1e-4
 
     def test_kkt_residual_small_on_converged_runs(self):
         rng = np.random.default_rng(7)
@@ -110,36 +109,20 @@ class TestFista:
             basis = random_basis(rng, 15, 6)
             y = rng.standard_normal(15)
             lam = float(rng.uniform(0.0, 2.0))
-            alpha, report = fista_weighted_l1(basis, y, SolverOptions(lam=lam))
-            assert report.converged
-            assert report.kkt_residual <= 1e-6
-            assert kkt_residual(basis, y, lam, alpha) == report.kkt_residual
+            alpha = l1_coefficients(basis, y, lam)
+            assert kkt_residual(basis, y, lam, alpha) <= 1e-6
 
-    def test_trace_non_increasing_and_final_bounds(self):
+    def test_objective_bounded_by_zero_and_projection(self):
         rng = np.random.default_rng(8)
         basis = random_basis(rng, 20, 8)
         y = rng.standard_normal(20)
-        opts = SolverOptions(lam=0.5)
-        alpha, report = fista_weighted_l1(basis, y, opts)
-        trace = np.array(report.objective_trace)
-        assert np.all(np.diff(trace) <= 0.0)
-        assert report.final_objective == trace[-1]
-        assert report.final_objective <= objective(basis, y, 0.5, np.zeros(8))
-        assert report.final_objective <= objective(basis, y, 0.5, basis.vectors.T @ y)
-
-    def test_backtracking_matches_exact_step(self):
-        rng = np.random.default_rng(9)
-        basis = random_basis(rng, 14, 5)
-        y = rng.standard_normal(14)
-        exact, _ = fista_weighted_l1(basis, y, SolverOptions(lam=0.4))
-        back, rep = fista_weighted_l1(
-            basis, y, SolverOptions(lam=0.4, lipschitz="backtracking")
-        )
-        assert rep.converged
-        assert np.allclose(exact, back, atol=1e-6)
+        best = objective(basis, y, 0.5, l1_coefficients(basis, y, 0.5))
+        assert best <= objective(basis, y, 0.5, np.zeros(8))
+        assert best <= objective(basis, y, 0.5, basis.vectors.T @ y)
 
     def test_unit_spectral_norm_of_basis(self):
-        # Power iteration on the Gram matrix confirms the step-size-one claim.
+        # Power iteration on the Gram matrix confirms the orthonormality the
+        # closed form rests on.
         rng = np.random.default_rng(10)
         basis = random_basis(rng, 30, 10)
         gram = basis.vectors.T @ basis.vectors
@@ -157,41 +140,48 @@ class TestFista:
         weights = basis.sqrt_eigenvalues
         previous = None
         for lam in (0.01, 0.1, 0.5, 1.0, 5.0):
-            alpha, _ = fista_weighted_l1(basis, y, SolverOptions(lam=lam))
+            alpha = l1_coefficients(basis, y, lam)
             weighted = float(weights @ np.abs(alpha))
             if previous is not None:
                 assert weighted <= previous + 1e-8
             previous = weighted
 
-    def test_budget_exhaustion_returns_best_iterate(self):
-        rng = np.random.default_rng(12)
-        basis = random_basis(rng, 10, 4)
-        y = rng.standard_normal(10)
-        alpha, report = fista_weighted_l1(
-            basis, y, SolverOptions(lam=0.3, max_iters=1, rel_tol=1e-16)
-        )
-        assert not report.converged
-        assert report.iterations == 1
-        assert report.final_objective == min(report.objective_trace)
-
     def test_zero_target(self):
         rng = np.random.default_rng(13)
         basis = random_basis(rng, 8, 3)
-        alpha, report = fista_weighted_l1(basis, np.zeros(8), SolverOptions(lam=0.2))
+        alpha = l1_coefficients(basis, np.zeros(8), 0.2)
         assert np.all(alpha == 0.0)
-        assert report.converged
 
+    def test_block_matches_column_calls_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for n, m, c in ((12, 5, 3), (60, 12, 2), (300, 30, 40)):
+            basis = random_basis(rng, n, m)
+            y = rng.standard_normal((n, c))
+            y[rng.random((n, c)) < 0.5] = 0.0
+            block = l1_coefficients(basis, y, 0.3)
+            assert block.shape == (m, c)
+            for j in range(c):
+                assert np.array_equal(block[:, j], l1_coefficients(basis, y[:, j], 0.3))
+                assert np.array_equal(block[:, [j]], l1_coefficients(basis, y[:, [j]], 0.3))
 
-class TestSolverReportInvariants:
-    def test_rejects_empty_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            SolverReport(iterations=1, objective_trace=[], final_objective=0.0,
-                         kkt_residual=0.0, converged=True)
+    def test_block_checks_sum_and_maximize_over_columns(self):
+        rng = np.random.default_rng(18)
+        basis = random_basis(rng, 10, 4)
+        y = rng.standard_normal((10, 3))
+        alpha = rng.standard_normal((4, 3))
+        columns = [(y[:, j], alpha[:, j]) for j in range(3)]
+        assert objective(basis, y, 0.4, alpha) == pytest.approx(
+            sum(objective(basis, t, 0.4, a) for t, a in columns), rel=1e-12)
+        assert kkt_residual(basis, y, 0.4, alpha) == pytest.approx(
+            max(kkt_residual(basis, t, 0.4, a) for t, a in columns), rel=1e-12)
 
-    def test_rejects_mismatched_final(self):
-        with pytest.raises(ValueError, match="final"):
-            SolverReport(iterations=1, objective_trace=[1.0], final_objective=0.5,
-                         kkt_residual=0.0, converged=True)
+    def test_rejects_negative_lam_and_wrong_shape(self):
+        rng = np.random.default_rng(19)
+        basis = random_basis(rng, 8, 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            l1_coefficients(basis, np.zeros(8), -0.1)
+        with pytest.raises(ValueError, match="shape"):
+            l1_coefficients(basis, np.zeros(7), 0.1)
 
 
 class TestQuadraticBaseline:

@@ -3,8 +3,8 @@ import pytest
 
 from graphssl.graph import GraphConfig, gaussian_knn_graph, gaussian_weights, normalized_laplacian
 from graphssl.harness import run_moons_benchmark, run_moons_trial
-from graphssl.linalg import SparseSymMatrix
-from graphssl.solver import SolverOptions
+from graphssl.linalg import SparseSymMatrix, spmv
+from graphssl.solver import soft_threshold
 from graphssl.spectral import build_basis
 from graphssl.ssl import (
     NoiseSpec,
@@ -55,21 +55,21 @@ class TestEncodeLabels:
 class TestL1Fit:
     def test_zero_labels_give_zero_scores(self):
         _, _, _, basis = moons_setup(seed=0, n=40, m=10)
-        solution = l1_ssl_fit(basis, np.zeros((40, 3)), SolverOptions(lam=0.5))
+        solution = l1_ssl_fit(basis, np.zeros((40, 3)), 0.5)
         assert np.all(solution.scores == 0.0)
         assert np.all(solution.labels == 0)  # ties break to the lowest class
 
     def test_two_node_graph_reproduces_labels(self):
         basis = build_basis(PATH_GRAPH_2, 2)
         y = encode_labels([(0, 0), (1, 1)], 2, 2)
-        solution = l1_ssl_fit(basis, y, SolverOptions(lam=1e-4))
+        solution = l1_ssl_fit(basis, y, 1e-4)
         assert solution.labels.tolist() == [0, 1]
 
     def test_clean_moons_accuracy(self):
         x, truth, lap, basis = moons_setup(seed=1)
         assignments = select_labeled(truth, 5, seed=2)
         y = encode_labels(assignments, 200, 2)
-        solution = l1_ssl_fit(basis, y, SolverOptions(lam=5.0))
+        solution = l1_ssl_fit(basis, y, 5.0)
         labeled = np.zeros(200, dtype=bool)
         for i, _ in assignments:
             labeled[i] = True
@@ -78,21 +78,30 @@ class TestL1Fit:
     def test_per_class_decomposition_is_exact(self):
         _, truth, _, basis = moons_setup(seed=3, n=60, m=12)
         y = encode_labels(select_labeled(truth[:60], 4, seed=4), 60, 2)
-        opts = SolverOptions(lam=1.2)
-        joint = l1_ssl_fit(basis, y, opts)
+        lam = 1.2
+        joint = l1_ssl_fit(basis, y, lam)
         for j in range(2):
-            single = l1_ssl_fit(basis, y[:, [j]], opts)
+            single = l1_ssl_fit(basis, y[:, [j]], lam)
             assert np.array_equal(joint.scores[:, j], single.scores[:, 0])
 
     def test_class_permutation_equivariance(self):
         _, truth, _, basis = moons_setup(seed=5, n=60, m=12)
         y = encode_labels(select_labeled(truth[:60], 4, seed=6), 60, 2)
         perm = [1, 0]
-        opts = SolverOptions(lam=0.8)
-        direct = l1_ssl_fit(basis, y, opts)
-        permuted = l1_ssl_fit(basis, y[:, perm], opts)
+        lam = 0.8
+        direct = l1_ssl_fit(basis, y, lam)
+        permuted = l1_ssl_fit(basis, y[:, perm], lam)
         assert np.array_equal(permuted.scores, direct.scores[:, perm])
         assert np.array_equal(permuted.labels, np.argsort(perm)[direct.labels])
+
+    def test_scores_are_expansion_of_soft_thresholded_projection(self):
+        _, truth, _, basis = moons_setup(seed=14, n=80, m=15)
+        y = encode_labels(select_labeled(truth[:80], 5, seed=15), 80, 2)
+        lam = 0.3
+        v = basis.vectors
+        expected = v @ soft_threshold(v.T @ y, lam * basis.sqrt_eigenvalues[:, None])
+        scores = l1_ssl_fit(basis, y, lam).scores
+        assert np.allclose(scores, expected, rtol=0.0, atol=1e-12)
 
     def test_sample_permutation_equivariance(self):
         rng = np.random.default_rng(7)
@@ -103,11 +112,11 @@ class TestL1Fit:
 
         lap = normalized_laplacian(w)
         basis = build_basis(lap, 8)
-        scores = l1_ssl_fit(basis, y, SolverOptions(lam=0.5)).scores
+        scores = l1_ssl_fit(basis, y, 0.5).scores
 
         w_perm = gaussian_weights(x[perm], sigma=1.0)
         basis_perm = build_basis(normalized_laplacian(w_perm), 8)
-        scores_perm = l1_ssl_fit(basis_perm, y[perm], SolverOptions(lam=0.5)).scores
+        scores_perm = l1_ssl_fit(basis_perm, y[perm], 0.5).scores
         assert np.allclose(scores_perm, scores[perm], atol=1e-8)
 
 
@@ -134,13 +143,15 @@ class TestL2Fit:
         assert trial.l2_accuracy < trial.l1_accuracy
 
     def test_reports_carry_residuals(self):
+        # Each score column meets the CG residual contract of its class solve.
         _, truth, lap, _ = moons_setup(seed=12, n=60, m=5)
         y = encode_labels(select_labeled(truth[:60], 4, seed=13), 60, 2)
-        solution = l2_ssl_fit(lap, y, 2.0)
-        assert len(solution.reports) == 2
-        for j, report in enumerate(solution.reports):
-            assert report.converged
-            assert report.kkt_residual <= 1e-8 * np.linalg.norm(y[:, j])
+        lam = 2.0
+        solution = l2_ssl_fit(lap, y, lam)
+        for j in range(2):
+            f = solution.scores[:, j]
+            residual = np.linalg.norm(f + lam * spmv(lap, f) - y[:, j])
+            assert residual <= 1e-8 * np.linalg.norm(y[:, j])
 
 
 class TestInjectLabelNoise:
