@@ -7,6 +7,7 @@ emits for a finite float) and key order is the insertion order of the caller.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -14,7 +15,29 @@ import numpy as np
 
 
 def read_features(path):
-    """CSV features, one sample per row, no header; all values finite reals."""
+    """CSV features, one sample per row, no header; all values finite reals.
+
+    The file is parsed in bulk. Only when that fails or finds a non-finite
+    value does the line-by-line reader run. It names the first bad line, or
+    returns the rows of a file it accepts and the bulk parser does not, such
+    as one with a whitespace-only line.
+    """
+    x = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.strip():  # on an empty body loadtxt warns; the line reader raises
+            x = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.float64,
+                           ndmin=2, comments=None)
+    except ValueError:
+        pass
+    if x is not None and np.all(np.isfinite(x)):
+        return x
+    return _read_features_by_line(path)
+
+
+def _read_features_by_line(path):
+    """read_features one line at a time, raising on the first bad line."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:

@@ -107,10 +107,14 @@ def l2_objective(lap, y, lam, f):
     return 0.5 * float(diff @ diff) + 0.5 * lam * float(f @ spmv(lap, f))
 
 
-def l2_ssl_solve(lap, y, lam, tol=1e-8):
-    """Minimize the quadratic objective by solving (I + lam L) f = y."""
+def l2_system(lap, lam):
+    """The SPD matrix I + lam L whose solve minimizes the quadratic objective."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    y = np.asarray(y, dtype=np.float64)
-    f, _, _ = cg_solve(identity_plus_scaled(lap, lam), y, tol=tol)
+    return identity_plus_scaled(lap, lam)
+
+
+def l2_ssl_solve(lap, y, lam, tol=1e-8):
+    """Minimize the quadratic objective by solving (I + lam L) f = y."""
+    f, _, _ = cg_solve(l2_system(lap, lam), np.asarray(y, dtype=np.float64), tol=tol)
     return f

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError
-from .solver import l1_coefficients, l2_ssl_solve
+from .linalg import cg_solve
+from .solver import l1_coefficients, l2_system
 
 
 @dataclass(frozen=True)
@@ -91,15 +92,16 @@ def l1_ssl_fit(basis, y_matrix, lam):
 
 
 def l2_ssl_fit(lap, y_matrix, lam, tol=1e-8):
-    """Quadratic-regularization baseline fit, one linear solve per class."""
+    """Quadratic-regularization baseline fit: one system, one CG solve per class."""
     y_matrix = np.asarray(y_matrix, dtype=np.float64)
     if y_matrix.ndim != 2 or y_matrix.shape[0] != lap.n:
         raise ValueError("label matrix rows must match the Laplacian dimension")
     n, c = y_matrix.shape
+    system = l2_system(lap, lam)
     scores = np.zeros((n, c))
     for j in range(c):
         try:
-            scores[:, j] = l2_ssl_solve(lap, y_matrix[:, j], lam, tol=tol)
+            scores[:, j], _, _ = cg_solve(system, y_matrix[:, j], tol=tol)
         except ComputationError as exc:
             raise type(exc)(f"class {j}: {exc}") from exc
     return Solution(scores=scores, labels=np.argmax(scores, axis=1))

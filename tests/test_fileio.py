@@ -37,6 +37,42 @@ class TestFeatures:
             fileio.read_features(path)
 
 
+def random_feature_text():
+    x = np.random.default_rng(3).standard_normal((50, 3)) * 10.0 ** np.arange(-5, 10, 5)
+    return "".join(",".join(repr(v) for v in row) + "\n" for row in x.tolist())
+
+
+class TestBulkFeatures:
+    """read_features must return exactly what the line-by-line reader returns."""
+
+    @pytest.mark.parametrize("text", [
+        random_feature_text(),
+        "1,2\n\n\n3,4\n\n",
+        "1,2\n   \n3,4\n",
+        " 1.5 , -2 \n\t3e-3,\t4 \n",
+        "0.5\n-1\n2e300\n",
+        "7,8\r\n9,10\r\n",
+    ], ids=["repr-floats", "blank-lines", "whitespace-line", "spaced-fields",
+            "single-column", "crlf"])
+    def test_matches_line_reader(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_bytes(text.encode())
+        expected = fileio._read_features_by_line(path)
+        x = fileio.read_features(path)
+        assert x.dtype == expected.dtype and x.shape == expected.shape
+        assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("text", ["# header\n1,2\n", "1,2\n# 3,4\n", "1,2\n#\n", "", "\n \n"])
+    def test_rejects_like_line_reader(self, tmp_path, text):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as expected:
+            fileio._read_features_by_line(path)
+        with pytest.raises(ValueError) as got:
+            fileio.read_features(path)
+        assert str(got.value) == str(expected.value)
+
+
 class TestLabels:
     def test_assignments(self, tmp_path):
         path = tmp_path / "labels.csv"

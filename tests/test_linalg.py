@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from graphssl import cli
+from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
+from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from graphssl.linalg import (
+    DENSE_EIGEN_CUTOFF,
     EigenPairs,
     SparseSymMatrix,
     cg_solve,
@@ -228,3 +233,44 @@ class TestEigenPairsInvariants:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
             EigenPairs(values=np.array([0.0, 1.0]), vectors=np.ones((2, 2)))
+
+
+def zero_pivot(*args, **kwargs):
+    """Stands in for spla.splu meeting an exactly zero pivot."""
+    raise RuntimeError("Factor is exactly singular")
+
+
+class TestShiftInvertFactor:
+    def test_failed_factorization_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(spla, "splu", zero_pivot)
+        rng = np.random.default_rng(13)
+        a = SparseSymMatrix.from_dense(random_psd(30, rng))
+        with pytest.raises(ConvergenceError, match="shifted by"):
+            smallest_eigenpairs(a, 3, method="lanczos")
+
+    def test_failed_factorization_exits_with_code_two(self, tmp_path, monkeypatch, capsys):
+        # More points than DENSE_EIGEN_CUTOFF, so eigen-dump takes the Lanczos path.
+        x, _ = gaussian_blobs(600, classes=3, seed=0)
+        features = tmp_path / "f.csv"
+        features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        monkeypatch.setattr(spla, "splu", zero_pivot)
+        code = cli.main(["eigen-dump", "--input", str(features), "--k", "10", "--m", "5"])
+        assert code == 2
+        assert "shifted by" in capsys.readouterr().err
+
+    def test_dense_and_lanczos_agree_on_disconnected_laplacian(self):
+        # Three blobs give three components, hence three zero eigenvalues;
+        # m=9 ends at a gap where the next eigenvalue is over twice as large.
+        x, _ = gaussian_blobs(600, classes=3, seed=0)
+        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+        assert lap.n > DENSE_EIGEN_CUTOFF
+        m = 9
+        spectrum = np.linalg.eigvalsh(lap.to_dense())
+        assert np.allclose(spectrum[:3], 0.0, atol=1e-12) and spectrum[3] > 1e-2
+        assert spectrum[m] > 2.0 * spectrum[m - 1]
+        dense = smallest_eigenpairs(lap, m, method="dense")
+        for seed in (0, 1):
+            lanczos = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
+            assert np.allclose(lanczos.values, dense.values, rtol=0.0, atol=1e-10)
+            overlap = np.linalg.svd(dense.vectors.T @ lanczos.vectors, compute_uv=False)
+            assert overlap.min() >= 1.0 - 1e-8

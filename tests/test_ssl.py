@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from graphssl.datasets import gaussian_blobs
+from graphssl.errors import ConvergenceError
 from graphssl.graph import GraphConfig, gaussian_knn_graph, gaussian_weights, normalized_laplacian
 from graphssl.harness import run_moons_benchmark, run_moons_trial
 from graphssl.linalg import SparseSymMatrix, spmv
-from graphssl.solver import soft_threshold
+from graphssl.solver import l2_ssl_solve, soft_threshold
 from graphssl.spectral import build_basis
 from graphssl.ssl import (
     NoiseSpec,
@@ -152,6 +154,27 @@ class TestL2Fit:
             f = solution.scores[:, j]
             residual = np.linalg.norm(f + lam * spmv(lap, f) - y[:, j])
             assert residual <= 1e-8 * np.linalg.norm(y[:, j])
+
+    def test_columns_equal_single_class_solves(self):
+        x, truth = gaussian_blobs(90, classes=3, spread=0.1, seed=14)
+        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=0.5, k=6)))
+        y = encode_labels(select_labeled(truth, 3, seed=15), 90, 3)
+        lam = 3.0
+        solution = l2_ssl_fit(lap, y, lam)
+        for j in range(3):
+            assert np.array_equal(solution.scores[:, j], l2_ssl_solve(lap, y[:, j], lam))
+
+    def test_negative_lam_rejected(self):
+        _, truth, lap, _ = moons_setup(seed=8, n=60, m=5)
+        y = encode_labels(select_labeled(truth[:60], 4, seed=9), 60, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            l2_ssl_fit(lap, y, -1.0)
+
+    def test_failed_class_solve_names_the_class(self):
+        _, truth, lap, _ = moons_setup(seed=8, n=60, m=5)
+        y = encode_labels(select_labeled(truth[:60], 4, seed=9), 60, 2)
+        with pytest.raises(ConvergenceError, match="^class 0: "):
+            l2_ssl_fit(lap, y, 5.0, tol=1e-300)
 
 
 class TestInjectLabelNoise:
