@@ -237,12 +237,10 @@ def cmd_moons_demo(args):
         first = trials[0]
         labeled = set(first.labeled_indices)
         lines = ["x0 x1 truth l1_pred l2_pred labeled"]
-        for i in range(first.features.shape[0]):
+        for i, (x0, x1) in enumerate(first.features.tolist()):
             lines.append(
-                "%s %s %d %d %d %d" % (
-                    fileio._render_float(first.features[i, 0]),
-                    fileio._render_float(first.features[i, 1]),
-                    first.truth[i], first.l1_predictions[i],
+                "%r %r %d %d %d %d" % (
+                    x0, x1, first.truth[i], first.l1_predictions[i],
                     first.l2_predictions[i], int(i in labeled),
                 )
             )
@@ -252,6 +250,8 @@ def cmd_moons_demo(args):
 
 
 def cmd_classify(args):
+    if args.output is None:
+        raise ValueError("classify writes a predictions file; pass --output DIR")
     params = _resolve(args, dict(MNIST_STYLE))
     x = fileio.read_features(args.input)
     assignments = fileio.read_label_assignments(args.labels)
@@ -299,8 +299,6 @@ def cmd_classify(args):
         if unlabeled.any():
             items.append(("accuracy_unlabeled", evaluate(solution, truth, unlabeled)))
     predictions = "".join(f"{int(label)}\n" for label in solution.labels)
-    if args.output is None:
-        raise ValueError("classify writes a predictions file; pass --output DIR")
     _emit(args, [
         ("predictions.txt", predictions),
         ("metrics.txt", fileio.render_metrics(items)),
@@ -362,6 +360,8 @@ def _refine_config(base, args):
 
 
 def cmd_refine_bow(args):
+    if args.output is None:
+        raise ValueError("refine-bow writes matrix files; pass --output DIR")
     if args.preset == "table2-textual":
         base_visual = base_textual = TABLE2_TEXTUAL
     elif args.preset == "table2-visual":
@@ -387,8 +387,6 @@ def cmd_refine_bow(args):
     (refined_visual, rep_v), (refined_textual, rep_t) = bow.co_refine(
         visual, textual, cfg_visual, cfg_textual, seed=args.seed
     )
-    if args.output is None:
-        raise ValueError("refine-bow writes matrix files; pass --output DIR")
 
     def summary(prefix, refined, original, reports):
         changed = int(np.count_nonzero(refined != original))
@@ -431,9 +429,8 @@ def cmd_eigen_dump(args):
     lap = normalized_laplacian(graph)
     basis = build_basis(lap, params["m"], seed=args.seed)
     lines = [f"{basis.n} {basis.m}"]
-    lines.append(" ".join(fileio._render_float(v) for v in basis.eigenvalues))
-    for i in range(basis.n):
-        lines.append(" ".join(fileio._render_float(v) for v in basis.vectors[i]))
+    lines.append(" ".join(map(repr, basis.eigenvalues.tolist())))
+    lines += [" ".join(map(repr, row)) for row in basis.vectors.tolist()]
     text = "\n".join(lines) + "\n"
     if args.output is None:
         sys.stdout.write(text)

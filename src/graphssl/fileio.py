@@ -10,8 +10,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import warnings
 
 import numpy as np
+
+# Rows of a count matrix rendered per block by format_bow.
+FORMAT_BLOCK_ROWS = 256
 
 
 def read_features(path):
@@ -99,9 +103,11 @@ def read_truth(path):
     return np.asarray(labels, dtype=np.int64)
 
 
-# The ASCII whitespace that bytes.split() separates fields on.
-_SPACE = np.zeros(256, dtype=bool)
-_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+# Besides ASCII whitespace, loadtxt splits fields on these control characters
+# and on the non-ASCII spaces \x85 and \xa0; bytes.split() does not.
+_UNICODE_SPACE = b"\x1c\x1d\x1e\x1f"
+
+_TRIPLET = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def read_bow(path):
@@ -109,8 +115,8 @@ def read_bow(path):
 
     Blank lines are skipped. Every line names a distinct in-range coordinate
     and a finite value, and the entry count must match the header. The body
-    is split into tokens once and converted in bulk; only when that finds a
-    fault does a line-by-line pass run, to name the first bad line.
+    is parsed in one pass by numpy's C reader and checked in bulk; only when
+    that finds a fault does a line-by-line pass run, to name the first bad line.
     """
     with open(path, "rb") as fh:
         header = fh.readline().split()
@@ -136,15 +142,19 @@ def read_bow(path):
 
 def _bulk_triplets(body, n, m):
     """(rows, cols, vals) of a valid triplet body, or None when any line is bad."""
-    tokens = body.split()
-    if not _three_fields_per_line(body, len(tokens)):
+    if not body.isascii() or any(c in body for c in _UNICODE_SPACE):
         return None
+    if not body.strip():  # on an empty body loadtxt warns
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
     try:
-        rows = np.array(tokens[0::3], dtype=np.int64)
-        cols = np.array(tokens[1::3], dtype=np.int64)
-        vals = np.array(tokens[2::3], dtype=np.float64)
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy < 2 only warns on `1.0` as an index
+            # numpy ends a line at a lone \r; bytes.split() treats it as a space.
+            table = np.loadtxt(io.BytesIO(body.replace(b"\r", b" ")), dtype=_TRIPLET,
+                               ndmin=1, comments=None)
+    except (ValueError, Warning):
         return None
+    rows, cols, vals = table["row"], table["col"], table["value"]
     if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m):
         return None
     if not np.all(np.isfinite(vals)):
@@ -153,18 +163,6 @@ def _bulk_triplets(body, n, m):
     if np.any(keys[1:] == keys[:-1]):
         return None
     return rows, cols, vals
-
-
-def _three_fields_per_line(body, count):
-    """True when every non-blank line of body holds exactly three of its count tokens."""
-    if count % 3:
-        return False
-    raw = np.frombuffer(body, dtype=np.uint8)
-    space = _SPACE[raw]
-    starts = ~space
-    starts[1:] &= space[:-1]
-    line = np.cumsum(raw == ord("\n"))[starts].reshape(-1, 3)
-    return bool(np.all(line[:, 0] == line[:, 2]) and np.all(line[1:, 0] > line[:-1, 2]))
 
 
 def _raise_first_bad_line(path, body, n, m):
@@ -177,6 +175,8 @@ def _raise_first_bad_line(path, body, n, m):
         if len(parts) != 3:
             raise ValueError(f"{path}: line {lineno}: expected `row col value`")
         try:
+            if b"_" in line:  # int() and float() accept digit separators; loadtxt does not
+                raise ValueError
             i, j, value = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed triplet") from None
@@ -194,18 +194,23 @@ def format_bow(matrix, threshold=1e-12):
     """A matrix as sparse triplet text, dropping |value| <= threshold.
 
     Entries are in row-major order and values are rendered by repr, which
-    gives the same text as json for every finite float.
+    gives the same text as json for every finite float. Rows are rendered
+    FORMAT_BLOCK_ROWS at a time, so only one block's lines are alive at once.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    rows, cols = np.nonzero(np.abs(matrix) > threshold)
-    vals = matrix[rows, cols]
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("matrix entries must be finite")
-    lines = [f"{matrix.shape[0]} {matrix.shape[1]} {rows.size}\n"]
-    lines += [f"{i} {j} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist())]
-    return "".join(lines)
+    keep = np.abs(matrix) > threshold
+    parts = [f"{matrix.shape[0]} {matrix.shape[1]} {np.count_nonzero(keep)}\n"]
+    for start in range(0, matrix.shape[0], FORMAT_BLOCK_ROWS):
+        rows, cols = np.nonzero(keep[start:start + FORMAT_BLOCK_ROWS])
+        rows += start
+        vals = matrix[rows, cols]
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("matrix entries must be finite")
+        parts.append("".join([f"{i} {j} {v!r}\n" for i, j, v
+                              in zip(rows.tolist(), cols.tolist(), vals.tolist())]))
+    return "".join(parts)
 
 
 def write_bow(path, matrix, threshold=1e-12):
@@ -213,10 +218,6 @@ def write_bow(path, matrix, threshold=1e-12):
     text = format_bow(matrix, threshold)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _render_float(value):
-    return json.dumps(float(value))
 
 
 def _plain(value):

@@ -1,15 +1,18 @@
 import errno
+import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from graphssl import cli, fileio
+from graphssl import bow, cli, fileio, harness
 from graphssl.bow import RefineConfig, co_refine
 from graphssl.cli import MOONS_DEMO_KEYS
 from graphssl.datasets import gaussian_blobs, two_block_corpus
+from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from graphssl.harness import confidence_halfwidth
+from graphssl.spectral import build_basis
 
 
 def run_cli(*args):
@@ -253,6 +256,39 @@ class TestEigenDump:
         result = run_cli("eigen-dump", "--input", features, "--m", 5, "--k", 1)
         assert result.returncode == 1
         assert "exceeds" in result.stderr
+
+    def test_matches_json_rendering_on_lanczos_path(self, tmp_path):
+        # More points than DENSE_EIGEN_CUTOFF, so eigen-dump takes the Lanczos path.
+        x, _ = gaussian_blobs(600, classes=3, seed=0)
+        features = tmp_path / "f.csv"
+        features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        out = tmp_path / "out"
+        assert cli.main(["eigen-dump", "--input", str(features), "--k", "10", "--m", "5",
+                         "--sigma", "1.0", "--seed", "4", "--output", str(out)]) == 0
+        lap = normalized_laplacian(gaussian_knn_graph(fileio.read_features(features),
+                                                      GraphConfig(sigma=1.0, k=10)))
+        basis = build_basis(lap, 5, seed=4)
+        lines = ["600 5", " ".join(json.dumps(float(v)) for v in basis.eigenvalues)]
+        lines += [" ".join(json.dumps(float(v)) for v in row) for row in basis.vectors]
+        assert (out / "eigen.txt").read_text() == "\n".join(lines) + "\n"
+
+
+def fail_if_called(*args, **kwargs):
+    pytest.fail("the command ran its computation before checking --output")
+
+
+class TestOutputRequiredUpFront:
+    def test_classify_without_output_does_no_work(self, tmp_path, monkeypatch, capsys):
+        features, labels, _, _ = write_blob_dataset(tmp_path)
+        monkeypatch.setattr(harness, "l1_classify", fail_if_called)
+        assert cli.main(["classify", "--input", str(features), "--labels", str(labels)]) == 1
+        assert "pass --output DIR" in capsys.readouterr().err
+
+    def test_refine_bow_without_output_does_no_work(self, tmp_path, monkeypatch, capsys):
+        visual, textual = write_corpus(tmp_path)
+        monkeypatch.setattr(bow, "co_refine", fail_if_called)
+        assert cli.main(["refine-bow", "--input", str(visual), str(textual)]) == 1
+        assert "pass --output DIR" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -162,6 +162,39 @@ class TestBowFormat:
         path.write_text("2 3 0\n")
         assert np.array_equal(fileio.read_bow(path), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("line", [
+        "1_0 0 1.0", "1.0 0 1.0", "9999999999999999999 0 1.0",
+        "0 0 0x1", "0 0 '2'", "0 0 1_0.5",
+    ])
+    def test_bad_token_names_line(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"20 2 1\n{line}\n")
+        with pytest.raises(ValueError, match="line 2: ") as caught:
+            fileio.read_bow(path)
+        assert "malformed triplet body" not in str(caught.value)
+
+    @pytest.mark.parametrize("separator", [b"\x1c", b"\x1f", b"\x85", b"\xa0"])
+    def test_only_ascii_whitespace_separates_fields(self, tmp_path, separator):
+        # numpy's whitespace delimiter also splits on these; the format does not.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2 2 2\n1 1 2.0\n0" + separator + b"0 1.0\n")
+        with pytest.raises(ValueError, match="line 3: "):
+            fileio.read_bow(path)
+
+    def test_carriage_return_inside_a_line_is_whitespace(self, tmp_path):
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"2 2 2\n0 0\r1.5\r\n1\r1 2.0\n")
+        assert fileio.read_bow(path).tolist() == [[1.5, 0.0], [0.0, 2.0]]
+
+    def test_round_trip_bits_over_magnitudes(self, tmp_path):
+        # numpy's float parser must invert repr exactly, subnormals included.
+        rng = np.random.default_rng(5)
+        scale = 10.0 ** rng.integers(-320, 300, (700, 40))
+        matrix = np.where(rng.random((700, 40)) < 0.3, rng.standard_normal((700, 40)) * scale, 0.0)
+        path = tmp_path / "m.txt"
+        fileio.write_bow(path, matrix, threshold=0.0)
+        assert np.array_equal(fileio.read_bow(path), matrix)
+
 
 def json_triplets(matrix, threshold=1e-12):
     """Triplet text as rendered through json.dumps, one entry at a time."""
@@ -199,6 +232,24 @@ class TestFormatBow:
     def test_rejects_infinite_entries(self):
         with pytest.raises(ValueError, match="finite"):
             fileio.format_bow(np.array([[1.0, np.inf]]))
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 256, 10_000])
+    @pytest.mark.parametrize("kind", ["random", "empty rows", "nothing kept"])
+    def test_block_size_does_not_change_output(self, monkeypatch, block_rows, kind):
+        rng = np.random.default_rng(3)
+        matrix = rng.standard_normal((600, 30)) * 10.0 ** rng.integers(-15, 5, (600, 30))
+        if kind == "empty rows":
+            matrix[rng.random(600) < 0.5] = 0.0
+        elif kind == "nothing kept":
+            matrix = np.full((600, 30), 1e-13)
+        rows, cols = np.nonzero(np.abs(matrix) > 1e-12)
+        expected = f"600 30 {rows.size}\n" + "".join(
+            f"{i} {j} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(),
+                                                  matrix[rows, cols].tolist()))
+        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", block_rows)
+        assert fileio.format_bow(matrix) == expected
+        if kind == "nothing kept":
+            assert expected == "600 30 0\n"
 
 
 class TestMetrics:
