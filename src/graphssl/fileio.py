@@ -196,19 +196,23 @@ def format_bow(matrix, threshold=1e-12):
     Entries are in row-major order and values are rendered by repr, which
     gives the same text as json for every finite float. Rows are rendered
     FORMAT_BLOCK_ROWS at a time, so only one block's lines are alive at once.
+    A NaN or infinite entry raises ValueError.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    keep = np.abs(matrix) > threshold
-    parts = [f"{matrix.shape[0]} {matrix.shape[1]} {np.count_nonzero(keep)}\n"]
-    for start in range(0, matrix.shape[0], FORMAT_BLOCK_ROWS):
+    keep = ~(np.abs(matrix) <= threshold)  # NaN is kept, so the finiteness check sees it
+    n, m = matrix.shape
+    parts = [f"{n} {m} {np.count_nonzero(keep)}\n"]
+    row_text = [f"{i} " for i in range(n)]
+    col_text = [f"{j} " for j in range(m)]
+    for start in range(0, n, FORMAT_BLOCK_ROWS):
         rows, cols = np.nonzero(keep[start:start + FORMAT_BLOCK_ROWS])
         rows += start
         vals = matrix[rows, cols]
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix entries must be finite")
-        parts.append("".join([f"{i} {j} {v!r}\n" for i, j, v
+        parts.append("".join([f"{row_text[i]}{col_text[j]}{v!r}\n" for i, j, v
                               in zip(rows.tolist(), cols.tolist(), vals.tolist())]))
     return "".join(parts)
 

@@ -233,6 +233,24 @@ class TestFormatBow:
         with pytest.raises(ValueError, match="finite"):
             fileio.format_bow(np.array([[1.0, np.inf]]))
 
+    def test_rejects_nan_entries(self):
+        # NaN compares false against the threshold; it must not be dropped as small.
+        with pytest.raises(ValueError, match="finite"):
+            fileio.format_bow(np.array([[np.nan, 1.0]]))
+
+    def test_rejects_nan_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 1)
+        matrix = np.ones((3, 2))
+        matrix[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fileio.format_bow(matrix)
+
+    def test_write_bow_with_nan_leaves_no_file(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        with pytest.raises(ValueError, match="finite"):
+            fileio.write_bow(path, np.array([[1.0, 0.0], [0.0, np.nan]]))
+        assert not path.exists()
+
     @pytest.mark.parametrize("block_rows", [1, 7, 256, 10_000])
     @pytest.mark.parametrize("kind", ["random", "empty rows", "nothing kept"])
     def test_block_size_does_not_change_output(self, monkeypatch, block_rows, kind):

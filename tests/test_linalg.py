@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from graphssl import cli
@@ -18,6 +19,17 @@ from graphssl.linalg import (
 )
 
 PATH_GRAPH_2 = SparseSymMatrix.from_dense(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def disconnected_laplacian():
+    """Normalized Laplacian of three blobs: three components, three zero eigenvalues."""
+    x, _ = gaussian_blobs(600, classes=3, seed=0)
+    return normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+
+
+def subspace_overlap(a, b):
+    """Smallest singular value of a^T b; 1 when the column spaces coincide."""
+    return np.linalg.svd(a.T @ b, compute_uv=False).min()
 
 
 def random_psd(n, rng, density=1.0):
@@ -225,6 +237,63 @@ class TestSmallestEigenpairs:
             smallest_eigenpairs(a, 5, method="lanczos", max_steps=1)
 
 
+class TestDenseSubset:
+    """The dense path computes only the m requested pairs when m < n."""
+
+    @pytest.mark.parametrize("m", [1, 5, 29])
+    def test_matches_full_decomposition(self, m):
+        # A prescribed simple spectrum, so every m ends at a gap of at least 0.05.
+        rng = np.random.default_rng(14)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        a = SparseSymMatrix.from_dense((q * np.linspace(0.0, 1.5, 30)) @ q.T)
+        w, v = np.linalg.eigh(a.to_dense())
+        assert np.all(np.diff(w) > 0.05)
+        pairs = smallest_eigenpairs(a, m, method="dense")
+        assert np.allclose(pairs.values, np.linalg.eigvalsh(a.to_dense())[:m], rtol=0.0, atol=1e-12)
+        assert subspace_overlap(v[:, :m], pairs.vectors) >= 1.0 - 1e-10
+
+    def test_multi_component_laplacian(self):
+        # m=9 runs past the three-fold zero eigenvalue and ends at a gap.
+        lap = disconnected_laplacian()
+        m = 9
+        w, v = np.linalg.eigh(lap.to_dense())
+        assert np.allclose(w[:3], 0.0, atol=1e-12) and w[3] > 1e-2
+        assert w[m] > 2.0 * w[m - 1]
+        pairs = smallest_eigenpairs(lap, m, method="dense")
+        assert np.allclose(pairs.values, w[:m], rtol=0.0, atol=1e-12)
+        assert subspace_overlap(v[:, :3], pairs.vectors[:, :3]) >= 1.0 - 1e-10
+        assert subspace_overlap(v[:, :m], pairs.vectors) >= 1.0 - 1e-10
+
+    @staticmethod
+    def spy(monkeypatch, module):
+        calls = []
+        original = module.eigh
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "eigh", recording)
+        return calls
+
+    def test_subset_calls_only_the_index_range_driver(self, monkeypatch):
+        numpy_calls = self.spy(monkeypatch, np.linalg)
+        scipy_calls = self.spy(monkeypatch, scipy.linalg)
+        a = SparseSymMatrix.from_dense(random_psd(20, np.random.default_rng(15)))
+        smallest_eigenpairs(a, 6, method="dense")
+        assert numpy_calls == []
+        assert len(scipy_calls) == 1
+        assert list(scipy_calls[0]["subset_by_index"]) == [0, 5]
+
+    def test_full_basis_uses_numpy_eigh(self, monkeypatch):
+        numpy_calls = self.spy(monkeypatch, np.linalg)
+        scipy_calls = self.spy(monkeypatch, scipy.linalg)
+        a = SparseSymMatrix.from_dense(random_psd(20, np.random.default_rng(15)))
+        pairs = smallest_eigenpairs(a, 20)
+        assert len(numpy_calls) == 1 and scipy_calls == []
+        assert pairs.m == 20
+
+
 class TestEigenPairsInvariants:
     def test_rejects_descending_values(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -261,8 +330,7 @@ class TestShiftInvertFactor:
     def test_dense_and_lanczos_agree_on_disconnected_laplacian(self):
         # Three blobs give three components, hence three zero eigenvalues;
         # m=9 ends at a gap where the next eigenvalue is over twice as large.
-        x, _ = gaussian_blobs(600, classes=3, seed=0)
-        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+        lap = disconnected_laplacian()
         assert lap.n > DENSE_EIGEN_CUTOFF
         m = 9
         spectrum = np.linalg.eigvalsh(lap.to_dense())
@@ -272,5 +340,4 @@ class TestShiftInvertFactor:
         for seed in (0, 1):
             lanczos = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
             assert np.allclose(lanczos.values, dense.values, rtol=0.0, atol=1e-10)
-            overlap = np.linalg.svd(dense.vectors.T @ lanczos.vectors, compute_uv=False)
-            assert overlap.min() >= 1.0 - 1e-8
+            assert subspace_overlap(dense.vectors, lanczos.vectors) >= 1.0 - 1e-8
