@@ -10,17 +10,9 @@ paired bag-of-words matrices.
 """
 
 from .errors import ComputationError, ConvergenceError, IsolatedVertexError
-from .linalg import (
-    EigenPairs,
-    SparseSymMatrix,
-    identity_plus_scaled,
-    smallest_eigenpairs,
-    solve_spd,
-    spmv,
-)
+from .linalg import cg_solve, check_symmetric, smallest_eigenpairs
 from .graph import (
     GraphConfig,
-    WeightMatrix,
     gaussian_knn_graph,
     gaussian_weights,
     knn_sparsify,
@@ -70,14 +62,10 @@ __all__ = [
     "ComputationError",
     "ConvergenceError",
     "IsolatedVertexError",
-    "EigenPairs",
-    "SparseSymMatrix",
-    "identity_plus_scaled",
+    "cg_solve",
+    "check_symmetric",
     "smallest_eigenpairs",
-    "solve_spd",
-    "spmv",
     "GraphConfig",
-    "WeightMatrix",
     "gaussian_knn_graph",
     "gaussian_weights",
     "knn_sparsify",

@@ -1,17 +1,17 @@
-"""Affinity graph construction and the normalized Laplacian."""
+"""Affinity graphs and the normalized Laplacian, as checked symmetric scipy CSR matrices."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import IsolatedVertexError
-from .linalg import SparseSymMatrix
+from .linalg import _row_sums, check_symmetric
 
 SYMMETRIZATIONS = ("union", "mutual")
-WEIGHT_KINDS = ("gaussian", "linear", "precomputed")
 # Rows of the linear kernel that linear_knn_graph holds at once.
 LINEAR_BLOCK_ROWS = 256
 
@@ -38,24 +38,26 @@ class GraphConfig:
             raise ValueError(f"symmetrization must be one of {SYMMETRIZATIONS}")
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Nonnegative symmetric affinity matrix with an empty diagonal."""
+def _check_weights(w):
+    """check_symmetric, plus strictly positive weights and an empty diagonal."""
+    w = check_symmetric(w)
+    if np.any(w.data <= 0.0):
+        raise ValueError("affinity weights must be strictly positive")
+    if np.any(w.diagonal() != 0.0):
+        raise ValueError("affinity diagonal must be empty")
+    return w
 
-    inner: SparseSymMatrix
-    kind: str = "precomputed"
 
-    def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"kind must be one of {WEIGHT_KINDS}")
-        if np.any(self.inner.vals <= 0.0):
-            raise ValueError("affinity weights must be strictly positive")
-        if np.any(self.inner.rows == self.inner.cols):
-            raise ValueError("affinity diagonal must be empty")
-
-    @property
-    def n(self):
-        return self.inner.n
+def _mirror(n, lo, hi, vals):
+    """Symmetric CSR weight matrix from undirected edges (lo < hi, weight)."""
+    if not np.all(np.isfinite(vals) & (vals != 0.0)):
+        raise ValueError("edge weights must be finite and nonzero")
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    w = sp.coo_matrix((np.concatenate([vals, vals]), (rows, cols)), shape=(n, n)).tocsr()
+    w.sum_duplicates()  # sorts each row; a repeated edge would merge into one entry
+    if w.nnz != 2 * vals.size:
+        raise ValueError("duplicate matrix entries")
+    return w
 
 
 def _as_features(x):
@@ -86,7 +88,7 @@ def gaussian_weights(x, sigma):
     iu, ju = np.triu_indices(n, k=1)
     vals = w[iu, ju]
     keep = vals > 0.0
-    return WeightMatrix(SparseSymMatrix(n, iu[keep], ju[keep], vals[keep]), kind="gaussian")
+    return _mirror(n, iu[keep], ju[keep], vals[keep])
 
 
 def _linear_features(x):
@@ -111,7 +113,7 @@ def linear_kernel(x):
     iu, ju = np.triu_indices(n, k=1)
     vals = g[iu, ju]
     keep = vals > 0.0
-    return WeightMatrix(SparseSymMatrix(n, iu[keep], ju[keep], vals[keep]), kind="linear")
+    return _mirror(n, iu[keep], ju[keep], vals[keep])
 
 
 def _top_k_per_row(src, dst, vals, k):
@@ -157,18 +159,18 @@ def knn_sparsify(w, config):
     k weights; mutual mode requires both. Ties go to the lowest column
     index. Surviving weights are unchanged.
     """
-    n = w.n
+    w = _check_weights(w)
+    n = w.shape[0]
     if config.k >= n:
         raise ValueError(f"k={config.k} must be smaller than the number of vertices {n}")
-    csr = w.inner.to_csr()
-    if csr.nnz == 0:
+    if w.nnz == 0:
         raise ValueError("weight matrix has no edges")
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
-    dst = csr.indices.astype(np.int64)
-    keep = _top_k_per_row(src, dst, csr.data, config.k)
-    lo_idx, hi_idx, vals = _symmetrize(n, src[keep], dst[keep], csr.data[keep],
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(w.indptr))
+    dst = w.indices.astype(np.int64)
+    keep = _top_k_per_row(src, dst, w.data, config.k)
+    lo_idx, hi_idx, vals = _symmetrize(n, src[keep], dst[keep], w.data[keep],
                                        config.symmetrization)
-    return WeightMatrix(SparseSymMatrix(n, lo_idx, hi_idx, vals), kind=w.kind)
+    return _mirror(n, lo_idx, hi_idx, vals)
 
 
 def linear_knn_graph(x, config):
@@ -203,7 +205,7 @@ def linear_knn_graph(x, config):
         raise ValueError("weight matrix has no edges")
     dst, vals = np.concatenate(dst_parts), np.concatenate(val_parts)
     lo_idx, hi_idx, vals = _symmetrize(n, src, dst, vals, config.symmetrization)
-    return WeightMatrix(SparseSymMatrix(n, lo_idx, hi_idx, vals), kind="linear")
+    return _mirror(n, lo_idx, hi_idx, vals)
 
 
 def gaussian_knn_graph(x, config):
@@ -236,27 +238,27 @@ def gaussian_knn_graph(x, config):
     nz = wvals > 0.0
     src, dst, wvals = src[nz], dst[nz], wvals[nz]
     lo_idx, hi_idx, wvals = _symmetrize(n, src, dst, wvals, config.symmetrization)
-    return WeightMatrix(SparseSymMatrix(n, lo_idx, hi_idx, wvals), kind="gaussian")
+    return _mirror(n, lo_idx, hi_idx, wvals)
 
 
 def normalized_laplacian(w):
     """I - D^-1/2 W D^-1/2 with D_ii the sum of row i of W.
 
-    Symmetric positive semidefinite with spectrum inside [0, 2]. An isolated
-    vertex (zero row sum) raises IsolatedVertexError naming the vertex.
+    Symmetric positive semidefinite with spectrum inside [0, 2]. w must be
+    symmetric with strictly positive weights and an empty diagonal. An
+    isolated vertex (zero row sum) raises IsolatedVertexError naming it.
     """
-    n = w.n
-    deg = np.zeros(n)
-    np.add.at(deg, w.inner.rows, w.inner.vals)
-    np.add.at(deg, w.inner.cols, w.inner.vals)
+    w = _check_weights(w)
+    n = w.shape[0]
+    deg = _row_sums(w, w.data)
     zero = np.flatnonzero(deg == 0.0)
     if zero.size:
         raise IsolatedVertexError(int(zero[0]))
     inv_sqrt = 1.0 / np.sqrt(deg)
-    off_vals = -w.inner.vals * inv_sqrt[w.inner.rows] * inv_sqrt[w.inner.cols]
-    keep = off_vals != 0.0  # normalization can underflow an extreme weight
-    idx = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([w.inner.rows[keep], idx])
-    cols = np.concatenate([w.inner.cols[keep], idx])
-    vals = np.concatenate([off_vals[keep], np.ones(n)])
-    return SparseSymMatrix(n, rows, cols, vals)
+    # Scale entry (i, j) and its mirror (j, i) in one order, lower index
+    # first, so that the Laplacian stays exactly symmetric.
+    rows = np.repeat(np.arange(n), np.diff(w.indptr))
+    lo, hi = np.minimum(rows, w.indices), np.maximum(rows, w.indices)
+    off = sp.csr_matrix((-w.data * inv_sqrt[lo] * inv_sqrt[hi], w.indices, w.indptr), shape=(n, n))
+    # The sum drops entries that the normalization underflowed to zero.
+    return sp.identity(n, format="csr") + off

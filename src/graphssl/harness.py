@@ -124,7 +124,7 @@ def run_moons_trial(master_seed, run_index, n=None, noise_sd=None, labels_per_cl
     )
     graph = gaussian_knn_graph(x, GraphConfig(sigma=cfg["sigma"], k=cfg["k"]))
     lap = normalized_laplacian(graph)
-    full_basis = build_basis(lap, lap.n, seed=child_seed(master_seed, _STREAM_EIGEN, run_index))
+    full_basis = build_basis(lap, cfg["n"], seed=child_seed(master_seed, _STREAM_EIGEN, run_index))
     basis = full_basis.truncate(cfg["m"])
 
     y = signed_label_vector(noisy, cfg["n"])

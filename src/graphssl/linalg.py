@@ -1,8 +1,11 @@
-"""Sparse symmetric matrices, conjugate gradients, and partial eigensolvers."""
+"""Symmetric sparse-matrix checks, conjugate gradients, and partial eigensolvers.
+
+Matrices are scipy CSR in canonical form (float64, sorted column indices, no
+duplicates) with both triangles stored and no stored zeros; check_symmetric
+enforces that where a matrix enters the library.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -18,158 +21,79 @@ from .errors import ConvergenceError
 DENSE_EIGEN_CUTOFF = 512
 
 
-class SparseSymMatrix:
-    """Symmetric matrix stored as (row, col, value) triplets with row <= col.
+def check_symmetric(a):
+    """Return a as a canonical float64 CSR matrix, checked to be symmetric.
 
-    Off-diagonal entries are stored once and mirrored implicitly. Explicit
-    zeros and duplicate coordinates are rejected. Instances are immutable and
-    safe to share across threads.
+    a must be a square scipy sparse matrix whose stored entries are finite
+    and nonzero and equal its transpose bit for bit. Duplicate coordinates
+    are summed (on a copy), as scipy defines them.
     """
-
-    __slots__ = ("n", "rows", "cols", "vals", "_csr", "_norm_inf")
-
-    def __init__(self, n, rows, cols, vals):
-        n = int(n)
-        if n < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
-        vals = np.ascontiguousarray(vals, dtype=np.float64)
-        if not (rows.ndim == cols.ndim == vals.ndim == 1 and rows.size == cols.size == vals.size):
-            raise ValueError("triplet arrays must be one-dimensional and of equal length")
-        if rows.size:
-            if rows.min() < 0 or cols.max() >= n:
-                raise ValueError("triplet coordinates out of range")
-            if np.any(rows > cols):
-                raise ValueError("triplets must satisfy row <= col")
-            if np.any(vals == 0.0):
-                raise ValueError("explicit zero entries are not allowed")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("matrix entries must be finite")
-            order = np.lexsort((cols, rows))
-            rows = rows[order]
-            cols = cols[order]
-            vals = vals[order]
-            keys = rows * n + cols
-            if np.any(np.diff(keys) == 0):
-                raise ValueError("duplicate matrix entries")
-        for arr in (rows, cols, vals):
-            arr.flags.writeable = False
-        self.n = n
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self._csr = None
-        self._norm_inf = None
-
-    @classmethod
-    def from_triplets(cls, n, rows, cols, vals):
-        """Build from triplets in either orientation, dropping exact zeros."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        swap = rows > cols
-        r = np.where(swap, cols, rows)
-        c = np.where(swap, rows, cols)
-        keep = vals != 0.0
-        return cls(n, r[keep], c[keep], vals[keep])
-
-    @classmethod
-    def from_dense(cls, a, tol=0.0):
-        """Build from a dense symmetric array, dropping entries with |a_ij| <= tol."""
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.allclose(a, a.T, atol=1e-12, rtol=0.0):
-            raise ValueError("matrix is not symmetric")
-        a = 0.5 * (a + a.T)
-        mask = np.triu(np.abs(a) > tol)
-        r, c = np.nonzero(mask)
-        return cls(a.shape[0], r, c, a[r, c])
-
-    @property
-    def nnz(self):
-        return self.vals.size
-
-    def to_csr(self):
-        """Full symmetric scipy CSR view (cached; treat as read-only)."""
-        if self._csr is None:
-            off = self.rows != self.cols
-            r = np.concatenate([self.rows, self.cols[off]])
-            c = np.concatenate([self.cols, self.rows[off]])
-            v = np.concatenate([self.vals, self.vals[off]])
-            csr = sp.coo_matrix((v, (r, c)), shape=(self.n, self.n)).tocsr()
-            csr.sort_indices()
-            self._csr = csr
-        return self._csr
-
-    def to_dense(self):
-        return self.to_csr().toarray()
-
-    def diagonal(self):
-        d = np.zeros(self.n)
-        mask = self.rows == self.cols
-        d[self.rows[mask]] = self.vals[mask]
-        return d
-
-    def norm_inf(self):
-        """Maximum absolute row sum; an upper bound on the spectral norm."""
-        if self._norm_inf is None:
-            s = np.zeros(self.n)
-            np.add.at(s, self.rows, np.abs(self.vals))
-            off = self.rows != self.cols
-            np.add.at(s, self.cols[off], np.abs(self.vals[off]))
-            self._norm_inf = float(s.max())
-        return self._norm_inf
-
-    def __matmul__(self, x):
-        return spmv(self, x)
+    if not sp.issparse(a):
+        raise TypeError(f"expected a scipy sparse matrix, got {type(a).__name__}")
+    a = a.tocsr().astype(np.float64, copy=False)
+    if a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    if not np.all(np.isfinite(a.data)):
+        raise ValueError("matrix entries must be finite")
+    if np.any(a.data == 0.0):
+        raise ValueError("explicit zero entries are not allowed")
+    t = a.T.tocsr()
+    if not (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)
+            and np.array_equal(a.data, t.data)):
+        raise ValueError("matrix is not symmetric")
+    return a
 
 
-def spmv(a, x):
-    """Multiply a SparseSymMatrix by a vector, mirroring each stored entry."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (a.n,):
-        raise ValueError(f"vector of length {x.size} does not match matrix dimension {a.n}")
-    return a.to_csr() @ x
+def _row_sums(a, values):
+    """Row sums of values laid out like the stored entries of symmetric CSR a.
 
-
-def identity_plus_scaled(a, scale):
-    """Return I + scale * A as a new SparseSymMatrix."""
-    diag = 1.0 + scale * a.diagonal()
-    off = a.rows != a.cols
-    idx = np.arange(a.n)
-    rows = np.concatenate([a.rows[off], idx])
-    cols = np.concatenate([a.cols[off], idx])
-    vals = np.concatenate([scale * a.vals[off], diag])
-    keep = vals != 0.0
-    return SparseSymMatrix(a.n, rows[keep], cols[keep], vals[keep])
+    Each row adds its diagonal and upper-triangle entries first, then its
+    lower-triangle entries, each group by ascending column. The order is
+    fixed because the rounding of these sums sets graph degrees and ||A||_inf,
+    and through them Laplacian values, the Lanczos shift and the residual
+    bound.
+    """
+    n = a.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    upper = a.indices >= rows
+    sums = np.zeros(n)
+    np.add.at(sums, rows[upper], values[upper])
+    np.add.at(sums, rows[~upper], values[~upper])
+    return sums
 
 
 def cg_solve(a, b, tol=1e-8, max_iters=None):
     """Conjugate gradients for SPD systems; returns (x, iterations, rel_residual).
 
-    The returned x satisfies ||A x - b||_2 <= tol * ||b||_2, verified on the
-    explicitly recomputed residual, not just the CG recurrence. Raises
-    ConvergenceError when the budget (default 10 n) runs out first.
+    a is a square sparse matrix, symmetric positive definite (caller
+    guarantee). The returned x satisfies ||A x - b||_2 <= tol * ||b||_2,
+    verified on the explicitly recomputed residual, not just the CG
+    recurrence. Raises ConvergenceError when the budget (default 10 n) runs
+    out first.
     """
+    n = a.shape[0]
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (a.n,):
-        raise ValueError(f"right-hand side length {b.size} does not match dimension {a.n}")
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side length {b.size} does not match dimension {n}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    budget = 10 * a.n if max_iters is None else int(max_iters)
+    budget = 10 * n if max_iters is None else int(max_iters)
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
-        return np.zeros(a.n), 0, 0.0
+        return np.zeros(n), 0, 0.0
     target = tol * norm_b
-    x = np.zeros(a.n)
+    x = np.zeros(n)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
     residual = float(np.sqrt(rs))
     for iteration in range(1, budget + 1):
-        ap = spmv(a, p)
+        ap = a @ p
         pap = float(p @ ap)
         if pap <= 0.0:
             raise ConvergenceError(
@@ -183,7 +107,7 @@ def cg_solve(a, b, tol=1e-8, max_iters=None):
         residual = float(np.sqrt(rs_new))
         if residual <= target:
             # Guard against recurrence drift before accepting.
-            exact = b - spmv(a, x)
+            exact = b - a @ x
             residual = float(np.linalg.norm(exact))
             if residual <= target:
                 return x, iteration, residual / norm_b
@@ -200,50 +124,18 @@ def cg_solve(a, b, tol=1e-8, max_iters=None):
     )
 
 
-def solve_spd(a, b, tol=1e-8, max_iters=None):
-    """Solve A x = b for symmetric positive definite A; see cg_solve."""
-    x, _, _ = cg_solve(a, b, tol=tol, max_iters=max_iters)
-    return x
-
-
-@dataclass(frozen=True)
-class EigenPairs:
-    """Ascending eigenvalues paired with orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
-        if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.size:
-            raise ValueError("eigenvector columns must pair one-to-one with eigenvalues")
-        if values.size > 1 and np.any(np.diff(values) < -1e-10):
-            raise ValueError("eigenvalues must be sorted ascending")
-        gram = vectors.T @ vectors
-        if not np.allclose(gram, np.eye(values.size), atol=1e-8, rtol=0.0):
-            raise ValueError("eigenvectors are not orthonormal to 1e-8")
-        values.flags.writeable = False
-        vectors.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "vectors", vectors)
-
-    @property
-    def n(self):
-        return self.vectors.shape[0]
-
-    @property
-    def m(self):
-        return self.values.size
-
-
 def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
-    """Return the m algebraically smallest eigenpairs of a symmetric PSD matrix.
+    """Return (values, vectors), the m algebraically smallest eigenpairs of a.
+
+    values ascend; column j of vectors pairs with values[j]. The values are
+    the Rayleigh quotients of the returned vectors, whose orthonormality
+    SpectralBasis checks.
 
     Parameters
     ----------
-    a : SparseSymMatrix
-        Symmetric positive semidefinite (caller guarantee).
+    a : scipy sparse matrix
+        Symmetric (checked by check_symmetric) and positive semidefinite
+        (caller guarantee).
     m : int
         Number of eigenpairs, 1 <= m <= n.
     tol : float
@@ -264,27 +156,32 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
         If the budget is exhausted or a returned pair misses the residual
         bound; carries the achieved residual.
     """
+    a = check_symmetric(a)
+    n = a.shape[0]
     m = int(m)
-    if not 1 <= m <= a.n:
-        raise ValueError(f"m must be in [1, {a.n}], got {m}")
+    if not 1 <= m <= n:
+        raise ValueError(f"m must be in [1, {n}], got {m}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
     if method == "auto":
-        method = "dense" if a.n <= DENSE_EIGEN_CUTOFF else "lanczos"
-    if method == "lanczos" and m > a.n - 1:
+        method = "dense" if n <= DENSE_EIGEN_CUTOFF else "lanczos"
+    if method == "lanczos" and m > n - 1:
         # ARPACK needs m < n; the full decomposition is dense territory anyway.
         method = "dense"
 
-    if method == "dense" and m == a.n:
+    norm = float(_row_sums(a, np.abs(a.data)).max())  # ||A||_inf bounds the spectral norm
+    if method == "dense" and m == n:
         # The evr driver would move moons-demo's full-basis metrics in the low bits.
-        values, vectors = np.linalg.eigh(a.to_dense())
+        values, vectors = np.linalg.eigh(a.toarray())
     elif method == "dense":
-        values, vectors = scipy.linalg.eigh(a.to_dense(), subset_by_index=[0, m - 1])
+        values, vectors = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, m - 1])
     else:
-        values, vectors = _shift_invert_lanczos(a, m, seed, max_steps)
+        values, vectors = _shift_invert_lanczos(a, m, seed, max_steps, norm)
 
     # Rayleigh quotients tie the reported values to the returned vectors.
-    av = a.to_csr() @ vectors
+    av = a @ vectors
     rayleigh = np.einsum("ij,ij->j", vectors, av)
     order = np.argsort(rayleigh, kind="stable")
     rayleigh = rayleigh[order]
@@ -292,17 +189,17 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
     av = av[:, order]
 
     residuals = np.linalg.norm(av - vectors * rayleigh, axis=0)
-    bound = tol * a.norm_inf()
-    worst = float(residuals.max()) if m else 0.0
+    bound = tol * norm
+    worst = float(residuals.max())
     if worst > max(bound, 1e-300):
         raise ConvergenceError(
             f"eigenpair residual {worst:.3e} exceeds bound {bound:.3e}",
             residual=worst,
         )
-    return EigenPairs(values=rayleigh, vectors=vectors)
+    return rayleigh, vectors
 
 
-def _shift_invert_lanczos(a, m, seed, max_steps):
+def _shift_invert_lanczos(a, m, seed, max_steps, norm):
     """Smallest eigenpairs via ARPACK Lanczos on (A + shift I)^-1.
 
     A plain shift leaves the Krylov space unchanged, so the spectrum is
@@ -318,8 +215,9 @@ def _shift_invert_lanczos(a, m, seed, max_steps):
     4.7 M entries on a 30000-point k=10 Gaussian k-NN Laplacian).
     """
     budget = (10 * m + 200) if max_steps is None else int(max_steps)
-    shift = max(1e-3 * a.norm_inf(), 1e-8)
-    shifted = (a.to_csr() + shift * sp.identity(a.n, format="csr")).tocsc()
+    n = a.shape[0]
+    shift = max(1e-3 * norm, 1e-8)
+    shifted = (a + shift * sp.identity(n, format="csr")).tocsc()
     try:
         lu = spla.splu(
             shifted,
@@ -334,17 +232,17 @@ def _shift_invert_lanczos(a, m, seed, max_steps):
             "the input is not positive semidefinite",
         ) from exc
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(a.n)
+    v0 = rng.standard_normal(n)
     try:
         values, vectors = spla.eigsh(
-            a.to_csr(),
+            a,
             k=m,
             sigma=-shift,
             which="LM",
             v0=v0,
             maxiter=budget,
             tol=0.0,
-            OPinv=spla.LinearOperator((a.n, a.n), matvec=lu.solve, dtype=np.float64),
+            OPinv=spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64),
         )
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(

@@ -14,8 +14,9 @@ optimality residual are kept as independent checks of that solution.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import cg_solve, identity_plus_scaled, spmv
+from .linalg import cg_solve
 
 
 def soft_threshold(x, t):
@@ -104,14 +105,14 @@ def l2_objective(lap, y, lam, f):
     f = np.asarray(f, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     diff = f - y
-    return 0.5 * float(diff @ diff) + 0.5 * lam * float(f @ spmv(lap, f))
+    return 0.5 * float(diff @ diff) + 0.5 * lam * float(f @ (lap @ f))
 
 
 def l2_system(lap, lam):
     """The SPD matrix I + lam L whose solve minimizes the quadratic objective."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    return identity_plus_scaled(lap, lam)
+    return sp.identity(lap.shape[0], format="csr") + lam * lap
 
 
 def l2_ssl_solve(lap, y, lam, tol=1e-8):

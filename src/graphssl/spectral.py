@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import smallest_eigenpairs, spmv
+from .linalg import smallest_eigenpairs
 
 # Eigenvalues this far below zero are treated as PSD rounding noise and
 # clamped before the square root; anything lower is a real error.
@@ -111,11 +111,9 @@ def build_basis(lap, m, seed=0, method="auto", tol=1e-6):
     Deterministic for a fixed seed; negative eigenvalues within rounding
     distance of zero are clamped so square roots stay real.
     """
-    pairs = smallest_eigenpairs(lap, m, tol=tol, seed=seed, method=method)
-    values = np.where(
-        (pairs.values < 0.0) & (pairs.values >= EIGENVALUE_CLAMP), 0.0, pairs.values
-    )
-    return SpectralBasis(vectors=pairs.vectors, eigenvalues=values, full=(m == lap.n))
+    values, vectors = smallest_eigenpairs(lap, m, tol=tol, seed=seed, method=method)
+    values = np.where((values < 0.0) & (values >= EIGENVALUE_CLAMP), 0.0, values)
+    return SpectralBasis(vectors=vectors, eigenvalues=values, full=(m == lap.shape[0]))
 
 
 def _require_full(basis):
@@ -143,7 +141,7 @@ def l1_smoothness(basis, f):
 def l2_smoothness(lap, f):
     """Quadratic smoothness f' L f, computed straight from the sparse matrix."""
     f = np.asarray(f, dtype=np.float64)
-    return float(f @ spmv(lap, f))
+    return float(f @ (lap @ f))
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ def l1_ssl_fit(basis, y_matrix, lam):
 def l2_ssl_fit(lap, y_matrix, lam, tol=1e-8):
     """Quadratic-regularization baseline fit: one system, one CG solve per class."""
     y_matrix = np.asarray(y_matrix, dtype=np.float64)
-    if y_matrix.ndim != 2 or y_matrix.shape[0] != lap.n:
+    if y_matrix.ndim != 2 or y_matrix.shape[0] != lap.shape[0]:
         raise ValueError("label matrix rows must match the Laplacian dimension")
     n, c = y_matrix.shape
     system = l2_system(lap, lam)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphssl import graph
 from graphssl.errors import IsolatedVertexError
 from graphssl.graph import (
     GraphConfig,
-    WeightMatrix,
     gaussian_knn_graph,
     gaussian_weights,
     knn_sparsify,
@@ -13,22 +13,29 @@ from graphssl.graph import (
     linear_knn_graph,
     normalized_laplacian,
 )
-from graphssl.linalg import SparseSymMatrix, spmv
 
 
-def weights_from_dense(w, kind="precomputed"):
-    return WeightMatrix(SparseSymMatrix.from_dense(w), kind=kind)
+def weights_from_dense(w):
+    return sp.csr_matrix(w)
 
 
 def same_graph(a, b):
-    return (a.kind == b.kind and a.n == b.n
-            and np.array_equal(a.inner.rows, b.inner.rows)
-            and np.array_equal(a.inner.cols, b.inner.cols)
-            and np.array_equal(a.inner.vals, b.inner.vals))
+    return (a.shape == b.shape
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+def upper(w):
+    """Rows, columns and weights of the strict upper triangle, sorted by (row, col)."""
+    coo = sp.triu(w, k=1).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return coo.row[order], coo.col[order], coo.data[order]
 
 
 def edges(w):
-    return set(zip(w.inner.rows.tolist(), w.inner.cols.tolist()))
+    rows, cols, _ = upper(w)
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def tied_counts():
@@ -48,9 +55,11 @@ def knn_reference(dense, k, symmetrization):
 
 
 def degrees(w):
-    d = np.zeros(w.n)
-    np.add.at(d, w.inner.rows, w.inner.vals)
-    np.add.at(d, w.inner.cols, w.inner.vals)
+    """np.add.at over the upper-triangle edges, then over their mirrors."""
+    rows, cols, vals = upper(w)
+    d = np.zeros(w.shape[0])
+    np.add.at(d, rows, vals)
+    np.add.at(d, cols, vals)
     return d
 
 
@@ -65,37 +74,48 @@ class TestGraphConfig:
 
 
 class TestWeightMatrixInvariants:
+    """Affinity matrices are checked where they enter normalized_laplacian and knn_sparsify."""
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive"):
-            WeightMatrix(SparseSymMatrix(2, [0], [1], [-1.0]))
+            normalized_laplacian(weights_from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])))
 
     def test_rejects_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            WeightMatrix(SparseSymMatrix(2, [0, 0], [0, 1], [1.0, 1.0]))
+            normalized_laplacian(weights_from_dense(np.array([[1.0, 1.0], [1.0, 0.0]])))
+
+    def test_rejects_asymmetric_weights(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            normalized_laplacian(weights_from_dense(np.array([[0.0, 1.0], [2.0, 0.0]])))
+
+    def test_knn_sparsify_checks_its_input(self):
+        with pytest.raises(ValueError, match="positive"):
+            knn_sparsify(weights_from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])),
+                         GraphConfig(k=1))
 
 
 class TestGaussianWeights:
     def test_identical_points_weight_one(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
-        w = gaussian_weights(x, sigma=0.7).inner.to_dense()
+        w = gaussian_weights(x, sigma=0.7).toarray()
         assert w[0, 1] == pytest.approx(1.0)
 
     def test_scalar_value(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])  # distance sqrt(2)
-        w = gaussian_weights(x, sigma=1.0).inner.to_dense()
+        w = gaussian_weights(x, sigma=1.0).toarray()
         assert w[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_wide_bandwidth_limit(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 3))
-        w = gaussian_weights(x, sigma=1e8).inner.to_dense()
+        w = gaussian_weights(x, sigma=1e8).toarray()
         off = w[~np.eye(6, dtype=bool)]
         assert np.allclose(off, 1.0, atol=1e-12)
 
     def test_zero_diagonal(self):
         rng = np.random.default_rng(1)
         w = gaussian_weights(rng.standard_normal((5, 2)), sigma=1.0)
-        assert np.all(w.inner.rows != w.inner.cols)
+        assert np.all(w.diagonal() == 0.0) and w.nnz == 5 * 4
 
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
@@ -106,18 +126,18 @@ class TestLinearKernel:
     def test_orthogonal_rows_not_stored(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         w = linear_kernel(x)
-        dense = w.inner.to_dense()
+        dense = w.toarray()
         assert dense[0, 1] == 0.0
-        assert w.inner.nnz == 2  # (0,2) and (1,2)
+        assert w.nnz == 4  # (0,2) and (1,2), each stored in both triangles
 
     def test_dot_product_value(self):
         x = np.array([[1.0, 2.0], [3.0, 1.0]])
-        assert linear_kernel(x).inner.to_dense()[0, 1] == pytest.approx(5.0)
+        assert linear_kernel(x).toarray()[0, 1] == pytest.approx(5.0)
 
     def test_matches_gram_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.random((6, 4))
-        w = linear_kernel(x).inner.to_dense()
+        w = linear_kernel(x).toarray()
         gram = x @ x.T
         np.fill_diagonal(gram, 0.0)
         assert np.allclose(w, gram, atol=1e-12)
@@ -132,28 +152,26 @@ class TestKnnSparsify:
         rng = np.random.default_rng(3)
         w = gaussian_weights(rng.standard_normal((7, 2)), sigma=1.0)
         out = knn_sparsify(w, GraphConfig(k=6))
-        assert np.array_equal(out.inner.rows, w.inner.rows)
-        assert np.array_equal(out.inner.cols, w.inner.cols)
-        assert np.array_equal(out.inner.vals, w.inner.vals)
+        assert same_graph(out, w)
 
     def test_three_node_chain_union(self):
         dense = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.8], [0.1, 0.8, 0.0]])
         out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="union"))
-        kept = set(zip(out.inner.rows.tolist(), out.inner.cols.tolist()))
+        kept = edges(out)
         assert kept == {(0, 1), (1, 2)}
 
     def test_three_node_chain_mutual(self):
         dense = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.8], [0.1, 0.8, 0.0]])
         out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="mutual"))
-        kept = set(zip(out.inner.rows.tolist(), out.inner.cols.tolist()))
+        kept = edges(out)
         assert kept == {(0, 1)}
 
     def test_weights_unchanged(self):
         rng = np.random.default_rng(4)
         w = gaussian_weights(rng.standard_normal((20, 3)), sigma=1.0)
         out = knn_sparsify(w, GraphConfig(k=4))
-        full = w.inner.to_dense()
-        sparse = out.inner.to_dense()
+        full = w.toarray()
+        sparse = out.toarray()
         mask = sparse != 0.0
         assert np.allclose(sparse[mask], full[mask])
 
@@ -165,15 +183,12 @@ class TestKnnSparsify:
         cfg = GraphConfig(k=3, symmetrization="mutual")
         once = knn_sparsify(w, cfg)
         twice = knn_sparsify(once, cfg)
-        assert np.array_equal(once.inner.rows, twice.inner.rows)
-        assert np.array_equal(once.inner.cols, twice.inner.cols)
-        assert np.array_equal(once.inner.vals, twice.inner.vals)
+        assert same_graph(once, twice)
         # Union mode: once the degree bound holds, any k at or above the
         # maximum degree is a fixed point.
         sparse = knn_sparsify(w, GraphConfig(k=3))
         again = knn_sparsify(sparse, GraphConfig(k=15 - 1))
-        assert np.array_equal(sparse.inner.vals, again.inner.vals)
-        assert np.array_equal(sparse.inner.rows, again.inner.rows)
+        assert same_graph(sparse, again)
 
     def test_rejects_k_too_large(self):
         rng = np.random.default_rng(6)
@@ -186,11 +201,12 @@ class TestKnnSparsify:
     def test_matches_row_loop_on_heavy_ties(self, symmetrization):
         kernel = linear_kernel(tied_counts())
         out = knn_sparsify(kernel, GraphConfig(k=4, symmetrization=symmetrization))
-        dense = kernel.inner.to_dense()
+        dense = kernel.toarray()
         kth = -np.sort(-dense, axis=1)[:, 3]
         assert np.sum(np.sum(dense == kth[:, None], axis=1) > 1) > 10  # ties at the k-th place
         assert edges(out) == knn_reference(dense, 4, symmetrization)
-        assert np.array_equal(out.inner.vals, dense[out.inner.rows, out.inner.cols])
+        rows, cols, vals = upper(out)
+        assert np.array_equal(vals, dense[rows, cols])
 
     def test_ties_go_to_lowest_column(self):
         # Vertex 0 weighs its three neighbors equally; k=1 keeps column 1.
@@ -254,14 +270,14 @@ class TestGaussianKnnGraph:
         cfg = GraphConfig(sigma=0.8, k=5, symmetrization=symmetrization)
         fast = gaussian_knn_graph(x, cfg)
         slow = knn_sparsify(gaussian_weights(x, cfg.sigma), cfg)
-        assert np.array_equal(fast.inner.rows, slow.inner.rows)
-        assert np.array_equal(fast.inner.cols, slow.inner.cols)
-        assert np.allclose(fast.inner.vals, slow.inner.vals, atol=1e-12, rtol=0.0)
+        assert np.array_equal(fast.indptr, slow.indptr)
+        assert np.array_equal(fast.indices, slow.indices)
+        assert np.allclose(fast.data, slow.data, atol=1e-12, rtol=0.0)
 
     def test_duplicate_points(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         g = gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=2))
-        dense = g.inner.to_dense()
+        dense = g.toarray()
         assert dense[0, 1] == pytest.approx(1.0)
         assert np.all(np.diag(dense) == 0.0)
 
@@ -274,12 +290,12 @@ class TestNormalizedLaplacian:
     def test_two_node_graph(self):
         w = weights_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(
-            normalized_laplacian(w).to_dense(), [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15
+            normalized_laplacian(w).toarray(), [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15
         )
 
     def test_triangle_graph(self):
         w = weights_from_dense(np.ones((3, 3)) - np.eye(3))
-        lap = normalized_laplacian(w).to_dense()
+        lap = normalized_laplacian(w).toarray()
         assert np.allclose(np.diag(lap), 1.0)
         off = lap[~np.eye(3, dtype=bool)]
         assert np.allclose(off, -0.5)
@@ -289,7 +305,7 @@ class TestNormalizedLaplacian:
         w = gaussian_weights(rng.standard_normal((12, 2)), sigma=1.0)
         lap = normalized_laplacian(w)
         null = np.sqrt(degrees(w))
-        assert np.linalg.norm(spmv(lap, null)) <= 1e-10 * np.linalg.norm(null)
+        assert np.linalg.norm(lap @ null) <= 1e-10 * np.linalg.norm(null)
 
     def test_psd_quadratic_form(self):
         rng = np.random.default_rng(9)
@@ -297,26 +313,55 @@ class TestNormalizedLaplacian:
         lap = normalized_laplacian(w)
         for _ in range(100):
             x = rng.standard_normal(15)
-            assert x @ spmv(lap, x) >= -1e-10
+            assert x @ (lap @ x) >= -1e-10
 
     def test_spectrum_in_range(self):
         rng = np.random.default_rng(10)
         for trial in range(5):
             x = rng.standard_normal((12, 2))
             w = knn_sparsify(gaussian_weights(x, 0.8), GraphConfig(k=4))
-            vals = np.linalg.eigvalsh(normalized_laplacian(w).to_dense())
+            vals = np.linalg.eigvalsh(normalized_laplacian(w).toarray())
             assert vals.max() <= 2.0 + 1e-8
             assert vals.min() >= -1e-10
 
     def test_connected_graph_has_zero_eigenvalue(self):
         rng = np.random.default_rng(11)
         w = gaussian_weights(rng.standard_normal((10, 2)), sigma=1.0)
-        vals = np.linalg.eigvalsh(normalized_laplacian(w).to_dense())
+        vals = np.linalg.eigvalsh(normalized_laplacian(w).toarray())
         assert abs(vals[0]) <= 1e-8
 
     def test_isolated_vertex_identified(self):
-        w = WeightMatrix(SparseSymMatrix(3, [0], [1], [1.0]))
+        w = weights_from_dense(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(IsolatedVertexError) as info:
             normalized_laplacian(w)
         assert info.value.vertex == 2
         assert "vertex 2" in str(info.value)
+
+    def irregular_graph(self):
+        # Blobs of different spread give a wide range of degrees.
+        rng = np.random.default_rng(12)
+        x = np.vstack([rng.normal(scale=s, size=(100, 2)) + 4.0 * i
+                       for i, s in enumerate((0.2, 0.7, 1.5))])
+        w = gaussian_knn_graph(x, GraphConfig(sigma=0.6, k=6))
+        assert np.ptp(degrees(w)) > 1.0
+        return w
+
+    def test_bit_symmetric_on_irregular_degrees(self):
+        lap = normalized_laplacian(self.irregular_graph())
+        mirror = lap.T.tocsr()
+        assert np.array_equal(lap.indptr, mirror.indptr)
+        assert np.array_equal(lap.indices, mirror.indices)
+        assert np.array_equal(lap.data, mirror.data)
+
+    def test_entries_match_upper_triangle_reference(self):
+        # -w_ij / sqrt(d_i d_j), scaled lower index first, with degrees summed
+        # over the upper triangle and then its mirror.
+        w = self.irregular_graph()
+        lap = normalized_laplacian(w)
+        rows, cols, vals = upper(w)
+        inv_sqrt = 1.0 / np.sqrt(degrees(w))
+        lap_rows, lap_cols, lap_vals = upper(lap)
+        assert np.array_equal(lap_rows, rows) and np.array_equal(lap_cols, cols)
+        assert np.array_equal(lap_vals, -vals * inv_sqrt[rows] * inv_sqrt[cols])
+        assert np.array_equal(lap.diagonal(), np.ones(w.shape[0]))
+        assert lap.nnz == w.nnz + w.shape[0]
