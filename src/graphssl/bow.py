@@ -29,7 +29,6 @@ class RefineConfig:
     gamma: float
     k: int
     m: int
-    clamp_nonnegative: bool = False
 
     def __post_init__(self):
         if self.lam < 0 or self.gamma < 0:
@@ -45,7 +44,7 @@ TABLE2_TEXTUAL = RefineConfig(lam=0.005, gamma=0.075, k=15, m=35)
 
 @dataclass
 class RefineReports:
-    """Optimality checks of the smoothing step plus the provenance of the run.
+    """Optimality checks of the smoothing step.
 
     total_objective sums the weighted-L1 objective over all columns and
     max_kkt_residual is the largest optimality violation among them.
@@ -53,8 +52,6 @@ class RefineReports:
 
     total_objective: float
     max_kkt_residual: float
-    clamped: bool
-    config: RefineConfig
 
 
 def _as_bow(matrix, name):
@@ -120,10 +117,7 @@ def refine(y, other, cfg, seed=0):
         total = objective(basis, y, cfg.lam, alpha)
         worst = kkt_residual(basis, y, cfg.lam, alpha)
     refined = apply_error_sparsity(smoothed, y, cfg.gamma)
-    if cfg.clamp_nonnegative:
-        refined = np.maximum(refined, 0.0)
-    return refined, RefineReports(total_objective=total, max_kkt_residual=worst,
-                                  clamped=cfg.clamp_nonnegative, config=cfg)
+    return refined, RefineReports(total_objective=total, max_kkt_residual=worst)
 
 
 def co_refine(y_visual, y_textual, cfg_visual, cfg_textual, seed=0):

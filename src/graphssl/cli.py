@@ -2,23 +2,26 @@
 
 Commands: moons-demo, classify, noise-sweep, refine-bow, eigen-dump. Exit
 codes: 0 success, 1 usage or configuration error, 2 numerical failure.
-Every command validates its configuration up front and writes output files
-only after all computation has finished, so failures never leave partial
-files behind. Metrics are byte-identical across invocations for a fixed
-seed (timing is deliberately excluded from all documents).
+Each command accepts only the flags it reads, and every flag's range is
+checked while parsing. Every command validates its configuration up front
+and writes output files only after all computation has finished, so
+failures never leave partial files behind. Metrics are byte-identical
+across invocations for a fixed seed (timing is deliberately excluded from
+all documents).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
 import numpy as np
 
 from . import bow, fileio, harness
-from .bow import TABLE2_TEXTUAL, TABLE2_VISUAL, RefineConfig
+from .bow import TABLE2_TEXTUAL, TABLE2_VISUAL
 from .errors import ComputationError
 from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from .harness import MOONS_DEFAULTS
@@ -28,9 +31,16 @@ from .ssl import evaluate
 SCHEMA_VERSION = 2
 
 # Digit-dataset defaults: k=4, lam=0.01, m=20 with unit kernel bandwidth.
-MNIST_STYLE = {"k": 4, "lam": 0.01, "m": 20, "sigma": 1.0}
+MNIST_STYLE = {"sigma": 1.0, "k": 4, "lam": 0.01, "m": 20}
+# Graph defaults of the two moons commands, in the same keys.
+MOONS_GRAPH = {name: MOONS_DEFAULTS[name] for name in MNIST_STYLE}
 
-PRESETS = ("mnist-style", "table2-visual", "table2-textual")
+# refine-bow's (visual, textual) configurations for each --preset value.
+REFINE_PRESETS = {
+    None: (TABLE2_VISUAL, TABLE2_TEXTUAL),
+    "table2-visual": (TABLE2_VISUAL, TABLE2_VISUAL),
+    "table2-textual": (TABLE2_TEXTUAL, TABLE2_TEXTUAL),
+}
 
 MOONS_DEMO_KEYS = (
     "schema",
@@ -67,91 +77,111 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(convert, holds, requirement):
+    """An argparse type: convert the text, then require holds(value)."""
+    def parse(text):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_count = _checked(int, lambda v: v >= 1, "at least 1")
+_positive = _checked(float, lambda v: v > 0, "positive")
+_nonnegative = _checked(float, lambda v: v >= 0, "nonnegative")
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
+def _fraction_list(text):
+    """Comma-separated fractions; empty items are skipped."""
+    try:
+        fractions = [_fraction(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid noise fraction list: {text!r}") from None
+    if not fractions:
+        raise argparse.ArgumentTypeError("noise fraction list is empty")
+    return fractions
+
+
+# Every flag, with its range check and default. Commands name the flags
+# they read; a (flag, overrides) pair changes one flag for one command.
+FLAGS = {
+    "--seed": {"type": int, "default": 0},
+    "--output": {"help": "output directory (metrics go to stdout if omitted)"},
+    "--preset": {"choices": ("mnist-style",)},
+    "--k": {"type": _count},
+    "--sigma": {"type": _positive},
+    "--lambda": {"dest": "lam", "type": _nonnegative},
+    "--gamma": {"type": _nonnegative},
+    "--m": {"type": _count},
+    "--runs": {"type": _count, "default": 25},
+    "--labels-per-class": {"type": _count, "default": MOONS_DEFAULTS["labels_per_class"]},
+    "--noise-fraction": {"type": _fraction, "default": MOONS_DEFAULTS["flip_fraction"]},
+    "--workers": {"type": _count, "default": 1},
+    "--input": {"required": True, "help": "feature CSV, one sample per row"},
+    "--labels": {"required": True, "help": "label CSV of `index,class` lines"},
+    "--truth": {"help": "optional ground truth, one class per line"},
+}
+
+_GRAPH = ("--preset", "--k", "--sigma", "--lambda", "--m")
+
+COMMAND_FLAGS = {
+    "moons-demo": _GRAPH + ("--runs", "--labels-per-class", "--noise-fraction"),
+    "classify": _GRAPH + ("--input", "--labels", "--truth"),
+    "noise-sweep": _GRAPH + (
+        "--runs", "--labels-per-class", "--workers",
+        ("--noise-fraction", {"type": _fraction_list, "default": (0.0, 0.1, 0.2, 0.3, 0.4)}),
+    ),
+    "refine-bow": (
+        ("--preset", {"choices": tuple(name for name in REFINE_PRESETS if name)}),
+        "--k", "--lambda", "--gamma", "--m",
+        ("--input", {"nargs": 2, "metavar": ("VISUAL", "TEXTUAL"),
+                     "help": "two sparse triplet files"}),
+    ),
+    "eigen-dump": ("--preset", "--k", "--sigma", "--m", "--input"),
+}
+
+
 def build_parser():
     parser = _Parser(prog="graphssl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", help="output directory (metrics go to stdout if omitted)")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--preset", choices=PRESETS)
-        p.add_argument("--k", type=int)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--m", type=int)
-        p.add_argument("--noise-fraction", dest="noise_fraction")
-        p.add_argument("--labels-per-class", dest="labels_per_class", type=int)
-        p.add_argument("--runs", type=int)
-
-    demo = sub.add_parser("moons-demo", help="paired noisy-label benchmark on two moons")
-    common(demo)
-
-    classify = sub.add_parser("classify", help="label a feature file from partial labels")
-    common(classify)
-    classify.add_argument("--input", required=True, help="feature CSV, one sample per row")
-    classify.add_argument("--labels", required=True, help="label CSV of `index,class` lines")
-    classify.add_argument("--truth", help="optional ground truth, one class per line")
-
-    sweep = sub.add_parser("noise-sweep", help="accuracy vs label-noise fraction grid")
-    common(sweep)
-
-    refine = sub.add_parser("refine-bow", help="co-refine two bag-of-words matrices")
-    common(refine)
-    refine.add_argument("--input", nargs=2, required=True,
-                        metavar=("VISUAL", "TEXTUAL"), help="two sparse triplet files")
-
-    dump = sub.add_parser("eigen-dump", help="write the smallest Laplacian eigenpairs")
-    common(dump)
-    dump.add_argument("--input", required=True, help="feature CSV, one sample per row")
-
+    for command, flags in COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__)
+        for flag in ("--seed", "--output") + flags:
+            flag, overrides = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument(flag, **{**FLAGS[flag], **overrides})
     return parser
 
 
-def _resolve(args, defaults):
-    """Layer explicit flags over a preset over per-command defaults."""
-    params = dict(defaults)
-    if args.preset == "mnist-style":
-        params.update(MNIST_STYLE)
-    for name in ("k", "sigma", "lam", "m"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    if params.get("sigma") is not None and params["sigma"] <= 0:
-        raise ValueError("sigma must be positive")
-    if params.get("k") is not None and params["k"] < 1:
-        raise ValueError("k must be at least 1")
-    if params.get("m") is not None and params["m"] < 1:
-        raise ValueError("m must be at least 1")
-    if params.get("lam") is not None and params["lam"] < 0:
-        raise ValueError("lambda must be nonnegative")
-    return params
+def _given(args, names):
+    """The values of the flags among names that the command line set."""
+    return {name: value for name in names if (value := getattr(args, name, None)) is not None}
 
 
-def _parse_fraction_list(text, default):
-    if text is None:
-        return list(default)
-    try:
-        fractions = [float(part) for part in str(text).split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"invalid noise fraction list: {text!r}") from None
-    if not fractions:
-        raise ValueError("noise fraction list is empty")
-    for f in fractions:
-        if not 0.0 <= f <= 1.0:
-            raise ValueError("noise fractions must lie in [0, 1]")
-    return fractions
+def _graph_params(args, defaults=MNIST_STYLE):
+    """Explicit flags over --preset mnist-style over the command's defaults."""
+    base = MNIST_STYLE if args.preset else defaults
+    return {**base, **_given(args, base)}
+
+
+def _check_sizes(k, m, n, count="the sample count", prefix=""):
+    """Reject a neighbor count k or basis size m that n points cannot hold."""
+    if k >= n:
+        raise ValueError(f"{prefix}k={k} must be smaller than {count} {n}")
+    if m > n:
+        raise ValueError(f"{prefix}m={m} exceeds {count} {n}")
 
 
 def _emit(args, documents):
     """Write named documents into the output directory, or print to stdout.
 
     documents is an ordered list of (filename, text). Without --output only
-    metrics.txt-style single documents may be emitted. Every document is
-    first written to a temporary name in the output directory and renamed
-    into place only after all writes succeeded; on failure the temporaries
-    are removed, so no partial set of files is left behind.
+    a single document may be emitted. Every document is first written to a
+    temporary name in the output directory and renamed into place only
+    after all writes succeeded; on failure the temporaries are removed, so
+    no partial set of files is left behind.
     """
     if args.output is None:
         if len(documents) != 1:
@@ -176,32 +206,11 @@ def _emit(args, documents):
 
 
 def cmd_moons_demo(args):
-    params = _resolve(args, {
-        "sigma": MOONS_DEFAULTS["sigma"],
-        "k": MOONS_DEFAULTS["k"],
-        "lam": MOONS_DEFAULTS["lam"],
-        "m": MOONS_DEFAULTS["m"],
-    })
-    runs = args.runs if args.runs is not None else 25
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    labels_per_class = args.labels_per_class if args.labels_per_class is not None else 5
-    if args.noise_fraction is None:
-        flip = 0.2
-    else:
-        try:
-            flip = float(args.noise_fraction)
-        except ValueError:
-            raise ValueError(
-                f"invalid noise fraction {args.noise_fraction!r} (moons-demo takes one value)"
-            ) from None
-    if not 0.0 <= flip <= 1.0:
-        raise ValueError("noise fraction must lie in [0, 1]")
-
+    """paired noisy-label benchmark on two moons"""
+    params = _graph_params(args, MOONS_GRAPH)
     trials = harness.run_moons_benchmark(
-        args.seed, runs,
-        labels_per_class=labels_per_class, flip_fraction=flip,
-        sigma=params["sigma"], k=params["k"], lam=params["lam"], m=params["m"],
+        args.seed, args.runs, labels_per_class=args.labels_per_class,
+        flip_fraction=args.noise_fraction, **params,
     )
     l1_acc = [t.l1_accuracy for t in trials]
     l2_acc = [t.l2_accuracy for t in trials]
@@ -212,14 +221,11 @@ def cmd_moons_demo(args):
         ("schema", SCHEMA_VERSION),
         ("command", "moons-demo"),
         ("seed", args.seed),
-        ("runs", runs),
+        ("runs", args.runs),
         ("n", MOONS_DEFAULTS["n"]),
-        ("labels_per_class", labels_per_class),
-        ("flip_fraction", flip),
-        ("sigma", params["sigma"]),
-        ("k", params["k"]),
-        ("lam", params["lam"]),
-        ("m", params["m"]),
+        ("labels_per_class", args.labels_per_class),
+        ("flip_fraction", args.noise_fraction),
+        *params.items(),
         ("l1_accuracies", l1_acc),
         ("l2_accuracies", l2_acc),
         ("l1_fitting_errors", [t.l1_smoothness.fitting_error for t in trials]),
@@ -250,9 +256,10 @@ def cmd_moons_demo(args):
 
 
 def cmd_classify(args):
+    """label a feature file from partial labels"""
     if args.output is None:
         raise ValueError("classify writes a predictions file; pass --output DIR")
-    params = _resolve(args, dict(MNIST_STYLE))
+    params = _graph_params(args)
     x = fileio.read_features(args.input)
     assignments = fileio.read_label_assignments(args.labels)
     if not assignments:
@@ -268,16 +275,9 @@ def cmd_classify(args):
     classes = max(cls for _, cls in assignments) + 1
     if truth is not None:
         classes = max(classes, int(truth.max()) + 1)
-    if params["k"] >= n:
-        raise ValueError(f"k={params['k']} must be smaller than the sample count {n}")
-    if params["m"] > n:
-        raise ValueError(f"m={params['m']} exceeds the sample count {n}")
+    _check_sizes(params["k"], params["m"], n)
 
-    solution = harness.l1_classify(
-        x, assignments, classes,
-        sigma=params["sigma"], k=params["k"], lam=params["lam"], m=params["m"],
-        seed=args.seed,
-    )
+    solution = harness.l1_classify(x, assignments, classes, **params, seed=args.seed)
     items = [
         ("schema", SCHEMA_VERSION),
         ("command", "classify"),
@@ -285,10 +285,7 @@ def cmd_classify(args):
         ("n", n),
         ("classes", classes),
         ("labeled", len(assignments)),
-        ("sigma", params["sigma"]),
-        ("k", params["k"]),
-        ("lam", params["lam"]),
-        ("m", params["m"]),
+        *params.items(),
     ]
     if truth is not None:
         labeled_mask = np.zeros(n, dtype=bool)
@@ -307,36 +304,20 @@ def cmd_classify(args):
 
 
 def cmd_noise_sweep(args):
-    params = _resolve(args, {
-        "sigma": MOONS_DEFAULTS["sigma"],
-        "k": MOONS_DEFAULTS["k"],
-        "lam": MOONS_DEFAULTS["lam"],
-        "m": MOONS_DEFAULTS["m"],
-    })
-    fractions = _parse_fraction_list(args.noise_fraction, (0.0, 0.1, 0.2, 0.3, 0.4))
-    runs = args.runs if args.runs is not None else 25
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    labels_per_class = args.labels_per_class if args.labels_per_class is not None else 5
-    if args.workers < 1:
-        raise ValueError("workers must be at least 1")
-
+    """accuracy vs label-noise fraction grid"""
+    params = _graph_params(args, MOONS_GRAPH)
     cells = harness.run_noise_sweep(
-        args.seed, fractions, runs, labels_per_class,
-        sigma=params["sigma"], k=params["k"], lam=params["lam"], m=params["m"],
+        args.seed, args.noise_fraction, args.runs, args.labels_per_class, **params,
         workers=args.workers,
     )
     items = [
         ("schema", SCHEMA_VERSION),
         ("command", "noise-sweep"),
         ("seed", args.seed),
-        ("runs", runs),
-        ("labels_per_class", labels_per_class),
-        ("sigma", params["sigma"]),
-        ("k", params["k"]),
-        ("lam", params["lam"]),
-        ("m", params["m"]),
-        ("fractions", fractions),
+        ("runs", args.runs),
+        ("labels_per_class", args.labels_per_class),
+        *params.items(),
+        ("fractions", args.noise_fraction),
         ("l1_mean", [c["l1_mean"] for c in cells]),
         ("l1_ci95", [c["l1_ci95"] for c in cells]),
         ("l2_mean", [c["l2_mean"] for c in cells]),
@@ -349,27 +330,14 @@ def cmd_noise_sweep(args):
     return 0
 
 
-def _refine_config(base, args):
-    fields = {
-        "lam": base.lam if args.lam is None else args.lam,
-        "gamma": base.gamma if args.gamma is None else args.gamma,
-        "k": base.k if args.k is None else args.k,
-        "m": base.m if args.m is None else args.m,
-    }
-    return RefineConfig(**fields)
-
-
 def cmd_refine_bow(args):
+    """co-refine two bag-of-words matrices"""
     if args.output is None:
         raise ValueError("refine-bow writes matrix files; pass --output DIR")
-    if args.preset == "table2-textual":
-        base_visual = base_textual = TABLE2_TEXTUAL
-    elif args.preset == "table2-visual":
-        base_visual = base_textual = TABLE2_VISUAL
-    else:
-        base_visual, base_textual = TABLE2_VISUAL, TABLE2_TEXTUAL
-    cfg_visual = _refine_config(base_visual, args)
-    cfg_textual = _refine_config(base_textual, args)
+    overrides = _given(args, ("lam", "gamma", "k", "m"))
+    cfg_visual, cfg_textual = (
+        dataclasses.replace(base, **overrides) for base in REFINE_PRESETS[args.preset]
+    )
 
     visual = fileio.read_bow(args.input[0])
     textual = fileio.read_bow(args.input[1])
@@ -379,22 +347,19 @@ def cmd_refine_bow(args):
         )
     n = visual.shape[0]
     for name, cfg in (("visual", cfg_visual), ("textual", cfg_textual)):
-        if cfg.k >= n:
-            raise ValueError(f"{name} k={cfg.k} must be smaller than document count {n}")
-        if cfg.m > n:
-            raise ValueError(f"{name} m={cfg.m} exceeds document count {n}")
+        _check_sizes(cfg.k, cfg.m, n, "document count", prefix=f"{name} ")
 
     (refined_visual, rep_v), (refined_textual, rep_t) = bow.co_refine(
         visual, textual, cfg_visual, cfg_textual, seed=args.seed
     )
 
-    def summary(prefix, refined, original, reports):
+    def summary(prefix, refined, original, cfg, reports):
         changed = int(np.count_nonzero(refined != original))
         return [
-            (f"{prefix}.lam", reports.config.lam),
-            (f"{prefix}.gamma", reports.config.gamma),
-            (f"{prefix}.k", reports.config.k),
-            (f"{prefix}.m", reports.config.m),
+            (f"{prefix}.lam", cfg.lam),
+            (f"{prefix}.gamma", cfg.gamma),
+            (f"{prefix}.k", cfg.k),
+            (f"{prefix}.m", cfg.m),
             (f"{prefix}.changed_entries", changed),
             (f"{prefix}.total_objective", reports.total_objective),
             (f"{prefix}.max_kkt_residual", reports.max_kkt_residual),
@@ -406,8 +371,8 @@ def cmd_refine_bow(args):
         ("seed", args.seed),
         ("documents", n),
     ]
-    items += summary("visual", refined_visual, visual, rep_v)
-    items += summary("textual", refined_textual, textual, rep_t)
+    items += summary("visual", refined_visual, visual, cfg_visual, rep_v)
+    items += summary("textual", refined_textual, textual, cfg_textual, rep_t)
 
     _emit(args, [
         ("refined_visual.txt", fileio.format_bow(refined_visual)),
@@ -418,24 +383,18 @@ def cmd_refine_bow(args):
 
 
 def cmd_eigen_dump(args):
-    params = _resolve(args, dict(MNIST_STYLE))
+    """write the smallest Laplacian eigenpairs"""
+    params = _graph_params(args)
     x = fileio.read_features(args.input)
     n = x.shape[0]
-    if params["m"] > n:
-        raise ValueError(f"m={params['m']} exceeds the sample count {n}")
-    if params["k"] >= n:
-        raise ValueError(f"k={params['k']} must be smaller than the sample count {n}")
+    _check_sizes(params["k"], params["m"], n)
     graph = gaussian_knn_graph(x, GraphConfig(sigma=params["sigma"], k=params["k"]))
     lap = normalized_laplacian(graph)
     basis = build_basis(lap, params["m"], seed=args.seed)
     lines = [f"{basis.n} {basis.m}"]
     lines.append(" ".join(map(repr, basis.eigenvalues.tolist())))
     lines += [" ".join(map(repr, row)) for row in basis.vectors.tolist()]
-    text = "\n".join(lines) + "\n"
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        _emit(args, [("eigen.txt", text)])
+    _emit(args, [("eigen.txt", "\n".join(lines) + "\n")])
     return 0
 
 

@@ -11,7 +11,6 @@ from scipy.spatial import cKDTree
 from .errors import IsolatedVertexError
 from .linalg import _row_sums, check_symmetric
 
-SYMMETRIZATIONS = ("union", "mutual")
 # Rows of the linear kernel that linear_knn_graph holds at once.
 LINEAR_BLOCK_ROWS = 256
 
@@ -20,22 +19,18 @@ LINEAR_BLOCK_ROWS = 256
 class GraphConfig:
     """Neighborhood-graph parameters.
 
-    sigma is the Gaussian kernel bandwidth, k the neighbor count, and
-    symmetrization decides whether an edge survives when either endpoint
-    selects it ("union") or only when both do ("mutual").
+    sigma is the Gaussian kernel bandwidth and k the neighbor count; an
+    edge survives when either endpoint selects the other.
     """
 
     sigma: float = 1.0
     k: int = 4
-    symmetrization: str = "union"
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.symmetrization not in SYMMETRIZATIONS:
-            raise ValueError(f"symmetrization must be one of {SYMMETRIZATIONS}")
 
 
 def _check_weights(w):
@@ -130,12 +125,11 @@ def _top_k_per_row(src, dst, vals, k):
     return order[rank < k]
 
 
-def _symmetrize(n, src, dst, vals, symmetrization):
+def _symmetrize(n, src, dst, vals):
     """Undirected edges (lo, hi, weight), sorted by (lo, hi), from directed picks.
 
-    Union keeps an edge that either endpoint picked; mutual keeps only edges
-    picked from both ends. The weight is that of the first pick in input
-    order. Each (src, dst) pair must occur at most once.
+    An edge is kept when either endpoint picked it, with the weight of the
+    first pick in input order. Each (src, dst) pair must occur at most once.
     """
     lo_idx = np.minimum(src, dst)
     hi_idx = np.maximum(src, dst)
@@ -143,11 +137,6 @@ def _symmetrize(n, src, dst, vals, symmetrization):
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    if symmetrization == "mutual":
-        counts = np.diff(np.append(first, keys.size))
-        first = first[counts == 2]
-        if first.size == 0:
-            raise ValueError("mutual symmetrization removed every edge")
     pick = order[first]
     return lo_idx[pick], hi_idx[pick], vals[pick]
 
@@ -155,9 +144,9 @@ def _symmetrize(n, src, dst, vals, symmetrization):
 def knn_sparsify(w, config):
     """Keep each vertex's k strongest edges, then symmetrize.
 
-    Union mode keeps (i, j) if either endpoint ranks the other among its top
-    k weights; mutual mode requires both. Ties go to the lowest column
-    index. Surviving weights are unchanged.
+    (i, j) is kept if either endpoint ranks the other among its top k
+    weights. Ties go to the lowest column index. Surviving weights are
+    unchanged.
     """
     w = _check_weights(w)
     n = w.shape[0]
@@ -168,8 +157,7 @@ def knn_sparsify(w, config):
     src = np.repeat(np.arange(n, dtype=np.int64), np.diff(w.indptr))
     dst = w.indices.astype(np.int64)
     keep = _top_k_per_row(src, dst, w.data, config.k)
-    lo_idx, hi_idx, vals = _symmetrize(n, src[keep], dst[keep], w.data[keep],
-                                       config.symmetrization)
+    lo_idx, hi_idx, vals = _symmetrize(n, src[keep], dst[keep], w.data[keep])
     return _mirror(n, lo_idx, hi_idx, vals)
 
 
@@ -204,7 +192,7 @@ def linear_knn_graph(x, config):
     if src.size == 0:
         raise ValueError("weight matrix has no edges")
     dst, vals = np.concatenate(dst_parts), np.concatenate(val_parts)
-    lo_idx, hi_idx, vals = _symmetrize(n, src, dst, vals, config.symmetrization)
+    lo_idx, hi_idx, vals = _symmetrize(n, src, dst, vals)
     return _mirror(n, lo_idx, hi_idx, vals)
 
 
@@ -237,7 +225,7 @@ def gaussian_knn_graph(x, config):
     wvals = np.exp(-(dd.reshape(-1) ** 2) / (2.0 * config.sigma * config.sigma))
     nz = wvals > 0.0
     src, dst, wvals = src[nz], dst[nz], wvals[nz]
-    lo_idx, hi_idx, wvals = _symmetrize(n, src, dst, wvals, config.symmetrization)
+    lo_idx, hi_idx, wvals = _symmetrize(n, src, dst, wvals)
     return _mirror(n, lo_idx, hi_idx, wvals)
 
 

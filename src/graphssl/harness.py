@@ -102,19 +102,18 @@ class MoonsTrial:
     labeled_indices: list
 
 
-def run_moons_trial(master_seed, run_index, n=None, noise_sd=None, labels_per_class=None,
-                    flip_fraction=None, sigma=None, k=None, lam=None, m=None):
+def run_moons_trial(master_seed, run_index, **overrides):
     """One seeded two-moons instance, both methods at the same lam.
 
-    Labels use the signed two-class encoding; predictions are the sign of the
-    solution (zero counts as class 0, matching the argmax tie rule).
+    overrides replace entries of MOONS_DEFAULTS; an unknown key is a
+    TypeError. Labels use the signed two-class encoding; predictions are the
+    sign of the solution (zero counts as class 0, matching the argmax tie
+    rule).
     """
-    cfg = dict(MOONS_DEFAULTS)
-    for name, value in [("n", n), ("noise_sd", noise_sd), ("labels_per_class", labels_per_class),
-                        ("flip_fraction", flip_fraction), ("sigma", sigma), ("k", k),
-                        ("lam", lam), ("m", m)]:
-        if value is not None:
-            cfg[name] = value
+    unknown = sorted(set(overrides) - set(MOONS_DEFAULTS))
+    if unknown:
+        raise TypeError(f"unknown moons parameters: {', '.join(unknown)}")
+    cfg = {**MOONS_DEFAULTS, **overrides}
     x, truth = two_moons(cfg["n"], cfg["noise_sd"], child_seed(master_seed, _STREAM_DATA, run_index))
     assignments = select_labeled(
         truth, cfg["labels_per_class"], child_seed(master_seed, _STREAM_LABELED, run_index)
@@ -184,9 +183,8 @@ def multiclass_trial(x, truth, classes, labels_per_class, noise_fraction, seed,
     return evaluate(sol_l1, truth, mask), evaluate(sol_l2, truth, mask)
 
 
-def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, lam, m,
-                    n=200, noise_sd=0.1, workers=1):
-    """Sweep label-noise fractions on seeded moons instances.
+def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, lam, m, workers=1):
+    """Sweep label-noise fractions on seeded moons instances of MOONS_DEFAULTS' size.
 
     Every (fraction, run) cell derives its own seed, so the grid can be
     evaluated concurrently; results are assembled in grid order regardless of
@@ -200,7 +198,8 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
 
     def cell(fraction_index, run_index):
         seed = child_seed(master_seed, fraction_index, run_index)
-        x, truth = two_moons(n, noise_sd, child_seed(seed, _STREAM_DATA))
+        x, truth = two_moons(MOONS_DEFAULTS["n"], MOONS_DEFAULTS["noise_sd"],
+                             child_seed(seed, _STREAM_DATA))
         return multiclass_trial(
             x, truth, 2, labels_per_class, fractions[fraction_index], seed,
             sigma=sigma, k=k, lam=lam, m=m,

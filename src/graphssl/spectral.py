@@ -24,14 +24,11 @@ EIGENVALUE_MAX = 2.0 + 1e-8
 class SpectralBasis:
     """Smallest eigenpairs of a normalized Laplacian, ascending.
 
-    vectors holds one orthonormal eigenvector per column; full marks whether
-    the basis spans the whole space (m == n), which is required by the exact
-    symmetric-factor operations.
+    vectors holds one orthonormal eigenvector per column.
     """
 
     vectors: np.ndarray
     eigenvalues: np.ndarray
-    full: bool
 
     def __post_init__(self):
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
@@ -48,8 +45,6 @@ class SpectralBasis:
         gram = vectors.T @ vectors
         if not np.allclose(gram, np.eye(m), atol=1e-8, rtol=0.0):
             raise ValueError("basis columns are not orthonormal to 1e-8")
-        if self.full != (m == n):
-            raise ValueError("full flag inconsistent with basis shape")
         vectors.flags.writeable = False
         eigenvalues.flags.writeable = False
         object.__setattr__(self, "vectors", vectors)
@@ -62,6 +57,11 @@ class SpectralBasis:
     @property
     def m(self):
         return self.vectors.shape[1]
+
+    @property
+    def full(self):
+        """m == n: the basis spans the space, as the symmetric-factor operations require."""
+        return self.m == self.n
 
     @property
     def sqrt_eigenvalues(self):
@@ -79,11 +79,7 @@ class SpectralBasis:
         """Basis of the m smallest retained eigenpairs."""
         if not 1 <= m <= self.m:
             raise ValueError(f"truncation size must be in [1, {self.m}]")
-        return SpectralBasis(
-            vectors=self.vectors[:, :m],
-            eigenvalues=self.eigenvalues[:m],
-            full=(m == self.n),
-        )
+        return SpectralBasis(vectors=self.vectors[:, :m], eigenvalues=self.eigenvalues[:m])
 
 
 def _by_column(matrix, block):
@@ -113,7 +109,7 @@ def build_basis(lap, m, seed=0, method="auto", tol=1e-6):
     """
     values, vectors = smallest_eigenpairs(lap, m, tol=tol, seed=seed, method=method)
     values = np.where((values < 0.0) & (values >= EIGENVALUE_CLAMP), 0.0, values)
-    return SpectralBasis(vectors=vectors, eigenvalues=values, full=(m == lap.shape[0]))
+    return SpectralBasis(vectors=vectors, eigenvalues=values)
 
 
 def _require_full(basis):

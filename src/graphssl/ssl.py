@@ -61,17 +61,6 @@ def encode_labels(assignments, n, c):
     return y
 
 
-def validate_label_matrix(y):
-    """Check the one-hot-or-zero row structure of a classification label matrix."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2:
-        raise ValueError("label matrix must be 2-d")
-    ok = np.all((y == 0.0) | (y == 1.0)) and np.all(y.sum(axis=1) <= 1.0)
-    if not ok:
-        raise ValueError("rows must be one-hot (labeled) or all zero (unlabeled)")
-    return y
-
-
 def fit_scores(basis, y_matrix, lam):
     """Solve the weighted-L1 problem for every column of y_matrix.
 

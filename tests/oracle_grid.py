@@ -68,7 +68,7 @@ def random_instance(rng, n_max=10, m_max=2):
     eigenvalues = np.sort(rng.uniform(0.0, 2.0, size=m))
     from graphssl.spectral import SpectralBasis
 
-    basis = SpectralBasis(vectors=vectors, eigenvalues=eigenvalues, full=(m == n))
+    basis = SpectralBasis(vectors=vectors, eigenvalues=eigenvalues)
     y = rng.standard_normal(n)
     y *= rng.uniform(0.2, 1.5) / max(np.linalg.norm(y), 1e-9)
     lam = float(rng.uniform(0.0, 1.0))

@@ -141,13 +141,6 @@ class TestRefine:
         with pytest.raises(ValueError, match="row counts differ"):
             refine(corrupted, other[:-2], RefineConfig(lam=0.01, gamma=0.01, k=5, m=4))
 
-    def test_clamp_option_recorded(self):
-        _, corrupted, _, other = small_corpus()
-        cfg = RefineConfig(lam=0.5, gamma=0.0, k=19, m=4, clamp_nonnegative=True)
-        refined, reports = refine(corrupted, other, cfg)
-        assert reports.clamped
-        assert np.all(refined >= 0.0)
-
 
 class TestCoRefine:
     def test_swapped_arguments_swap_outputs(self):

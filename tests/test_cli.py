@@ -373,3 +373,111 @@ class TestDeterminism:
         a = run_cli("moons-demo", "--runs", 3, "--seed", 9)
         b = run_cli("moons-demo", "--runs", 3, "--seed", 10)
         assert a.stdout != b.stdout
+
+
+# Flags that a command does not read, each with a value that is valid where
+# the flag is read.
+UNREAD_FLAGS = [
+    ("moons-demo", "--workers", "2"),
+    ("moons-demo", "--gamma", "0.1"),
+    ("classify", "--workers", "2"),
+    ("classify", "--gamma", "0.1"),
+    ("classify", "--noise-fraction", "0.1"),
+    ("classify", "--labels-per-class", "2"),
+    ("classify", "--runs", "2"),
+    ("noise-sweep", "--gamma", "0.1"),
+    ("refine-bow", "--workers", "2"),
+    ("refine-bow", "--sigma", "1.0"),
+    ("refine-bow", "--noise-fraction", "0.1"),
+    ("refine-bow", "--labels-per-class", "2"),
+    ("refine-bow", "--runs", "2"),
+    ("eigen-dump", "--workers", "2"),
+    ("eigen-dump", "--gamma", "0.1"),
+    ("eigen-dump", "--lambda", "0.1"),
+    ("eigen-dump", "--noise-fraction", "0.1"),
+    ("eigen-dump", "--labels-per-class", "2"),
+    ("eigen-dump", "--runs", "2"),
+]
+UNREAD_PRESETS = [
+    (command, preset)
+    for command in ("moons-demo", "classify", "noise-sweep", "eigen-dump")
+    for preset in ("table2-visual", "table2-textual")
+] + [("refine-bow", "mnist-style")]
+
+
+@pytest.fixture
+def valid_argv(tmp_path):
+    """A small invocation of each command that runs to completion."""
+    features, labels, _, _ = write_blob_dataset(tmp_path)
+    visual, textual = write_corpus(tmp_path)
+    return {
+        "moons-demo": ["moons-demo", "--runs", "1"],
+        "classify": ["classify", "--input", str(features), "--labels", str(labels),
+                     "--k", "6", "--m", "10"],
+        "noise-sweep": ["noise-sweep", "--noise-fraction", "0", "--runs", "1"],
+        "refine-bow": ["refine-bow", "--input", str(visual), str(textual),
+                       "--k", "29", "--m", "4"],
+        "eigen-dump": ["eigen-dump", "--input", str(features), "--k", "6", "--m", "10"],
+    }
+
+
+class TestParserContract:
+    def test_valid_argv_succeeds(self, valid_argv, tmp_path):
+        for command, argv in valid_argv.items():
+            assert cli.main(argv + ["--output", str(tmp_path / command)]) == 0
+
+    @pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+    def test_unread_flag_is_usage_error(self, valid_argv, tmp_path, capsys,
+                                        command, flag, value):
+        out = tmp_path / "out"
+        assert cli.main(valid_argv[command] + [flag, value, "--output", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, preset", UNREAD_PRESETS)
+    def test_unread_preset_is_usage_error(self, valid_argv, tmp_path, capsys, command, preset):
+        out = tmp_path / "out"
+        assert cli.main(valid_argv[command] + ["--preset", preset, "--output", str(out)]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["moons-demo", "--k", "0"], "--k"),
+        (["noise-sweep", "--sigma", "0"], "--sigma"),
+        (["moons-demo", "--lambda", "-1"], "--lambda"),
+        (["refine-bow", "--input", "v.txt", "t.txt", "--gamma", "-1"], "--gamma"),
+        (["eigen-dump", "--input", "f.csv", "--m", "0"], "--m"),
+        (["moons-demo", "--runs", "0"], "--runs"),
+        (["moons-demo", "--labels-per-class", "0"], "--labels-per-class"),
+        (["moons-demo", "--labels-per-class", "-1"], "--labels-per-class"),
+        (["noise-sweep", "--labels-per-class", "0"], "--labels-per-class"),
+        (["noise-sweep", "--workers", "0"], "--workers"),
+        (["moons-demo", "--noise-fraction", "1.5"], "--noise-fraction"),
+        (["noise-sweep", "--noise-fraction", "0,1.5"], "--noise-fraction"),
+        (["noise-sweep", "--noise-fraction", ","], "--noise-fraction"),
+    ])
+    def test_out_of_range_value_is_rejected_while_parsing(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+        assert not out.exists()
+
+    def test_benchmark_argv_parses(self):
+        parser = cli.build_parser()
+        args = parser.parse_args(["classify", "--preset", "mnist-style", "--k", "10",
+                                  "--input", "f.csv", "--labels", "l.csv", "--truth", "t.txt",
+                                  "--seed", "7", "--output", "out"])
+        assert (args.preset, args.k, args.truth, args.seed) == ("mnist-style", 10, "t.txt", 7)
+        args = parser.parse_args(["refine-bow", "--input", "v.txt", "t.txt", "--seed", "7",
+                                  "--output", "out"])
+        assert (args.input, args.preset, args.seed) == (["v.txt", "t.txt"], None, 7)
+        args = parser.parse_args(["noise-sweep", "--workers", "2", "--seed", "7",
+                                  "--output", "out"])
+        assert (args.workers, args.noise_fraction, args.runs) == (2, (0.0, 0.1, 0.2, 0.3, 0.4), 25)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: graphssl {command}" in capsys.readouterr().out

@@ -43,14 +43,12 @@ def tied_counts():
     return np.random.default_rng(0).integers(0, 3, size=(60, 5)).astype(np.float64)
 
 
-def knn_reference(dense, k, symmetrization):
-    """Row-by-row top k (largest weight, then lowest column), then symmetrization."""
+def knn_reference(dense, k):
+    """Row-by-row top k (largest weight, then lowest column), then the union."""
     picked = set()
     for i, row in enumerate(dense):
         ranked = sorted((-w, j) for j, w in enumerate(row) if j != i and w > 0.0)
         picked.update((i, j) for _, j in ranked[:k])
-    if symmetrization == "mutual":
-        return {(i, j) for i, j in picked if i < j and (j, i) in picked}
     return {(min(i, j), max(i, j)) for i, j in picked}
 
 
@@ -67,10 +65,6 @@ class TestGraphConfig:
     def test_rejects_bad_sigma(self):
         with pytest.raises(ValueError):
             GraphConfig(sigma=0.0)
-
-    def test_rejects_bad_symmetrization(self):
-        with pytest.raises(ValueError):
-            GraphConfig(symmetrization="max")
 
 
 class TestWeightMatrixInvariants:
@@ -156,15 +150,9 @@ class TestKnnSparsify:
 
     def test_three_node_chain_union(self):
         dense = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.8], [0.1, 0.8, 0.0]])
-        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="union"))
+        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1))
         kept = edges(out)
         assert kept == {(0, 1), (1, 2)}
-
-    def test_three_node_chain_mutual(self):
-        dense = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.8], [0.1, 0.8, 0.0]])
-        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="mutual"))
-        kept = edges(out)
-        assert kept == {(0, 1)}
 
     def test_weights_unchanged(self):
         rng = np.random.default_rng(4)
@@ -178,14 +166,8 @@ class TestKnnSparsify:
     def test_idempotent_when_degree_bound_holds(self):
         rng = np.random.default_rng(5)
         w = gaussian_weights(rng.standard_normal((15, 2)), sigma=1.0)
-        # Mutual selection caps every degree at k, so a second pass with the
-        # same config keeps everything.
-        cfg = GraphConfig(k=3, symmetrization="mutual")
-        once = knn_sparsify(w, cfg)
-        twice = knn_sparsify(once, cfg)
-        assert same_graph(once, twice)
-        # Union mode: once the degree bound holds, any k at or above the
-        # maximum degree is a fixed point.
+        # Once the degree bound holds, any k at or above the maximum degree
+        # is a fixed point.
         sparse = knn_sparsify(w, GraphConfig(k=3))
         again = knn_sparsify(sparse, GraphConfig(k=15 - 1))
         assert same_graph(sparse, again)
@@ -197,55 +179,59 @@ class TestKnnSparsify:
             knn_sparsify(w, GraphConfig(k=5))
 
 
-    @pytest.mark.parametrize("symmetrization", ["union", "mutual"])
-    def test_matches_row_loop_on_heavy_ties(self, symmetrization):
+    def test_matches_row_loop_on_heavy_ties(self):
         kernel = linear_kernel(tied_counts())
-        out = knn_sparsify(kernel, GraphConfig(k=4, symmetrization=symmetrization))
+        out = knn_sparsify(kernel, GraphConfig(k=4))
         dense = kernel.toarray()
         kth = -np.sort(-dense, axis=1)[:, 3]
         assert np.sum(np.sum(dense == kth[:, None], axis=1) > 1) > 10  # ties at the k-th place
-        assert edges(out) == knn_reference(dense, 4, symmetrization)
+        assert edges(out) == knn_reference(dense, 4)
         rows, cols, vals = upper(out)
         assert np.array_equal(vals, dense[rows, cols])
 
     def test_ties_go_to_lowest_column(self):
-        # Vertex 0 weighs its three neighbors equally; k=1 keeps column 1.
-        dense = np.array([[0.0, 1.0, 1.0, 1.0],
-                          [1.0, 0.0, 0.0, 0.0],
-                          [1.0, 0.0, 0.0, 0.0],
-                          [1.0, 0.0, 0.0, 0.0]])
-        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="mutual"))
-        assert edges(out) == {(0, 1)}
+        # Vertex 0 weighs 1, 2 and 3 equally; k=1 keeps column 1. Vertices
+        # 1-3 pick vertex 4, and 4 weighs them equally, keeping column 1.
+        dense = np.array([[0.0, 1.0, 1.0, 1.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0, 2.0],
+                          [1.0, 0.0, 0.0, 0.0, 2.0],
+                          [1.0, 0.0, 0.0, 0.0, 2.0],
+                          [0.0, 2.0, 2.0, 2.0, 0.0]])
+        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1))
+        assert edges(out) == {(0, 1), (1, 4), (2, 4), (3, 4)}
 
     def test_larger_weight_beats_lower_column(self):
-        dense = np.array([[0.0, 1.0, 1.0, 2.0],
-                          [1.0, 0.0, 0.0, 0.0],
-                          [1.0, 0.0, 0.0, 0.0],
-                          [2.0, 0.0, 0.0, 0.0]])
-        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1, symmetrization="mutual"))
-        assert edges(out) == {(0, 3)}
+        # Vertex 0 keeps 3, its heaviest edge; 1-3 pick vertex 4 instead of 0.
+        dense = np.array([[0.0, 1.0, 1.0, 2.0, 0.0],
+                          [1.0, 0.0, 0.0, 0.0, 3.0],
+                          [1.0, 0.0, 0.0, 0.0, 3.0],
+                          [2.0, 0.0, 0.0, 0.0, 3.0],
+                          [0.0, 3.0, 3.0, 3.0, 0.0]])
+        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1))
+        assert edges(out) == {(0, 3), (1, 4), (2, 4), (3, 4)}
 
 
 class TestLinearKnnGraph:
-    @pytest.mark.parametrize("symmetrization", ["union", "mutual"])
-    def test_matches_dense_route_on_heavy_ties(self, symmetrization):
+    def test_matches_dense_route_on_heavy_ties(self):
         x = tied_counts()
-        cfg = GraphConfig(k=4, symmetrization=symmetrization)
+        cfg = GraphConfig(k=4)
         assert same_graph(linear_knn_graph(x, cfg), knn_sparsify(linear_kernel(x), cfg))
 
-    @pytest.mark.parametrize("symmetrization", ["union", "mutual"])
     @pytest.mark.parametrize("block_rows", [1, 7, 59, 1000])
-    def test_block_size_does_not_change_graph(self, monkeypatch, block_rows, symmetrization):
+    def test_block_size_does_not_change_graph(self, monkeypatch, block_rows):
         x = tied_counts()
-        cfg = GraphConfig(k=4, symmetrization=symmetrization)
+        cfg = GraphConfig(k=4)
         reference = linear_knn_graph(x, cfg)
         monkeypatch.setattr(graph, "LINEAR_BLOCK_ROWS", block_rows)
         assert same_graph(linear_knn_graph(x, cfg), reference)
 
     def test_ties_go_to_lowest_column(self):
         x = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert edges(linear_knn_graph(x, GraphConfig(k=1, symmetrization="mutual"))) == {(0, 1)}
         assert edges(linear_knn_graph(x, GraphConfig(k=1))) == {(0, 1), (0, 2), (0, 3)}
+        # Row 0 ties 1, 2 and 3 at 1; each of 1-3 ties the other two at 25.
+        x = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 5.0],
+                      [0.0, 1.0, 0.0, 5.0], [0.0, 0.0, 1.0, 5.0]])
+        assert edges(linear_knn_graph(x, GraphConfig(k=1))) == {(0, 1), (1, 2), (1, 3)}
 
     def test_orthogonal_rows_are_not_neighbors(self):
         x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [0.0, 5.0]])
@@ -263,11 +249,10 @@ class TestLinearKnnGraph:
 
 
 class TestGaussianKnnGraph:
-    @pytest.mark.parametrize("symmetrization", ["union", "mutual"])
-    def test_matches_dense_route(self, symmetrization):
+    def test_matches_dense_route(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((80, 3))
-        cfg = GraphConfig(sigma=0.8, k=5, symmetrization=symmetrization)
+        cfg = GraphConfig(sigma=0.8, k=5)
         fast = gaussian_knn_graph(x, cfg)
         slow = knn_sparsify(gaussian_weights(x, cfg.sigma), cfg)
         assert np.array_equal(fast.indptr, slow.indptr)

@@ -67,6 +67,10 @@ class TestMoonsTrial:
         b = run_moons_trial(3, 1)
         assert not np.array_equal(a.features, b.features)
 
+    def test_rejects_unknown_parameter(self):
+        with pytest.raises(TypeError, match="unknown moons parameters: gamma"):
+            run_moons_trial(3, 1, gamma=0.1)
+
 
 class TestNoiseSweep:
     def test_worker_count_is_immaterial(self):

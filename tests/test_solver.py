@@ -22,7 +22,7 @@ def random_basis(rng, n, m):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigenvalues = np.sort(rng.uniform(0.0, 2.0, size=m))
     eigenvalues[0] = 0.0
-    return SpectralBasis(vectors=q[:, :m], eigenvalues=eigenvalues, full=(m == n))
+    return SpectralBasis(vectors=q[:, :m], eigenvalues=eigenvalues)
 
 
 class TestSoftThreshold:

@@ -164,19 +164,15 @@ class TestSmoothnessReport:
 class TestSpectralBasisInvariants:
     def test_rejects_descending_values(self):
         with pytest.raises(ValueError, match="ascending"):
-            SpectralBasis(vectors=np.eye(2), eigenvalues=np.array([1.0, 0.0]), full=True)
+            SpectralBasis(vectors=np.eye(2), eigenvalues=np.array([1.0, 0.0]))
 
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            SpectralBasis(vectors=np.ones((2, 2)), eigenvalues=np.array([0.0, 1.0]), full=True)
+            SpectralBasis(vectors=np.ones((2, 2)), eigenvalues=np.array([0.0, 1.0]))
 
     def test_rejects_out_of_range_eigenvalue(self):
         with pytest.raises(ValueError, match="range"):
-            SpectralBasis(vectors=np.eye(2), eigenvalues=np.array([0.0, 2.5]), full=True)
-
-    def test_rejects_inconsistent_full_flag(self):
-        with pytest.raises(ValueError, match="full"):
-            SpectralBasis(vectors=np.eye(3)[:, :2], eigenvalues=np.array([0.0, 1.0]), full=True)
+            SpectralBasis(vectors=np.eye(2), eigenvalues=np.array([0.0, 2.5]))
 
     def test_clamps_small_negatives(self):
         # build_basis clamps PSD rounding noise to zero before the sqrt.
