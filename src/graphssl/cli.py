@@ -42,31 +42,6 @@ REFINE_PRESETS = {
     "table2-textual": (TABLE2_TEXTUAL, TABLE2_TEXTUAL),
 }
 
-MOONS_DEMO_KEYS = (
-    "schema",
-    "command",
-    "seed",
-    "runs",
-    "n",
-    "labels_per_class",
-    "flip_fraction",
-    "sigma",
-    "k",
-    "lam",
-    "m",
-    "l1_accuracies",
-    "l2_accuracies",
-    "l1_fitting_errors",
-    "l1_quadratic_smoothness",
-    "l1_l1_smoothness",
-    "l2_fitting_errors",
-    "l2_quadratic_smoothness",
-    "l2_l1_smoothness",
-    "l1_accuracy_median",
-    "l2_accuracy_median",
-    "l1_smoother_runs",
-)
-
 
 class UsageError(Exception):
     pass
@@ -145,10 +120,11 @@ COMMAND_FLAGS = {
 
 
 def build_parser():
-    parser = _Parser(prog="graphssl", description=__doc__)
+    # allow_abbrev=False: a prefix such as --run is an unknown flag, not --runs.
+    parser = _Parser(prog="graphssl", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, flags in COMMAND_FLAGS.items():
-        p = sub.add_parser(command, help=COMMANDS[command].__doc__)
+        p = sub.add_parser(command, help=COMMANDS[command].__doc__, allow_abbrev=False)
         for flag in ("--seed", "--output") + flags:
             flag, overrides = (flag, {}) if isinstance(flag, str) else flag
             p.add_argument(flag, **{**FLAGS[flag], **overrides})
@@ -208,6 +184,7 @@ def _emit(args, documents):
 def cmd_moons_demo(args):
     """paired noisy-label benchmark on two moons"""
     params = _graph_params(args, MOONS_GRAPH)
+    _check_sizes(params["k"], params["m"], MOONS_DEFAULTS["n"])
     trials = harness.run_moons_benchmark(
         args.seed, args.runs, labels_per_class=args.labels_per_class,
         flip_fraction=args.noise_fraction, **params,
@@ -306,6 +283,7 @@ def cmd_classify(args):
 def cmd_noise_sweep(args):
     """accuracy vs label-noise fraction grid"""
     params = _graph_params(args, MOONS_GRAPH)
+    _check_sizes(params["k"], params["m"], MOONS_DEFAULTS["n"])
     cells = harness.run_noise_sweep(
         args.seed, args.noise_fraction, args.runs, args.labels_per_class, **params,
         workers=args.workers,

@@ -172,7 +172,7 @@ def multiclass_trial(x, truth, classes, labels_per_class, noise_fraction, seed,
     noisy = inject_label_noise(assignments, spec, classes)
     graph = gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k))
     lap = normalized_laplacian(graph)
-    basis = build_basis(lap, min(m, n), seed=child_seed(seed, _STREAM_EIGEN))
+    basis = build_basis(lap, m, seed=child_seed(seed, _STREAM_EIGEN))
     y = encode_labels(noisy, n, classes)
     labeled = np.zeros(n, dtype=bool)
     for index, _ in assignments:
@@ -235,6 +235,6 @@ def l1_classify(x, assignments, classes, sigma, k, lam, m, seed=0):
     n = x.shape[0]
     graph = gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k))
     lap = normalized_laplacian(graph)
-    basis = build_basis(lap, min(m, n), seed=child_seed(seed, _STREAM_EIGEN))
+    basis = build_basis(lap, m, seed=child_seed(seed, _STREAM_EIGEN))
     y = encode_labels(assignments, n, classes)
     return l1_ssl_fit(basis, y, lam)

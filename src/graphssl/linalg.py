@@ -203,10 +203,23 @@ def _shift_invert_lanczos(a, m, seed, max_steps, norm):
     """Smallest eigenpairs via ARPACK Lanczos on (A + shift I)^-1.
 
     A plain shift leaves the Krylov space unchanged, so the spectrum is
-    mapped through a small-shift inverse instead: near-zero eigenvalues of a
-    PSD matrix become large, well-separated ones, which is what Lanczos
-    converges to fastest. The factorization also keeps the operator
-    nonsingular when A itself is singular (disconnected graphs).
+    mapped through a small-shift inverse instead: eigenvalue lambda of a PSD
+    matrix becomes 1 / (lambda + shift), so the smallest ones become the
+    largest and best separated, which is what Lanczos converges to fastest
+    (Ericsson & Ruhe 1980). The shift also keeps the operator nonsingular
+    when A itself is singular (disconnected graphs).
+
+    The shift is 1e-5 ||A||_inf (floored for a zero matrix). It must sit
+    well below the smallest nonzero eigenvalue that is wanted: a shift of
+    the same size as the wanted eigenvalues compresses their images toward
+    1 / shift, flattening the relative gaps that ARPACK's convergence
+    depends on. On 5-blob k=10 Gaussian k-NN Laplacians (m = 20), a shift
+    of 1e-3 ||A||_inf, about 2e-3, sits at or above lambda_20 (2.4e-3 at
+    n = 3e4, 7e-4 at n = 1e5) and takes 106-165 factor solves per
+    eigensolve; 1e-5 ||A||_inf takes 69. The small shift costs no accuracy:
+    A + shift I has condition number about ||A|| / shift = 1e5, so each
+    solve is accurate to about 1e-11 relative, and residuals stay near
+    1e-14, far inside the 1e-6 ||A||_inf acceptance bound.
 
     A is PSD, so A + shift I is SPD and is factored once without pivoting
     under a symmetric minimum-degree ordering (George & Liu 1981). Every
@@ -216,7 +229,7 @@ def _shift_invert_lanczos(a, m, seed, max_steps, norm):
     """
     budget = (10 * m + 200) if max_steps is None else int(max_steps)
     n = a.shape[0]
-    shift = max(1e-3 * norm, 1e-8)
+    shift = max(1e-5 * norm, 1e-8)
     shifted = (a + shift * sp.identity(n, format="csr")).tocsc()
     try:
         lu = spla.splu(

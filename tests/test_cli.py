@@ -8,7 +8,6 @@ import pytest
 
 from graphssl import bow, cli, fileio, harness
 from graphssl.bow import RefineConfig, co_refine
-from graphssl.cli import MOONS_DEMO_KEYS
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from graphssl.harness import confidence_halfwidth
@@ -47,6 +46,32 @@ def write_corpus(tmp_path, seed=0):
     fileio.write_bow(visual, corrupted)
     fileio.write_bow(textual, other)
     return visual, textual
+
+
+MOONS_DEMO_KEYS = (
+    "schema",
+    "command",
+    "seed",
+    "runs",
+    "n",
+    "labels_per_class",
+    "flip_fraction",
+    "sigma",
+    "k",
+    "lam",
+    "m",
+    "l1_accuracies",
+    "l2_accuracies",
+    "l1_fitting_errors",
+    "l1_quadratic_smoothness",
+    "l1_l1_smoothness",
+    "l2_fitting_errors",
+    "l2_quadratic_smoothness",
+    "l2_l1_smoothness",
+    "l1_accuracy_median",
+    "l2_accuracy_median",
+    "l1_smoother_runs",
+)
 
 
 class TestMoonsDemo:
@@ -161,6 +186,29 @@ class TestNoiseSweep:
         four = run_cli("noise-sweep", "--noise-fraction", "0,0.2", "--runs", 4,
                        "--seed", 5, "--workers", 4)
         assert one.stdout == four.stdout
+
+
+class TestMoonsSizes:
+    """moons-demo and noise-sweep check k and m against the n=200 moons up front."""
+
+    @pytest.mark.parametrize("command", ["moons-demo", "noise-sweep"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--m", "500", "error: m=500 exceeds the sample count 200"),
+        ("--m", "201", "error: m=201 exceeds the sample count 200"),
+        ("--k", "200", "error: k=200 must be smaller than the sample count 200"),
+    ], ids=["m-500", "m-201", "k-200"])
+    def test_size_beyond_moons_is_config_error(self, tmp_path, capsys, command, flag,
+                                                value, message):
+        out = tmp_path / "out"
+        argv = [command, "--runs", "1", "--noise-fraction", "0", flag, value]
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    def test_noise_sweep_full_basis_is_accepted(self):
+        result = run_cli("noise-sweep", "--runs", 1, "--noise-fraction", 0, "--m", 200)
+        assert result.returncode == 0
+        assert fileio.parse_metrics(result.stdout)["m"] == 200
 
 
 class TestRefineBow:
@@ -461,6 +509,23 @@ class TestParserContract:
         assert cli.main(argv + ["--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["moons-demo", "--run", "1", "--lab", "3"],
+        ["moons-demo", "--runs", "1", "--noise", "0"],
+        ["noise-sweep", "--runs", "1", "--noise-fraction", "0", "--work", "2"],
+        ["noise-sweep", "--runs", "1", "--noise-fraction", "0", "--lam", "1"],
+        ["moons-demo", "--runs", "1", "--se", "3"],
+    ])
+    def test_abbreviated_flag_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_with_equals_sign_still_parses(self):
+        args = cli.build_parser().parse_args(["moons-demo", "--runs=3", "--output=out"])
+        assert (args.runs, args.output) == (3, "out")
 
     def test_benchmark_argv_parses(self):
         parser = cli.build_parser()

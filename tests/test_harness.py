@@ -6,6 +6,8 @@ from graphssl.harness import (
     child_seed,
     confidence_halfwidth,
     flip_per_class,
+    l1_classify,
+    multiclass_trial,
     run_moons_trial,
     run_noise_sweep,
     signed_label_vector,
@@ -83,6 +85,20 @@ class TestNoiseSweep:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             run_noise_sweep(0, [], 2, 5, sigma=0.1, k=10, lam=5.0, m=20)
+
+
+class TestBasisSize:
+    """A basis larger than the sample count is an error, not silently clamped."""
+
+    def test_multiclass_trial_rejects_m_beyond_n(self):
+        x, truth = gaussian_blobs(40, classes=2, seed=0)
+        with pytest.raises(ValueError, match="m must be in"):
+            multiclass_trial(x, truth, 2, 3, 0.0, seed=1, sigma=1.0, k=5, lam=1.0, m=41)
+
+    def test_l1_classify_rejects_m_beyond_n(self):
+        x, _ = gaussian_blobs(40, classes=2, seed=0)
+        with pytest.raises(ValueError, match="m must be in"):
+            l1_classify(x, [(0, 0), (39, 1)], 2, sigma=1.0, k=5, lam=1.0, m=41)
 
 
 class TestConfidenceHalfwidth:

@@ -451,3 +451,41 @@ class TestShiftInvertFactor:
             values, vectors = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
             assert np.allclose(values, dense_values, rtol=0.0, atol=1e-10)
             assert subspace_overlap(dense_vectors, vectors) >= 1.0 - 1e-8
+
+    def test_dense_and_lanczos_agree_with_many_zero_eigenvalues(self):
+        # Twelve tight blobs give twelve components: the shift-inverted
+        # spectrum has a twelve-fold largest eigenvalue 1 / shift, and m=20
+        # runs eight pairs past it, to a gap.
+        x, _ = gaussian_blobs(720, classes=12, spread=0.05, seed=1)
+        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+        m = 20
+        spectrum = np.linalg.eigvalsh(lap.toarray())
+        assert np.allclose(spectrum[:12], 0.0, atol=1e-12) and spectrum[12] > 1e-2
+        assert spectrum[m] > 1.02 * spectrum[m - 1]
+        dense_values, dense_vectors = smallest_eigenpairs(lap, m, method="dense")
+        for seed in (0, 1):
+            values, vectors = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
+            assert np.allclose(values, dense_values, rtol=0.0, atol=1e-10)
+            assert subspace_overlap(dense_vectors, vectors) >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_factor_solves_per_eigensolve(self, monkeypatch, seed):
+        # A shift below the wanted eigenvalues (lambda_20 is about 7e-3 here)
+        # keeps their shift-inverted images apart: 69 solves, where a shift
+        # of 1e-3 ||A||_inf took 74-85.
+        solves = []
+        original = spla.splu
+
+        class Counting:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                solves.append(1)
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(spla, "splu", lambda *args, **kw: Counting(original(*args, **kw)))
+        x, _ = gaussian_blobs(10000, classes=5, seed=seed)
+        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+        smallest_eigenpairs(lap, 20, method="lanczos", seed=seed)
+        assert len(solves) <= 72
