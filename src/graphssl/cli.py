@@ -150,6 +150,17 @@ def _check_sizes(k, m, n, count="the sample count", prefix=""):
         raise ValueError(f"{prefix}m={m} exceeds {count} {n}")
 
 
+def _check_moons(params, labels_per_class):
+    """Reject a k, m or labeled count that the moons instance cannot hold."""
+    _check_sizes(params["k"], params["m"], MOONS_DEFAULTS["n"])
+    per_class = MOONS_DEFAULTS["n"] // 2
+    if labels_per_class >= per_class:
+        raise ValueError(
+            f"--labels-per-class={labels_per_class} must be smaller than the "
+            f"{per_class} moons points per class, so that some point is unlabeled"
+        )
+
+
 def _emit(args, documents):
     """Write named documents into the output directory, or print to stdout.
 
@@ -184,7 +195,7 @@ def _emit(args, documents):
 def cmd_moons_demo(args):
     """paired noisy-label benchmark on two moons"""
     params = _graph_params(args, MOONS_GRAPH)
-    _check_sizes(params["k"], params["m"], MOONS_DEFAULTS["n"])
+    _check_moons(params, args.labels_per_class)
     trials = harness.run_moons_benchmark(
         args.seed, args.runs, labels_per_class=args.labels_per_class,
         flip_fraction=args.noise_fraction, **params,
@@ -283,7 +294,7 @@ def cmd_classify(args):
 def cmd_noise_sweep(args):
     """accuracy vs label-noise fraction grid"""
     params = _graph_params(args, MOONS_GRAPH)
-    _check_sizes(params["k"], params["m"], MOONS_DEFAULTS["n"])
+    _check_moons(params, args.labels_per_class)
     cells = harness.run_noise_sweep(
         args.seed, args.noise_fraction, args.runs, args.labels_per_class, **params,
         workers=args.workers,

@@ -156,39 +156,58 @@ def run_moons_benchmark(master_seed, runs, **overrides):
     return [run_moons_trial(master_seed, i, **overrides) for i in range(runs)]
 
 
-def multiclass_trial(x, truth, classes, labels_per_class, noise_fraction, seed,
+def multiclass_trial(x, truth, classes, labels_per_class, noise_fractions, seed,
                      sigma, k, lam, m):
-    """One multi-class run of both methods with globally injected label noise.
+    """One multi-class run of both methods at every label-noise fraction.
 
-    Returns (l1_accuracy, l2_accuracy) measured on the unlabeled points.
+    The labeled set, the graph and the basis are built once from seed; each
+    fraction only injects its own noise, drawn from child_seed(seed,
+    _STREAM_NOISE, fraction_index). The one-hot label columns of all
+    fractions sit side by side in one block, so each method fits once.
+    Every column is solved on its own, so the scores equal per-fraction fits
+    bit for bit. Returns one (l1_accuracy, l2_accuracy) pair per fraction,
+    measured on the unlabeled points.
     """
     n = x.shape[0]
     assignments = select_labeled(truth, labels_per_class, child_seed(seed, _STREAM_LABELED))
-    spec = NoiseSpec(
-        labeled_per_class=labels_per_class,
-        noise_fraction=noise_fraction,
-        seed=child_seed(seed, _STREAM_NOISE),
-    )
-    noisy = inject_label_noise(assignments, spec, classes)
+    blocks = []
+    for fraction_index, fraction in enumerate(noise_fractions):
+        spec = NoiseSpec(
+            labeled_per_class=labels_per_class,
+            noise_fraction=fraction,
+            seed=child_seed(seed, _STREAM_NOISE, fraction_index),
+        )
+        blocks.append(encode_labels(inject_label_noise(assignments, spec, classes), n, classes))
     graph = gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k))
     lap = normalized_laplacian(graph)
     basis = build_basis(lap, m, seed=child_seed(seed, _STREAM_EIGEN))
-    y = encode_labels(noisy, n, classes)
     labeled = np.zeros(n, dtype=bool)
     for index, _ in assignments:
         labeled[index] = True
     mask = ~labeled
-    sol_l1 = l1_ssl_fit(basis, y, lam)
-    sol_l2 = l2_ssl_fit(lap, y, lam)
-    return evaluate(sol_l1, truth, mask), evaluate(sol_l2, truth, mask)
+    y = np.hstack(blocks)
+    names = [f"noise fraction {fraction}, class {cls}"
+             for fraction in noise_fractions for cls in range(classes)]
+    scores_l1 = l1_ssl_fit(basis, y, lam).scores
+    scores_l2 = l2_ssl_fit(lap, y, lam, names=names).scores
+
+    def accuracy(scores, fraction_index):
+        block = scores[:, fraction_index * classes:(fraction_index + 1) * classes]
+        return evaluate(np.argmax(block, axis=1), truth, mask)
+
+    return [(accuracy(scores_l1, i), accuracy(scores_l2, i))
+            for i in range(len(noise_fractions))]
 
 
 def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, lam, m, workers=1):
     """Sweep label-noise fractions on seeded moons instances of MOONS_DEFAULTS' size.
 
-    Every (fraction, run) cell derives its own seed, so the grid can be
-    evaluated concurrently; results are assembled in grid order regardless of
-    completion order. Returns a list of per-fraction dicts.
+    The design is paired: run r draws one moons instance, labeled set, graph
+    and basis from child_seed(master_seed, r), and every fraction is measured
+    on them, so only the injected noise differs along the curve. Runs derive
+    their own seeds, so they can be evaluated concurrently; results are
+    assembled in grid order regardless of completion order. Returns a list of
+    per-fraction dicts.
     """
     fractions = list(fractions)
     if not fractions:
@@ -196,26 +215,25 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
     if runs < 1:
         raise ValueError("runs must be at least 1")
 
-    def cell(fraction_index, run_index):
-        seed = child_seed(master_seed, fraction_index, run_index)
+    def run(run_index):
+        seed = child_seed(master_seed, run_index)
         x, truth = two_moons(MOONS_DEFAULTS["n"], MOONS_DEFAULTS["noise_sd"],
                              child_seed(seed, _STREAM_DATA))
         return multiclass_trial(
-            x, truth, 2, labels_per_class, fractions[fraction_index], seed,
+            x, truth, 2, labels_per_class, fractions, seed,
             sigma=sigma, k=k, lam=lam, m=m,
         )
 
-    jobs = [(fi, ri) for fi in range(len(fractions)) for ri in range(runs)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda job: cell(*job), jobs))
+            outcomes = list(pool.map(run, range(runs)))
     else:
-        outcomes = [cell(*job) for job in jobs]
+        outcomes = [run(ri) for ri in range(runs)]
 
     results = []
     for fi, fraction in enumerate(fractions):
-        l1 = [outcomes[fi * runs + ri][0] for ri in range(runs)]
-        l2 = [outcomes[fi * runs + ri][1] for ri in range(runs)]
+        l1 = [outcomes[ri][fi][0] for ri in range(runs)]
+        l2 = [outcomes[ri][fi][1] for ri in range(runs)]
         results.append(
             {
                 "fraction": fraction,

@@ -80,19 +80,26 @@ def l1_ssl_fit(basis, y_matrix, lam):
     return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 
-def l2_ssl_fit(lap, y_matrix, lam, tol=1e-8):
-    """Quadratic-regularization baseline fit: one system, one CG solve per class."""
+def l2_ssl_fit(lap, y_matrix, lam, tol=1e-8, names=None):
+    """Quadratic-regularization baseline fit: one system, one CG solve per class.
+
+    A failed solve names its column: names[j] when given, else "class j".
+    """
     y_matrix = np.asarray(y_matrix, dtype=np.float64)
     if y_matrix.ndim != 2 or y_matrix.shape[0] != lap.shape[0]:
         raise ValueError("label matrix rows must match the Laplacian dimension")
     n, c = y_matrix.shape
+    if names is None:
+        names = [f"class {j}" for j in range(c)]
+    elif len(names) != c:
+        raise ValueError(f"{len(names)} column names for {c} label columns")
     system = l2_system(lap, lam)
     scores = np.zeros((n, c))
     for j in range(c):
         try:
             scores[:, j], _, _ = cg_solve(system, y_matrix[:, j], tol=tol)
         except ComputationError as exc:
-            raise type(exc)(f"class {j}: {exc}") from exc
+            raise type(exc)(f"{names[j]}: {exc}") from exc
     return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 

@@ -205,6 +205,21 @@ class TestMoonsSizes:
         assert capsys.readouterr().err.strip() == message
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["moons-demo", "noise-sweep"])
+    @pytest.mark.parametrize("value", ["100", "101"])
+    def test_labels_leaving_no_unlabeled_point_are_config_error(self, tmp_path, capsys,
+                                                                 monkeypatch, command, value):
+        # Rejected before any trial runs, not after the work is done.
+        monkeypatch.setattr(harness, "two_moons", None)
+        out = tmp_path / "out"
+        argv = [command, "--runs", "1", "--noise-fraction", "0", "--labels-per-class", value]
+        assert cli.main(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: --labels-per-class={value} must be smaller than the 100 moons points "
+            "per class, so that some point is unlabeled"
+        )
+        assert not out.exists()
+
     def test_noise_sweep_full_basis_is_accepted(self):
         result = run_cli("noise-sweep", "--runs", 1, "--noise-fraction", 0, "--m", 200)
         assert result.returncode == 0

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from graphssl import harness, ssl
 from graphssl.datasets import gaussian_blobs, two_block_corpus
+from graphssl.errors import ConvergenceError
 from graphssl.harness import (
     child_seed,
     confidence_halfwidth,
@@ -12,6 +14,7 @@ from graphssl.harness import (
     run_noise_sweep,
     signed_label_vector,
 )
+from graphssl.ssl import two_moons
 
 
 class TestSeedFanOut:
@@ -87,13 +90,80 @@ class TestNoiseSweep:
             run_noise_sweep(0, [], 2, 5, sigma=0.1, k=10, lam=5.0, m=20)
 
 
+def _counting(monkeypatch, module, name):
+    """Replace module.name with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestPairedSweep:
+    """Every fraction of one run shares its instance, labeled set, graph and basis."""
+
+    GRAPH = {"sigma": 0.1, "k": 10, "lam": 5.0, "m": 20}
+
+    def test_instance_is_built_once_per_run(self, monkeypatch):
+        spies = {name: _counting(monkeypatch, harness, name)
+                 for name in ("gaussian_knn_graph", "build_basis", "select_labeled",
+                              "l1_ssl_fit", "l2_ssl_fit")}
+        run_noise_sweep(1, [0.0, 0.1, 0.2, 0.3, 0.4], 3, 5, **self.GRAPH)
+        assert {name: len(calls) for name, calls in spies.items()} == dict.fromkeys(spies, 3)
+
+    def test_first_fraction_does_not_depend_on_the_grid(self):
+        longer = run_noise_sweep(6, [0.0, 0.3], 4, 5, **self.GRAPH)
+        alone = run_noise_sweep(6, [0.0], 4, 5, **self.GRAPH)
+        assert longer[0] == alone[0]
+
+    def test_stacked_fit_equals_per_fraction_fits(self, monkeypatch):
+        fits = {}
+        for name in ("l1_ssl_fit", "l2_ssl_fit"):
+            original = getattr(harness, name)
+
+            def spy(operator, y, lam, original=original, name=name, **kwargs):
+                solution = original(operator, y, lam, **kwargs)
+                fits[name] = (operator, y, lam, solution.scores)
+                return solution
+
+            monkeypatch.setattr(harness, name, spy)
+        x, truth = two_moons(200, 0.1, seed=3)
+        multiclass_trial(x, truth, 2, 5, [0.0, 0.2, 0.4], seed=4, **self.GRAPH)
+        for name, fit in (("l1_ssl_fit", ssl.l1_ssl_fit), ("l2_ssl_fit", ssl.l2_ssl_fit)):
+            operator, y, lam, stacked = fits[name]
+            assert y.shape == (200, 6)
+            assert np.count_nonzero(y) == 3 * 10
+            for i in range(3):
+                alone = fit(operator, y[:, 2 * i:2 * i + 2], lam).scores
+                assert np.array_equal(stacked[:, 2 * i:2 * i + 2], alone), (name, i)
+
+    def test_failed_solve_names_fraction_and_class(self, monkeypatch):
+        original = ssl.cg_solve
+        calls = []
+
+        def fail_fourth(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 4:
+                raise ConvergenceError("no convergence")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ssl, "cg_solve", fail_fourth)
+        x, truth = two_moons(200, 0.1, seed=3)
+        with pytest.raises(ConvergenceError, match="^noise fraction 0.3, class 1: no conv"):
+            multiclass_trial(x, truth, 2, 5, [0.0, 0.3], seed=4, **self.GRAPH)
+
+
 class TestBasisSize:
     """A basis larger than the sample count is an error, not silently clamped."""
 
     def test_multiclass_trial_rejects_m_beyond_n(self):
         x, truth = gaussian_blobs(40, classes=2, seed=0)
         with pytest.raises(ValueError, match="m must be in"):
-            multiclass_trial(x, truth, 2, 3, 0.0, seed=1, sigma=1.0, k=5, lam=1.0, m=41)
+            multiclass_trial(x, truth, 2, 3, [0.0], seed=1, sigma=1.0, k=5, lam=1.0, m=41)
 
     def test_l1_classify_rejects_m_beyond_n(self):
         x, _ = gaussian_blobs(40, classes=2, seed=0)

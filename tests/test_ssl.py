@@ -175,6 +175,14 @@ class TestL2Fit:
         with pytest.raises(ConvergenceError, match="^class 0: "):
             l2_ssl_fit(lap, y, 5.0, tol=1e-300)
 
+    def test_failed_solve_uses_the_given_column_name(self):
+        _, truth, lap, _ = moons_setup(seed=8, n=60, m=5)
+        y = encode_labels(select_labeled(truth[:60], 4, seed=9), 60, 2)
+        with pytest.raises(ConvergenceError, match="^first: "):
+            l2_ssl_fit(lap, y, 5.0, tol=1e-300, names=["first", "second"])
+        with pytest.raises(ValueError, match="1 column names for 2 label columns"):
+            l2_ssl_fit(lap, y, 5.0, names=["first"])
+
 
 class TestInjectLabelNoise:
     def test_zero_fraction_unchanged(self):
