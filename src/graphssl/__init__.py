@@ -10,7 +10,7 @@ paired bag-of-words matrices.
 """
 
 from .errors import ComputationError, ConvergenceError, IsolatedVertexError
-from .linalg import cg_solve, check_symmetric, smallest_eigenpairs
+from .linalg import check_symmetric, smallest_eigenpairs
 from .graph import (
     GraphConfig,
     gaussian_knn_graph,
@@ -32,7 +32,6 @@ from .spectral import (
 from .solver import (
     kkt_residual,
     l1_coefficients,
-    l2_ssl_solve,
     objective,
     soft_threshold,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "ComputationError",
     "ConvergenceError",
     "IsolatedVertexError",
-    "cg_solve",
     "check_symmetric",
     "smallest_eigenpairs",
     "GraphConfig",
@@ -81,7 +79,6 @@ __all__ = [
     "smoothness_report",
     "kkt_residual",
     "l1_coefficients",
-    "l2_ssl_solve",
     "objective",
     "soft_threshold",
     "NoiseSpec",

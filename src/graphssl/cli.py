@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 
@@ -23,9 +24,7 @@ import numpy as np
 from . import bow, fileio, harness
 from .bow import TABLE2_TEXTUAL, TABLE2_VISUAL
 from .errors import ComputationError
-from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from .harness import MOONS_DEFAULTS
-from .spectral import build_basis
 from .ssl import evaluate
 
 SCHEMA_VERSION = 2
@@ -64,8 +63,8 @@ def _checked(convert, holds, requirement):
 
 
 _count = _checked(int, lambda v: v >= 1, "at least 1")
-_positive = _checked(float, lambda v: v > 0, "positive")
-_nonnegative = _checked(float, lambda v: v >= 0, "nonnegative")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "nonnegative and finite")
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
@@ -377,9 +376,7 @@ def cmd_eigen_dump(args):
     x = fileio.read_features(args.input)
     n = x.shape[0]
     _check_sizes(params["k"], params["m"], n)
-    graph = gaussian_knn_graph(x, GraphConfig(sigma=params["sigma"], k=params["k"]))
-    lap = normalized_laplacian(graph)
-    basis = build_basis(lap, params["m"], seed=args.seed)
+    _, basis = harness.laplacian_basis(x, params["sigma"], params["k"], params["m"], args.seed)
     lines = [f"{basis.n} {basis.m}"]
     lines.append(" ".join(map(repr, basis.eigenvalues.tolist())))
     lines += [" ".join(map(repr, row)) for row in basis.vectors.tolist()]

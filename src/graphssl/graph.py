@@ -136,7 +136,7 @@ def _symmetrize(n, src, dst, vals):
     keys = lo_idx * n + hi_idx
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
     pick = order[first]
     return lo_idx[pick], hi_idx[pick], vals[pick]
 
@@ -222,7 +222,10 @@ def gaussian_knn_graph(x, config):
     dd = dist[keep].reshape(n, config.k)
     src = np.repeat(np.arange(n, dtype=np.int64), config.k)
     dst = dst.reshape(-1).astype(np.int64)
-    wvals = np.exp(-(dd.reshape(-1) ** 2) / (2.0 * config.sigma * config.sigma))
+    # A bandwidth small enough to under- or overflow the exponent gives
+    # weight 0; such edges are dropped below, as any underflowed weight is.
+    with np.errstate(divide="ignore", over="ignore"):
+        wvals = np.exp(-(dd.reshape(-1) ** 2) / (2.0 * config.sigma * config.sigma))
     nz = wvals > 0.0
     src, dst, wvals = src[nz], dst[nz], wvals[nz]
     lo_idx, hi_idx, wvals = _symmetrize(n, src, dst, wvals)

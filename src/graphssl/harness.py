@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
-from .solver import l1_coefficients, l2_ssl_solve
+from .solver import l1_coefficients
 from .spectral import build_basis, smoothness_report
 from .ssl import (
     NoiseSpec,
@@ -102,6 +102,15 @@ class MoonsTrial:
     labeled_indices: list
 
 
+def laplacian_basis(x, sigma, k, m, seed):
+    """Gaussian k-NN graph of x, its normalized Laplacian, and that Laplacian's m-pair basis.
+
+    Returns (lap, basis); seed seeds the eigensolver.
+    """
+    lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k)))
+    return lap, build_basis(lap, m, seed=seed)
+
+
 def run_moons_trial(master_seed, run_index, **overrides):
     """One seeded two-moons instance, both methods at the same lam.
 
@@ -121,14 +130,14 @@ def run_moons_trial(master_seed, run_index, **overrides):
     noisy = flip_per_class(
         assignments, cfg["flip_fraction"], 2, child_seed(master_seed, _STREAM_NOISE, run_index)
     )
-    graph = gaussian_knn_graph(x, GraphConfig(sigma=cfg["sigma"], k=cfg["k"]))
-    lap = normalized_laplacian(graph)
-    full_basis = build_basis(lap, cfg["n"], seed=child_seed(master_seed, _STREAM_EIGEN, run_index))
+    lap, full_basis = laplacian_basis(
+        x, cfg["sigma"], cfg["k"], cfg["n"], child_seed(master_seed, _STREAM_EIGEN, run_index)
+    )
     basis = full_basis.truncate(cfg["m"])
 
     y = signed_label_vector(noisy, cfg["n"])
     f_l1 = basis.expand(l1_coefficients(basis, y, cfg["lam"]))
-    f_l2 = l2_ssl_solve(lap, y, cfg["lam"])
+    f_l2 = l2_ssl_fit(lap, y[:, None], cfg["lam"]).scores[:, 0]
 
     labeled = np.zeros(cfg["n"], dtype=bool)
     for index, _ in assignments:
@@ -178,9 +187,7 @@ def multiclass_trial(x, truth, classes, labels_per_class, noise_fractions, seed,
             seed=child_seed(seed, _STREAM_NOISE, fraction_index),
         )
         blocks.append(encode_labels(inject_label_noise(assignments, spec, classes), n, classes))
-    graph = gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k))
-    lap = normalized_laplacian(graph)
-    basis = build_basis(lap, m, seed=child_seed(seed, _STREAM_EIGEN))
+    lap, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
     labeled = np.zeros(n, dtype=bool)
     for index, _ in assignments:
         labeled[index] = True
@@ -250,9 +257,6 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
 
 def l1_classify(x, assignments, classes, sigma, k, lam, m, seed=0):
     """Full pipeline: k-NN Gaussian graph, basis, closed-form solve, argmax labels."""
-    n = x.shape[0]
-    graph = gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k))
-    lap = normalized_laplacian(graph)
-    basis = build_basis(lap, m, seed=child_seed(seed, _STREAM_EIGEN))
-    y = encode_labels(assignments, n, classes)
+    _, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
+    y = encode_labels(assignments, x.shape[0], classes)
     return l1_ssl_fit(basis, y, lam)

@@ -1,4 +1,4 @@
-"""Closed-form solve of the spectral weighted-L1 objective, and the quadratic baseline.
+"""Closed-form solve of the spectral weighted-L1 objective, and the quadratic baseline's system.
 
 The reduced objective over reconstruction coefficients a is
 
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-
-from .linalg import cg_solve
 
 
 def soft_threshold(x, t):
@@ -114,8 +112,3 @@ def l2_system(lap, lam):
         raise ValueError("lam must be nonnegative")
     return sp.identity(lap.shape[0], format="csr") + lam * lap
 
-
-def l2_ssl_solve(lap, y, lam, tol=1e-8):
-    """Minimize the quadratic objective by solving (I + lam L) f = y."""
-    f, _, _ = cg_solve(l2_system(lap, lam), np.asarray(y, dtype=np.float64), tol=tol)
-    return f

@@ -101,13 +101,13 @@ def _by_column(matrix, block):
     return out
 
 
-def build_basis(lap, m, seed=0, method="auto", tol=1e-6):
+def build_basis(lap, m, seed=0):
     """Compute the m smallest eigenpairs of a normalized Laplacian.
 
     Deterministic for a fixed seed; negative eigenvalues within rounding
     distance of zero are clamped so square roots stay real.
     """
-    values, vectors = smallest_eigenpairs(lap, m, tol=tol, seed=seed, method=method)
+    values, vectors = smallest_eigenpairs(lap, m, seed=seed)
     values = np.where((values < 0.0) & (values >= EIGENVALUE_CLAMP), 0.0, values)
     return SpectralBasis(vectors=vectors, eigenvalues=values)
 

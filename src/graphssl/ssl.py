@@ -2,9 +2,9 @@
 
 The multi-class problem decomposes into one independent column problem per
 class. The weighted-L1 fit solves every column in closed form at once; the
-quadratic baseline runs one conjugate-gradient solve per class. Predictions
-take the argmax across class scores with ties resolved toward the lowest
-class index.
+quadratic baseline factors its sparse system once and solves each class
+with that factor. Predictions take the argmax across class scores with
+ties resolved toward the lowest class index.
 """
 
 from __future__ import annotations
@@ -13,9 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError
-from .linalg import cg_solve
+from .errors import ConvergenceError
+from .linalg import spd_factor
 from .solver import l1_coefficients, l2_system
+
+# Relative residual ||(I + lam L) f - y|| / ||y|| that every quadratic
+# baseline column must meet.
+L2_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,26 +84,41 @@ def l1_ssl_fit(basis, y_matrix, lam):
     return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 
-def l2_ssl_fit(lap, y_matrix, lam, tol=1e-8, names=None):
-    """Quadratic-regularization baseline fit: one system, one CG solve per class.
+def l2_ssl_fit(lap, y_matrix, lam, names=None):
+    """Quadratic-regularization baseline: minimize 0.5 ||f - y||^2 + (lam / 2) f' L f.
 
-    A failed solve names its column: names[j] when given, else "class j".
+    Each column's minimizer solves (I + lam L) f = y. The system is factored
+    once and every column is solved with that factor on its own, so a column
+    does not depend on the others. Each solution must meet
+    ||(I + lam L) f - y|| <= L2_RESIDUAL_TOL ||y||, recomputed explicitly; a
+    miss raises ConvergenceError naming its column: names[j] when given,
+    else "class j".
     """
     y_matrix = np.asarray(y_matrix, dtype=np.float64)
     if y_matrix.ndim != 2 or y_matrix.shape[0] != lap.shape[0]:
         raise ValueError("label matrix rows must match the Laplacian dimension")
+    if not np.all(np.isfinite(y_matrix)):
+        raise ValueError("label matrix must be finite")
     n, c = y_matrix.shape
     if names is None:
         names = [f"class {j}" for j in range(c)]
     elif len(names) != c:
         raise ValueError(f"{len(names)} column names for {c} label columns")
     system = l2_system(lap, lam)
+    lu = spd_factor(system)
     scores = np.zeros((n, c))
     for j in range(c):
-        try:
-            scores[:, j], _, _ = cg_solve(system, y_matrix[:, j], tol=tol)
-        except ComputationError as exc:
-            raise type(exc)(f"{names[j]}: {exc}") from exc
+        y = y_matrix[:, j]
+        f = lu.solve(y)
+        norm_y = float(np.linalg.norm(y))
+        residual = float(np.linalg.norm(system @ f - y))
+        if not residual <= L2_RESIDUAL_TOL * norm_y:  # a NaN residual fails too
+            relative = residual / norm_y
+            raise ConvergenceError(
+                f"{names[j]}: relative residual {relative:.3e} exceeds {L2_RESIDUAL_TOL:g}",
+                residual=relative,
+            )
+        scores[:, j] = f
     return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 

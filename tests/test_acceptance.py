@@ -18,10 +18,9 @@ from graphssl.bow import RefineConfig, apply_error_sparsity, refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import GraphConfig, gaussian_weights, knn_sparsify, normalized_laplacian
 from graphssl.harness import l1_classify, run_moons_benchmark
-from graphssl.linalg import cg_solve
-from graphssl.solver import kkt_residual, l1_coefficients, l2_system, objective
+from graphssl.solver import kkt_residual, l1_coefficients, objective
 from graphssl.spectral import apply_b, build_basis, l2_smoothness
-from graphssl.ssl import select_labeled
+from graphssl.ssl import l2_ssl_fit, select_labeled
 
 
 def criterion(name):
@@ -131,11 +130,11 @@ def test_quadratic_baseline_exactness():
     for lap, _ in GRAPHS[:10]:
         y = rng.standard_normal(lap.shape[0])
         lam = float(rng.uniform(0.0, 10.0))
-        f, _, _ = cg_solve(l2_system(lap, lam), y, tol=1e-8)
+        f = l2_ssl_fit(lap, y[:, None], lam).scores[:, 0]
         assert np.linalg.norm(f + lam * (lap @ f) - y) <= 1e-8 * np.linalg.norm(y)
 
     two_node = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    f, _, _ = cg_solve(l2_system(two_node, 2.0), np.array([1.0, 0.0]), tol=1e-12)
+    f = l2_ssl_fit(two_node, np.array([[1.0], [0.0]]), 2.0).scores[:, 0]
     assert np.max(np.abs(f - np.array([0.6, 0.4]))) <= 1e-10
 
 

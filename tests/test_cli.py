@@ -388,6 +388,13 @@ class TestExitCodes:
         assert "isolated" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_graph_whose_every_weight_underflows_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["moons-demo", "--sigma", "1e-300", "--runs", "1",
+                         "--output", str(out)]) == 2
+        assert "isolated" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAtomicOutput:
     def test_failed_second_write_leaves_no_files(self, tmp_path, monkeypatch, capsys):
@@ -518,6 +525,9 @@ class TestParserContract:
         (["moons-demo", "--noise-fraction", "1.5"], "--noise-fraction"),
         (["noise-sweep", "--noise-fraction", "0,1.5"], "--noise-fraction"),
         (["noise-sweep", "--noise-fraction", ","], "--noise-fraction"),
+        (["noise-sweep", "--runs", "1", "--sigma", "inf"], "--sigma"),
+        (["noise-sweep", "--runs", "1", "--lambda", "inf"], "--lambda"),
+        (["refine-bow", "--input", "v.txt", "t.txt", "--gamma", "inf"], "--gamma"),
     ])
     def test_out_of_range_value_is_rejected_while_parsing(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -142,18 +144,21 @@ class TestPairedSweep:
                 assert np.array_equal(stacked[:, 2 * i:2 * i + 2], alone), (name, i)
 
     def test_failed_solve_names_fraction_and_class(self, monkeypatch):
-        original = ssl.cg_solve
+        original = ssl.spd_factor
         calls = []
 
-        def fail_fourth(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 4:
-                raise ConvergenceError("no convergence")
-            return original(*args, **kwargs)
+        def fail_fourth_solve(system):
+            lu = original(system)
 
-        monkeypatch.setattr(ssl, "cg_solve", fail_fourth)
+            def solve(y):
+                calls.append(None)
+                return np.zeros_like(y) if len(calls) == 4 else lu.solve(y)
+
+            return SimpleNamespace(solve=solve)
+
+        monkeypatch.setattr(ssl, "spd_factor", fail_fourth_solve)
         x, truth = two_moons(200, 0.1, seed=3)
-        with pytest.raises(ConvergenceError, match="^noise fraction 0.3, class 1: no conv"):
+        with pytest.raises(ConvergenceError, match="^noise fraction 0.3, class 1: relative resid"):
             multiclass_trial(x, truth, 2, 5, [0.0, 0.3], seed=4, **self.GRAPH)
 
 

@@ -1,21 +1,24 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from graphssl import cli
+from graphssl import cli, ssl
 from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
 from graphssl.graph import GraphConfig, _mirror, gaussian_knn_graph, normalized_laplacian
 from graphssl.linalg import (
     DENSE_EIGEN_CUTOFF,
     _row_sums,
-    cg_solve,
     check_symmetric,
     smallest_eigenpairs,
+    spd_factor,
 )
 from graphssl.solver import l2_system
+from graphssl.ssl import l2_ssl_fit
 
 PATH_GRAPH_2 = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -159,7 +162,7 @@ class TestRowSums:
 
 
 class TestSpmv:
-    """Products with checked CSR matrices, as cg_solve and the eigensolver form them."""
+    """Products with checked CSR matrices, as the residual checks and the eigensolver form them."""
 
     def test_constant_vector_in_kernel(self):
         assert np.allclose(PATH_GRAPH_2 @ np.array([1.0, 1.0]), [0.0, 0.0])
@@ -193,8 +196,8 @@ class TestSpmv:
             assert np.array_equal(a @ block, columns)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="does not match"):
-            cg_solve(PATH_GRAPH_2, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="must match"):
+            l2_ssl_fit(PATH_GRAPH_2, np.array([[1.0], [2.0], [3.0]]), 1.0)
 
 
 class TestIdentityPlusScaled:
@@ -212,9 +215,8 @@ class TestIdentityPlusScaled:
         assert system.nnz == 2  # the zeros that lam = 0 produces are not stored
 
 
-def solve_spd(a, b, tol=1e-8):
-    x, _, _ = cg_solve(a, b, tol=tol)
-    return x
+def solve_spd(a, b):
+    return spd_factor(a).solve(b)
 
 
 class TestSolveSpd:
@@ -229,14 +231,14 @@ class TestSolveSpd:
         a = l2_system(PATH_GRAPH_2, 1.0)
         b = np.array([1.0, 0.0])
         expected = np.linalg.solve(np.array([[2.0, -1.0], [-1.0, 2.0]]), b)
-        assert np.allclose(solve_spd(a, b, tol=1e-12), expected, atol=1e-10)
+        assert np.allclose(solve_spd(a, b), expected, atol=1e-10)
 
     def test_matches_lu_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             a = random_psd(10, rng)
             b = rng.standard_normal(10)
-            x = solve_spd(sym_csr(a), b, tol=1e-12)
+            x = solve_spd(sym_csr(a), b)
             assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
 
     def test_residual_contract(self):
@@ -245,38 +247,40 @@ class TestSolveSpd:
             a = random_psd(15, rng, density=0.4)
             b = rng.standard_normal(15)
             tol = 1e-9
-            x = solve_spd(sym_csr(a), b, tol=tol)
+            x = solve_spd(sym_csr(a), b)
             assert np.linalg.norm(a @ x - b) <= tol * np.linalg.norm(b)
 
     def test_zero_rhs(self):
-        assert np.allclose(solve_spd(PATH_GRAPH_2, np.zeros(2)), np.zeros(2))
+        # The residual check must accept the zero solution of a zero column.
+        f = l2_ssl_fit(PATH_GRAPH_2, np.zeros((2, 1)), 1.0).scores
+        assert np.array_equal(f, np.zeros((2, 1)))
 
-    def test_budget_exhaustion_reports_residual(self):
+    def test_singular_matrix_names_the_shift(self):
+        with pytest.raises(ConvergenceError, match="shifted by 0.000e\\+00 failed"):
+            spd_factor(PATH_GRAPH_2)
+
+    def test_residual_miss_reports_residual_and_column(self, monkeypatch):
         rng = np.random.default_rng(7)
         a = random_psd(30, rng)
         b = rng.standard_normal(30)
-        with pytest.raises(ConvergenceError) as info:
-            cg_solve(sym_csr(a), b, tol=1e-14, max_iters=1)
-        assert info.value.residual is not None and info.value.residual > 0
+
+        def off_by_1e6(system):
+            lu = spd_factor(system)
+            return SimpleNamespace(solve=lambda y: lu.solve(y) * (1.0 + 1e-6))
+
+        monkeypatch.setattr(ssl, "spd_factor", off_by_1e6)
+        y = np.column_stack([np.zeros(30), b])
+        with pytest.raises(ConvergenceError, match="^class 1: relative residual") as info:
+            l2_ssl_fit(sym_csr(a), y, 1.0)
+        assert info.value.residual is not None and info.value.residual > 1e-8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_rhs_before_iterating(self, bad):
-        # Without the check a NaN would run the whole 10 n budget of products.
-        a = CountingMatrix(2.0 * sp.identity(3, format="csr"))
+    def test_rejects_non_finite_rhs_before_factoring(self, monkeypatch, bad):
+        factors = []
+        monkeypatch.setattr(ssl, "spd_factor", factors.append)
         with pytest.raises(ValueError, match="finite"):
-            cg_solve(a, np.array([bad, 1.0, 1.0]))
-        assert a.products == 0
-
-
-class CountingMatrix:
-    """A sparse matrix that counts its matrix-vector products."""
-
-    def __init__(self, a):
-        self.a, self.shape, self.products = a, a.shape, 0
-
-    def __matmul__(self, x):
-        self.products += 1
-        return self.a @ x
+            l2_ssl_fit(2.0 * sp.identity(3, format="csr"), np.array([[bad], [1.0], [1.0]]), 1.0)
+        assert factors == []
 
 
 class TestSmallestEigenpairs:

@@ -9,11 +9,11 @@ from graphssl.solver import (
     kkt_residual,
     l1_coefficients,
     l2_objective,
-    l2_ssl_solve,
     objective,
     soft_threshold,
 )
 from graphssl.spectral import SpectralBasis, build_basis, l1_smoothness
+from graphssl.ssl import l2_ssl_fit
 
 PATH_GRAPH_2 = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -184,17 +184,22 @@ class TestFista:
             l1_coefficients(basis, np.zeros(7), 0.1)
 
 
+def l2_solve(lap, y, lam):
+    """The quadratic baseline's solution for one target vector."""
+    return l2_ssl_fit(lap, np.asarray(y)[:, None], lam).scores[:, 0]
+
+
 class TestQuadraticBaseline:
     def test_no_regularization_returns_target(self):
         rng = np.random.default_rng(14)
         w = gaussian_weights(rng.standard_normal((8, 2)), sigma=1.0)
         lap = normalized_laplacian(w)
         y = rng.standard_normal(8)
-        assert np.allclose(l2_ssl_solve(lap, y, 0.0), y, atol=1e-10)
+        assert np.allclose(l2_solve(lap, y, 0.0), y, atol=1e-10)
 
     def test_two_node_hand_instance(self):
         # (I + 2 L) f = [1, 0] has the exact solution [0.6, 0.4].
-        f = l2_ssl_solve(PATH_GRAPH_2, np.array([1.0, 0.0]), 2.0)
+        f = l2_solve(PATH_GRAPH_2, np.array([1.0, 0.0]), 2.0)
         assert np.allclose(f, [0.6, 0.4], atol=1e-10)
 
     def test_residual_contract(self):
@@ -203,7 +208,7 @@ class TestQuadraticBaseline:
         lap = normalized_laplacian(w)
         y = rng.standard_normal(12)
         lam = 3.0
-        f = l2_ssl_solve(lap, y, lam)
+        f = l2_solve(lap, y, lam)
         residual = np.linalg.norm(f + lam * (lap @ f) - y)
         assert residual <= 1e-8 * np.linalg.norm(y)
 
@@ -214,11 +219,11 @@ class TestQuadraticBaseline:
         for _ in range(5):
             y = rng.standard_normal(10)
             lam = float(rng.uniform(0.1, 5.0))
-            f = l2_ssl_solve(lap, y, lam)
+            f = l2_solve(lap, y, lam)
             best = l2_objective(lap, y, lam, f)
             assert best <= l2_objective(lap, y, lam, y) + 1e-10
             assert best <= l2_objective(lap, y, lam, np.zeros(10)) + 1e-10
 
     def test_rejects_negative_lam(self):
         with pytest.raises(ValueError):
-            l2_ssl_solve(PATH_GRAPH_2, np.array([1.0, 0.0]), -1.0)
+            l2_solve(PATH_GRAPH_2, np.array([1.0, 0.0]), -1.0)

@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from graphssl import ssl
 from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
 from graphssl.graph import GraphConfig, gaussian_knn_graph, gaussian_weights, normalized_laplacian
 from graphssl.harness import run_moons_benchmark, run_moons_trial
-from graphssl.solver import l2_ssl_solve, soft_threshold
+from graphssl.solver import soft_threshold
 from graphssl.spectral import build_basis
 from graphssl.ssl import (
     NoiseSpec,
@@ -20,6 +24,11 @@ from graphssl.ssl import (
 )
 
 PATH_GRAPH_2 = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def zero_solve_factor(system):
+    """Stands in for spd_factor with a factor whose every solve returns zero."""
+    return SimpleNamespace(solve=np.zeros_like)
 
 
 def moons_setup(seed, n=200, m=20, sigma=0.1, k=10):
@@ -161,7 +170,23 @@ class TestL2Fit:
         lam = 3.0
         solution = l2_ssl_fit(lap, y, lam)
         for j in range(3):
-            assert np.array_equal(solution.scores[:, j], l2_ssl_solve(lap, y[:, j], lam))
+            alone = l2_ssl_fit(lap, y[:, j:j + 1], lam).scores
+            assert np.array_equal(solution.scores[:, j:j + 1], alone)
+
+    def test_block_is_factored_once(self, monkeypatch):
+        calls = []
+        original = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        x, truth = gaussian_blobs(90, classes=10, spread=0.1, seed=14)
+        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=0.5, k=6)))
+        y = encode_labels(select_labeled(truth, 3, seed=15), 90, 10)
+        l2_ssl_fit(lap, y, 3.0)
+        assert len(calls) == 1
 
     def test_negative_lam_rejected(self):
         _, truth, lap, _ = moons_setup(seed=8, n=60, m=5)
@@ -169,17 +194,19 @@ class TestL2Fit:
         with pytest.raises(ValueError, match="nonnegative"):
             l2_ssl_fit(lap, y, -1.0)
 
-    def test_failed_class_solve_names_the_class(self):
+    def test_failed_class_solve_names_the_class(self, monkeypatch):
         _, truth, lap, _ = moons_setup(seed=8, n=60, m=5)
         y = encode_labels(select_labeled(truth[:60], 4, seed=9), 60, 2)
+        monkeypatch.setattr(ssl, "spd_factor", zero_solve_factor)
         with pytest.raises(ConvergenceError, match="^class 0: "):
-            l2_ssl_fit(lap, y, 5.0, tol=1e-300)
+            l2_ssl_fit(lap, y, 5.0)
 
-    def test_failed_solve_uses_the_given_column_name(self):
+    def test_failed_solve_uses_the_given_column_name(self, monkeypatch):
         _, truth, lap, _ = moons_setup(seed=8, n=60, m=5)
         y = encode_labels(select_labeled(truth[:60], 4, seed=9), 60, 2)
+        monkeypatch.setattr(ssl, "spd_factor", zero_solve_factor)
         with pytest.raises(ConvergenceError, match="^first: "):
-            l2_ssl_fit(lap, y, 5.0, tol=1e-300, names=["first", "second"])
+            l2_ssl_fit(lap, y, 5.0, names=["first", "second"])
         with pytest.raises(ValueError, match="1 column names for 2 label columns"):
             l2_ssl_fit(lap, y, 5.0, names=["first"])
 
