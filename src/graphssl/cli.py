@@ -163,11 +163,12 @@ def _check_moons(params, labels_per_class):
 def _emit(args, documents):
     """Write named documents into the output directory, or print to stdout.
 
-    documents is an ordered list of (filename, text). Without --output only
-    a single document may be emitted. Every document is first written to a
-    temporary name in the output directory and renamed into place only
-    after all writes succeeded; on failure the temporaries are removed, so
-    no partial set of files is left behind.
+    documents is an ordered list of (filename, document), where a document
+    is a str or an iterator of encoded chunks, written as they arrive.
+    Without --output only a single str document may be emitted. Every
+    document is first written to a temporary name in the output directory
+    and renamed into place only after all writes succeeded; on failure the
+    temporaries are removed, so no partial set of files is left behind.
     """
     if args.output is None:
         if len(documents) != 1:
@@ -177,11 +178,16 @@ def _emit(args, documents):
     os.makedirs(args.output, exist_ok=True)
     staged = []  # (temporary, final) paths not yet renamed into place
     try:
-        for name, text in documents:
+        for name, document in documents:
             temporary = os.path.join(args.output, f".{name}.{os.getpid()}.tmp")
             staged.append((temporary, os.path.join(args.output, name)))
-            with open(temporary, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            chunks = [document.encode()] if isinstance(document, str) else document
+            try:
+                with open(temporary, "wb") as fh:
+                    for chunk in chunks:
+                        fh.write(chunk)
+            except Exception as exc:  # also what a chunk's worker raised or died of
+                raise ValueError(f"writing {staged[-1][1]}: {exc}") from exc
         while staged:
             os.replace(*staged[0])
             del staged[0]
@@ -363,8 +369,8 @@ def cmd_refine_bow(args):
     items += summary("textual", refined_textual, textual, cfg_textual, rep_t)
 
     _emit(args, [
-        ("refined_visual.txt", fileio.format_bow(refined_visual)),
-        ("refined_textual.txt", fileio.format_bow(refined_textual)),
+        ("refined_visual.txt", fileio.bow_chunks(refined_visual)),
+        ("refined_textual.txt", fileio.bow_chunks(refined_textual)),
         ("metrics.txt", fileio.render_metrics(items)),
     ])
     return 0

@@ -7,14 +7,17 @@ emits for a finite float) and key order is the insertion order of the caller.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
 
-# Rows of a count matrix rendered per block by format_bow.
+# Rows of a count matrix rendered per block by format_bow and bow_chunks.
 FORMAT_BLOCK_ROWS = 256
 
 
@@ -190,38 +193,114 @@ def _raise_first_bad_line(path, body, n, m):
     raise ValueError(f"{path}: malformed triplet body")
 
 
-def format_bow(matrix, threshold=1e-12):
-    """A matrix as sparse triplet text, dropping |value| <= threshold.
+def _block_formatter(matrix, threshold):
+    """(header, block starts, formatter of one block) of a matrix to write.
 
-    Entries are in row-major order and values are rendered by repr, which
-    gives the same text as json for every finite float. Rows are rendered
-    FORMAT_BLOCK_ROWS at a time, so only one block's lines are alive at once.
-    A NaN or infinite entry raises ValueError.
+    Every entry with |value| > threshold is kept; a NaN or infinite one
+    raises ValueError here, before any text exists.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     keep = ~(np.abs(matrix) <= threshold)  # NaN is kept, so the finiteness check sees it
+    if not np.all(np.isfinite(matrix[keep])):
+        raise ValueError("matrix entries must be finite")
     n, m = matrix.shape
-    parts = [f"{n} {m} {np.count_nonzero(keep)}\n"]
     row_text = [f"{i} " for i in range(n)]
     col_text = [f"{j} " for j in range(m)]
-    for start in range(0, n, FORMAT_BLOCK_ROWS):
-        rows, cols = np.nonzero(keep[start:start + FORMAT_BLOCK_ROWS])
-        rows += start
-        vals = matrix[rows, cols]
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("matrix entries must be finite")
-        parts.append("".join([f"{row_text[i]}{col_text[j]}{v!r}\n" for i, j, v
-                              in zip(rows.tolist(), cols.tolist(), vals.tolist())]))
-    return "".join(parts)
+    return (f"{n} {m} {np.count_nonzero(keep)}\n", range(0, n, FORMAT_BLOCK_ROWS),
+            functools.partial(_format_block, matrix, keep, row_text, col_text))
+
+
+def _format_block(matrix, keep, row_text, col_text, start):
+    """Triplet lines of the kept entries in FORMAT_BLOCK_ROWS rows from start."""
+    rows, cols = np.nonzero(keep[start:start + FORMAT_BLOCK_ROWS])
+    rows += start
+    vals = matrix[rows, cols]
+    return "".join([f"{row_text[i]}{col_text[j]}{v!r}\n" for i, j, v
+                    in zip(rows.tolist(), cols.tolist(), vals.tolist())])
+
+
+def format_bow(matrix, threshold=1e-12):
+    """A matrix as sparse triplet text, dropping |value| <= threshold.
+
+    Entries are in row-major order and values are rendered by repr, which
+    gives the same text as json for every finite float. A NaN or infinite
+    entry raises ValueError.
+    """
+    header, starts, block = _block_formatter(matrix, threshold)
+    return header + "".join(map(block, starts))
+
+
+def bow_chunks(matrix, threshold=1e-12):
+    """format_bow's text as an iterator of encoded chunks, in order.
+
+    The matrix is checked here, before the first chunk exists. The chunks
+    are the header, then one per FORMAT_BLOCK_ROWS rows, so the whole text
+    is never held at once.
+    """
+    header, starts, block = _block_formatter(matrix, threshold)
+    return _stream(header, starts, block)
+
+
+def _usable_cpus():
+    """CPUs this process may run on; row blocks are formatted on as many."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _stream(header, starts, block):
+    """Yield the encoded header, then each block's text.
+
+    With more than one usable CPU and more than one block, the blocks are
+    formatted in a pool of forked workers, which inherit the matrix through
+    the fork instead of receiving it pickled with every block.
+    multiprocessing is imported only here, since the other commands never
+    fork.
+    """
+    yield header.encode()
+    workers = min(_usable_cpus(), len(starts))
+    with contextlib.ExitStack() as stack:
+        texts = map(block, starts)
+        if workers > 1:
+            import multiprocessing
+            if "fork" in multiprocessing.get_all_start_methods():
+                from concurrent.futures import ProcessPoolExecutor
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_inherit, initargs=(block,)))
+                texts = pool.map(_format_inherited, starts)
+        for text in texts:
+            yield text.encode()
+
+
+# The block formatter of the stream a forked worker serves, set by _inherit
+# in the worker only.
+_inherited = None
+
+
+def _inherit(block):
+    global _inherited
+    _inherited = block
+
+
+def _format_inherited(start):
+    return _inherited(start)
 
 
 def write_bow(path, matrix, threshold=1e-12):
-    """Write a matrix in the sparse triplet format, dropping |value| <= threshold."""
-    text = format_bow(matrix, threshold)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write a matrix in the sparse triplet format, dropping |value| <= threshold.
+
+    The matrix is checked before the file is opened, and a failure while
+    writing removes the partial file.
+    """
+    chunks = bow_chunks(matrix, threshold)
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
 def _plain(value):

@@ -224,8 +224,10 @@ def gaussian_knn_graph(x, config):
     dst = dst.reshape(-1).astype(np.int64)
     # A bandwidth small enough to under- or overflow the exponent gives
     # weight 0; such edges are dropped below, as any underflowed weight is.
-    with np.errstate(divide="ignore", over="ignore"):
-        wvals = np.exp(-(dd.reshape(-1) ** 2) / (2.0 * config.sigma * config.sigma))
+    # Duplicate points keep weight exactly 1, even where 0/0 would be NaN.
+    dd = dd.reshape(-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wvals = np.where(dd == 0.0, 1.0, np.exp(-(dd ** 2) / (2.0 * config.sigma * config.sigma)))
     nz = wvals > 0.0
     src, dst, wvals = src[nz], dst[nz], wvals[nz]
     lo_idx, hi_idx, wvals = _symmetrize(n, src, dst, wvals)

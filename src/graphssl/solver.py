@@ -98,16 +98,8 @@ def kkt_residual(basis, y, lam, alpha):
     return float(violation.max()) if violation.size else 0.0
 
 
-def l2_objective(lap, y, lam, f):
-    """The quadratic objective 0.5 ||f - y||^2 + (lam / 2) f' L f."""
-    f = np.asarray(f, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    diff = f - y
-    return 0.5 * float(diff @ diff) + 0.5 * lam * float(f @ (lap @ f))
-
-
 def l2_system(lap, lam):
-    """The SPD matrix I + lam L whose solve minimizes the quadratic objective."""
+    """I + lam L, whose solve minimizes 0.5 ||f - y||^2 + (lam / 2) f' L f."""
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     return sp.identity(lap.shape[0], format="csr") + lam * lap

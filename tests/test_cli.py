@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -431,6 +432,66 @@ class TestAtomicOutput:
         out = tmp_path / "out"
         assert cli.main(["moons-demo", "--runs", "1", "--output", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "moons_points.txt"]
+
+
+REFINE_ARGS = ("--k", "29", "--m", "4", "--lambda", "0.01", "--gamma", "0.075", "--seed", "2")
+
+
+def run_refine_bow(tmp_path, monkeypatch, workers, formatter=None):
+    """cli.main refine-bow on a 60-document corpus; (exit code, output dir).
+
+    The output is formatted in blocks of 16 rows on the given worker count,
+    with the block formatter replaced by formatter, if given.
+    """
+    visual, textual = write_corpus(tmp_path, seed=3)
+    monkeypatch.setattr(fileio, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 16)
+    if formatter is not None:
+        monkeypatch.setattr(fileio, "_format_block", formatter)
+    out = tmp_path / "out"
+    code = cli.main(["refine-bow", "--input", str(visual), str(textual),
+                     "--output", str(out), *REFINE_ARGS])
+    return code, out
+
+
+def exit_worker(*args):
+    os._exit(3)
+
+
+def raise_in_worker(*args):
+    raise RuntimeError("block formatter failed")
+
+
+class TestStreamedBowOutput:
+    # 60 documents make 4 blocks, the last one short.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refined_files_equal_format_bow(self, tmp_path, monkeypatch, workers):
+        code, out = run_refine_bow(tmp_path, monkeypatch, workers)
+        assert code == 0
+        cfg = RefineConfig(lam=0.01, gamma=0.075, k=29, m=4)
+        (ref_v, _), (ref_t, _) = co_refine(fileio.read_bow(tmp_path / "visual.txt"),
+                                           fileio.read_bow(tmp_path / "textual.txt"),
+                                           cfg, cfg, seed=2)
+        assert (out / "refined_visual.txt").read_text() == fileio.format_bow(ref_v)
+        assert (out / "refined_textual.txt").read_text() == fileio.format_bow(ref_t)
+
+    @pytest.mark.parametrize("formatter", [raise_in_worker, exit_worker])
+    def test_worker_failure_is_a_clean_error(self, tmp_path, monkeypatch, capsys, formatter):
+        # Forked workers inherit the patched block formatter.
+        code, out = run_refine_bow(tmp_path, monkeypatch, 2, formatter)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "refined_visual.txt" in err
+        assert list(out.iterdir()) == []
+
+    def test_importing_the_cli_does_not_import_multiprocessing(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, graphssl.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -270,6 +270,43 @@ class TestFormatBow:
             assert expected == "600 30 0\n"
 
 
+class TestBowChunks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, kind", [(600, "random"), (512, "random"), (5, "random"),
+                                         (600, "nothing kept")])
+    def test_chunks_join_to_format_bow(self, monkeypatch, workers, n, kind):
+        # 600 rows end in a short block, 512 fill two blocks, 5 fill less than one.
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: workers)
+        rng = np.random.default_rng(4)
+        matrix = rng.standard_normal((n, 30)) * 10.0 ** rng.integers(-15, 5, (n, 30))
+        if kind == "nothing kept":
+            matrix = np.full((n, 30), 1e-13)
+        chunks = list(fileio.bow_chunks(matrix))
+        assert len(chunks) == 1 + -(-n // fileio.FORMAT_BLOCK_ROWS)
+        assert b"".join(chunks).decode() == fileio.format_bow(matrix)
+        if kind == "nothing kept":
+            assert b"".join(chunks) == f"{n} 30 0\n".encode()
+
+    def test_rejects_nan_before_the_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 1)
+        matrix = np.ones((3, 2))
+        matrix[2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            fileio.bow_chunks(matrix)
+
+    def test_write_bow_removes_the_file_a_worker_failed(self, tmp_path, monkeypatch):
+        def fail(matrix, keep, row_text, col_text, start):
+            raise RuntimeError(f"block {start} failed")
+
+        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 1)
+        monkeypatch.setattr(fileio, "_format_block", fail)
+        path = tmp_path / "m.txt"
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            fileio.write_bow(path, np.ones((3, 2)))
+        assert not path.exists()
+
+
 class TestMetrics:
     def test_render_parse_round_trip(self):
         items = [

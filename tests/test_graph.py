@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -265,6 +267,16 @@ class TestGaussianKnnGraph:
         dense = g.toarray()
         assert dense[0, 1] == pytest.approx(1.0)
         assert np.all(np.diag(dense) == 0.0)
+
+    def test_duplicate_points_keep_their_edge_when_the_bandwidth_underflows(self):
+        # 2 * sigma * sigma underflows to 0, and the kernel at distance 0 is still 1.
+        x = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = gaussian_knn_graph(x, GraphConfig(sigma=1e-200, k=1))
+        expected = np.zeros((4, 4))
+        expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 1.0
+        assert np.array_equal(g.toarray(), expected)
 
     def test_rejects_k_too_large(self):
         with pytest.raises(ValueError, match="smaller"):

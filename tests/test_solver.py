@@ -8,7 +8,6 @@ from graphssl.graph import gaussian_weights, normalized_laplacian
 from graphssl.solver import (
     kkt_residual,
     l1_coefficients,
-    l2_objective,
     objective,
     soft_threshold,
 )
@@ -16,6 +15,14 @@ from graphssl.spectral import SpectralBasis, build_basis, l1_smoothness
 from graphssl.ssl import l2_ssl_fit
 
 PATH_GRAPH_2 = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def l2_objective(lap, y, lam, f):
+    """The quadratic objective 0.5 ||f - y||^2 + (lam / 2) f' L f."""
+    f = np.asarray(f, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    diff = f - y
+    return 0.5 * float(diff @ diff) + 0.5 * lam * float(f @ (lap @ f))
 
 
 def random_basis(rng, n, m):
