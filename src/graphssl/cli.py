@@ -7,7 +7,8 @@ checked while parsing. Every command validates its configuration up front
 and writes output files only after all computation has finished, so
 failures never leave partial files behind. Metrics are byte-identical
 across invocations for a fixed seed (timing is deliberately excluded from
-all documents).
+all documents). Every command runs with OpenBLAS on one thread, so its
+output does not depend on the BLAS thread count of the environment.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import bow, fileio, harness
+from . import bow, fileio, harness, parallel
 from .bow import TABLE2_TEXTUAL, TABLE2_VISUAL
 from .errors import ComputationError
 from .harness import MOONS_DEFAULTS
@@ -93,7 +94,8 @@ FLAGS = {
     "--runs": {"type": _count, "default": 25},
     "--labels-per-class": {"type": _count, "default": MOONS_DEFAULTS["labels_per_class"]},
     "--noise-fraction": {"type": _fraction, "default": MOONS_DEFAULTS["flip_fraction"]},
-    "--workers": {"type": _count, "default": 1},
+    "--workers": {"type": _count, "default": 1,
+                  "help": "worker processes, capped by --runs and the usable CPUs"},
     "--input": {"required": True, "help": "feature CSV, one sample per row"},
     "--labels": {"required": True, "help": "label CSV of `index,class` lines"},
     "--truth": {"help": "optional ground truth, one class per line"},
@@ -407,7 +409,8 @@ def main(argv=None):
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return COMMANDS[args.command](args)
+        with parallel.one_blas_thread():
+            return COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,3 +22,8 @@ class IsolatedVertexError(ComputationError):
             "is undefined for unreachable points" % vertex
         )
         self.vertex = int(vertex)
+
+    def __reduce__(self):
+        # The message is built from the vertex, so rebuild from the vertex:
+        # a forked worker's error reaches the parent pickled.
+        return type(self), (self.vertex,)

@@ -17,6 +17,8 @@ import warnings
 
 import numpy as np
 
+from . import parallel
+
 # Rows of a count matrix rendered per block by format_bow and bow_chunks.
 FORMAT_BLOCK_ROWS = 256
 
@@ -243,48 +245,16 @@ def bow_chunks(matrix, threshold=1e-12):
     return _stream(header, starts, block)
 
 
-def _usable_cpus():
-    """CPUs this process may run on; row blocks are formatted on as many."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _stream(header, starts, block):
     """Yield the encoded header, then each block's text.
 
-    With more than one usable CPU and more than one block, the blocks are
-    formatted in a pool of forked workers, which inherit the matrix through
-    the fork instead of receiving it pickled with every block.
-    multiprocessing is imported only here, since the other commands never
-    fork.
+    The blocks are formatted in forked workers, one per usable CPU, which
+    inherit the matrix through the fork instead of receiving it pickled
+    with every block.
     """
     yield header.encode()
-    workers = min(_usable_cpus(), len(starts))
-    with contextlib.ExitStack() as stack:
-        texts = map(block, starts)
-        if workers > 1:
-            import multiprocessing
-            if "fork" in multiprocessing.get_all_start_methods():
-                from concurrent.futures import ProcessPoolExecutor
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    workers, mp_context=multiprocessing.get_context("fork"),
-                    initializer=_inherit, initargs=(block,)))
-                texts = pool.map(_format_inherited, starts)
-        for text in texts:
-            yield text.encode()
-
-
-# The block formatter of the stream a forked worker serves, set by _inherit
-# in the worker only.
-_inherited = None
-
-
-def _inherit(block):
-    global _inherited
-    _inherited = block
-
-
-def _format_inherited(start):
-    return _inherited(start)
+    for text in parallel.fork_map(block, starts, parallel.usable_cpus()):
+        yield text.encode()
 
 
 def write_bow(path, matrix, threshold=1e-12):

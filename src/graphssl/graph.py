@@ -68,7 +68,8 @@ def gaussian_weights(x, sigma):
     """Dense Gaussian-kernel affinities exp(-||xi - xj||^2 / (2 sigma^2)).
 
     The diagonal is forced to zero; every off-diagonal pair is stored unless
-    the kernel underflows to exactly zero.
+    the kernel underflows to exactly zero. Duplicate points keep weight
+    exactly 1 at any bandwidth, as in gaussian_knn_graph.
     """
     x = _as_features(x)
     if sigma <= 0:
@@ -79,7 +80,8 @@ def gaussian_weights(x, sigma):
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.maximum(d2, 0.0, out=d2)
-    w = np.exp(-d2 / (2.0 * sigma * sigma))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        w = np.where(d2 == 0.0, 1.0, np.exp(-d2 / (2.0 * sigma * sigma)))
     iu, ju = np.triu_indices(n, k=1)
     vals = w[iu, ju]
     keep = vals > 0.0

@@ -6,11 +6,11 @@ keys, so adding runs or streams never perturbs the draws of existing ones.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from .solver import l1_coefficients
 from .spectral import build_basis, smoothness_report
@@ -212,7 +212,8 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
     The design is paired: run r draws one moons instance, labeled set, graph
     and basis from child_seed(master_seed, r), and every fraction is measured
     on them, so only the injected noise differs along the curve. Runs derive
-    their own seeds, so they can be evaluated concurrently; results are
+    their own seeds, so they are evaluated in up to `workers` forked
+    processes, capped by the run count and the usable CPUs; results are
     assembled in grid order regardless of completion order. Returns a list of
     per-fraction dicts.
     """
@@ -231,11 +232,7 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
             sigma=sigma, k=k, lam=lam, m=m,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(runs)))
-    else:
-        outcomes = [run(ri) for ri in range(runs)]
+    outcomes = list(parallel.fork_map(run, range(runs), min(workers, parallel.usable_cpus())))
 
     results = []
     for fi, fraction in enumerate(fractions):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphssl import bow, cli, fileio, harness
+from graphssl import bow, cli, fileio, harness, parallel
 from graphssl.bow import RefineConfig, co_refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
@@ -396,6 +396,27 @@ class TestExitCodes:
         assert "isolated" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_numerical_failure_in_a_sweep_worker_matches_the_serial_one(self, monkeypatch,
+                                                                         capsys):
+        # With two usable CPUs, --workers 2 runs the sweep in forked workers,
+        # whose IsolatedVertexError reaches the parent pickled.
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        outcomes = []
+        for workers in ("1", "2"):
+            code = cli.main(["noise-sweep", "--sigma", "1e-300", "--runs", "2",
+                             "--workers", workers])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2
+        assert outcomes[0][1].startswith("numerical failure: vertex 0 is isolated")
+
+    def test_dead_sweep_worker_is_a_clean_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "multiclass_trial", exit_worker)
+        assert cli.main(["noise-sweep", "--runs", "2", "--workers", "2"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: a worker process ended without a result")
+
 
 class TestAtomicOutput:
     def test_failed_second_write_leaves_no_files(self, tmp_path, monkeypatch, capsys):
@@ -444,7 +465,7 @@ def run_refine_bow(tmp_path, monkeypatch, workers, formatter=None):
     with the block formatter replaced by formatter, if given.
     """
     visual, textual = write_corpus(tmp_path, seed=3)
-    monkeypatch.setattr(fileio, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
     monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 16)
     if formatter is not None:
         monkeypatch.setattr(fileio, "_format_block", formatter)
@@ -454,7 +475,7 @@ def run_refine_bow(tmp_path, monkeypatch, workers, formatter=None):
     return code, out
 
 
-def exit_worker(*args):
+def exit_worker(*args, **kwargs):
     os._exit(3)
 
 
@@ -504,6 +525,59 @@ class TestDeterminism:
         a = run_cli("moons-demo", "--runs", 3, "--seed", 9)
         b = run_cli("moons-demo", "--runs", 3, "--seed", 10)
         assert a.stdout != b.stdout
+
+
+def outputs_per_blas_thread_count(tmp_path, *args):
+    """{OPENBLAS_NUM_THREADS: {file: bytes}} of one command run under 1 and 2."""
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"out-{threads}"
+        result = subprocess.run(
+            [sys.executable, "-m", "graphssl", *map(str, args), "--output", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return outputs
+
+
+class TestBlasThreadCount:
+    """Outputs do not depend on the BLAS thread count of the environment.
+
+    Both inputs gave different outputs under 1 and 2 OpenBLAS threads before
+    every command ran with BLAS on one thread.
+    """
+
+    def test_classify_on_the_lanczos_path(self, tmp_path):
+        # 54 of 15000 labels rest on scores that are rounding noise.
+        x, truth = gaussian_blobs(15000, classes=5, seed=2)
+        rng = np.random.default_rng(2)
+        features = tmp_path / "features.csv"
+        features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(
+            f"{i},{cls}\n" for cls in range(5)
+            for i in np.sort(rng.choice(np.flatnonzero(truth == cls), 10, replace=False))))
+        truth_path = tmp_path / "truth.txt"
+        truth_path.write_text("".join(f"{t}\n" for t in truth.tolist()))
+        outputs = outputs_per_blas_thread_count(
+            tmp_path, "classify", "--preset", "mnist-style", "--k", 10, "--seed", 2,
+            "--input", features, "--labels", labels, "--truth", truth_path)
+        assert list(outputs["1"]) == ["metrics.txt", "predictions.txt"]
+        assert outputs["1"] == outputs["2"]
+
+    def test_refine_bow(self, tmp_path):
+        # The maximum KKT residuals differed in their 10th digit.
+        _, visual, _, textual = two_block_corpus(n=1000, vocab=200, other_vocab=100,
+                                                 jitter=0.5, seed=0)
+        fileio.write_bow(tmp_path / "visual.txt", visual)
+        fileio.write_bow(tmp_path / "textual.txt", textual)
+        outputs = outputs_per_blas_thread_count(
+            tmp_path, "refine-bow", "--input", tmp_path / "visual.txt",
+            tmp_path / "textual.txt")
+        assert "metrics.txt" in outputs["1"]
+        assert outputs["1"] == outputs["2"]
 
 
 # Flags that a command does not read, each with a value that is valid where

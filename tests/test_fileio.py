@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphssl import fileio
+from graphssl import fileio, parallel
 
 
 class TestFeatures:
@@ -276,7 +276,7 @@ class TestBowChunks:
                                          (600, "nothing kept")])
     def test_chunks_join_to_format_bow(self, monkeypatch, workers, n, kind):
         # 600 rows end in a short block, 512 fill two blocks, 5 fill less than one.
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         rng = np.random.default_rng(4)
         matrix = rng.standard_normal((n, 30)) * 10.0 ** rng.integers(-15, 5, (n, 30))
         if kind == "nothing kept":
@@ -298,7 +298,7 @@ class TestBowChunks:
         def fail(matrix, keep, row_text, col_text, start):
             raise RuntimeError(f"block {start} failed")
 
-        monkeypatch.setattr(fileio, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 1)
         monkeypatch.setattr(fileio, "_format_block", fail)
         path = tmp_path / "m.txt"

@@ -96,6 +96,15 @@ class TestGaussianWeights:
         w = gaussian_weights(x, sigma=0.7).toarray()
         assert w[0, 1] == pytest.approx(1.0)
 
+    def test_identical_points_keep_weight_one_when_the_bandwidth_underflows(self):
+        # 2 * sigma * sigma underflows to 0, as in gaussian_knn_graph's test.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = gaussian_weights([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], sigma=1e-200)
+        expected = np.zeros((3, 3))
+        expected[0, 1] = expected[1, 0] = 1.0
+        assert np.array_equal(w.toarray(), expected) and w.nnz == 2
+
     def test_scalar_value(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])  # distance sqrt(2)
         w = gaussian_weights(x, sigma=1.0).toarray()

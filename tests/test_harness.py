@@ -1,9 +1,10 @@
+import concurrent.futures
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from graphssl import harness, ssl
+from graphssl import harness, parallel, ssl
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.errors import ConvergenceError
 from graphssl.harness import (
@@ -80,16 +81,35 @@ class TestMoonsTrial:
 
 
 class TestNoiseSweep:
-    def test_worker_count_is_immaterial(self):
+    def test_worker_count_is_immaterial(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         serial = run_noise_sweep(2, [0.0, 0.3], 3, 5, sigma=0.1, k=10, lam=5.0, m=20)
-        threaded = run_noise_sweep(2, [0.0, 0.3], 3, 5, sigma=0.1, k=10, lam=5.0, m=20,
-                                   workers=3)
-        for a, b in zip(serial, threaded):
+        forked = run_noise_sweep(2, [0.0, 0.3], 3, 5, sigma=0.1, k=10, lam=5.0, m=20,
+                                 workers=3)
+        for a, b in zip(serial, forked):
             assert a == b
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             run_noise_sweep(0, [], 2, 5, sigma=0.1, k=10, lam=5.0, m=20)
+
+    @pytest.mark.parametrize("cpus, expected", [(2, 2), (8, 3)])
+    def test_process_count_is_capped_by_runs_and_usable_cpus(self, monkeypatch, cpus,
+                                                             expected):
+        requested = []
+
+        class Refused(Exception):
+            pass
+
+        def record(max_workers, **kwargs):
+            requested.append(max_workers)
+            raise Refused  # start no process
+
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+        with pytest.raises(Refused):
+            run_noise_sweep(0, [0.0], 3, 5, sigma=0.1, k=10, lam=5.0, m=20, workers=10**6)
+        assert requested == [expected]
 
 
 def _counting(monkeypatch, module, name):
