@@ -3,6 +3,10 @@
 Matrices are scipy CSR in canonical form (float64, sorted column indices, no
 duplicates) with both triangles stored and no stored zeros; check_symmetric
 enforces that where a matrix enters the library.
+
+smallest_eigenpairs splits a matrix into its connected components and
+solves each one on its own, dense or by shift-invert Lanczos; the Lanczos
+solves of several components run on forked worker processes.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from . import parallel
 from .errors import ConvergenceError
 
 # Up to this size a dense eigensolve is cheap and essentially exact, so the
@@ -97,6 +102,13 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
     the Rayleigh quotients of the returned vectors, whose orthonormality
     SpectralBasis checks.
 
+    The spectrum of a block-diagonal matrix is the union of its blocks'
+    spectra, and each eigenvector can be taken zero outside its block (von
+    Luxburg 2007). So a matrix whose graph has several connected components
+    is solved one component at a time (see _by_component), and every
+    returned vector is zero outside its component. A connected matrix is
+    solved whole.
+
     Parameters
     ----------
     a : scipy sparse matrix
@@ -106,21 +118,25 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
         Number of eigenpairs, 1 <= m <= n.
     tol : float
         Acceptance threshold: each pair must satisfy
-        ||A v - lambda v||_2 <= tol * ||A||_inf.
+        ||A v - lambda v||_2 <= tol * ||A||_inf, checked on the whole matrix.
     seed : int
         Seeds the iterative solver's starting vector; results are
-        deterministic for a fixed seed.
+        deterministic for a fixed seed. Component c of a disconnected matrix
+        is seeded from (seed, c).
     method : {"auto", "dense", "lanczos"}
-        "auto" uses a dense decomposition up to DENSE_EIGEN_CUTOFF and a
-        shift-invert Lanczos iteration (ARPACK) beyond it.
+        Applies to each component: "auto" uses a dense decomposition up to
+        DENSE_EIGEN_CUTOFF points and a shift-invert Lanczos iteration
+        (ARPACK) beyond it.
     max_steps : int, optional
-        Iteration budget for the Lanczos path (default 10 m + 200).
+        Iteration budget for each Lanczos solve (default 10 m + 200, with m
+        the pairs that solve computes).
 
     Raises
     ------
     ConvergenceError
         If the budget is exhausted or a returned pair misses the residual
-        bound; carries the achieved residual.
+        bound; carries the achieved residual. A failure while solving one
+        component of several names it.
     """
     a = check_symmetric(a)
     n = a.shape[0]
@@ -131,20 +147,19 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
         raise ValueError("tol must be positive")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
-    if method == "auto":
-        method = "dense" if n <= DENSE_EIGEN_CUTOFF else "lanczos"
-    if method == "lanczos" and m > n - 1:
-        # ARPACK needs m < n; the full decomposition is dense territory anyway.
-        method = "dense"
 
-    norm = float(_row_sums(a, np.abs(a.data)).max())  # ||A||_inf bounds the spectral norm
-    if method == "dense" and m == n:
-        # The evr driver would move moons-demo's full-basis metrics in the low bits.
-        values, vectors = np.linalg.eigh(a.toarray())
-    elif method == "dense":
-        values, vectors = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, m - 1])
+    # Imported here, so that a process that never solves (the noise-sweep
+    # parent, say) does not map csgraph's libraries.
+    from scipy.sparse.csgraph import connected_components
+
+    row_norms = _row_sums(a, np.abs(a.data))
+    norm = float(row_norms.max())  # ||A||_inf bounds the spectral norm
+    count, labels = connected_components(a, directed=False)
+    if count == 1:
+        values, vectors = _solve(a, m, seed, method, max_steps, norm)
     else:
-        values, vectors = _shift_invert_lanczos(a, m, seed, max_steps, norm)
+        values, vectors = _by_component(a, m, seed, method, max_steps, row_norms,
+                                        count, labels)
 
     # Rayleigh quotients tie the reported values to the returned vectors.
     av = a @ vectors
@@ -163,6 +178,93 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
             residual=worst,
         )
     return rayleigh, vectors
+
+
+def _route(n, m, method):
+    """The solver that method picks for m pairs of an n x n matrix: "dense" or "lanczos"."""
+    if method == "auto":
+        method = "dense" if n <= DENSE_EIGEN_CUTOFF else "lanczos"
+    # ARPACK needs m < n; the full decomposition is dense territory anyway.
+    return "dense" if m > n - 1 else method
+
+
+def _solve(a, m, seed, method, max_steps, norm):
+    """The m smallest eigenpairs of the canonical CSR matrix a, unsorted and unchecked."""
+    if _route(a.shape[0], m, method) == "lanczos":
+        return _shift_invert_lanczos(a, m, seed, max_steps, norm)
+    if m == a.shape[0]:
+        # The evr driver would move moons-demo's full-basis metrics in the low bits.
+        return np.linalg.eigh(a.toarray())
+    return scipy.linalg.eigh(a.toarray(), subset_by_index=[0, m - 1])
+
+
+def _by_component(a, m, seed, method, max_steps, row_norms, count, labels):
+    """The m smallest eigenpairs of a, solved one connected component at a time.
+
+    Component c of n_c points is first asked for
+    k_c = min(n_c, m, ceil(m n_c / n) + 2) pairs, its share of the m plus
+    two. The pairs of all components are merged by (eigenvalue, component,
+    index) and the m smallest kept. A component whose pairs all lie below
+    the m-th kept value, and that has pairs left, may hide a smaller one
+    than the m-th. It is solved again for the most pairs it can hold among
+    the m: m less the other components' pairs below its largest one, which
+    is at least one more than before. This repeats until no component is
+    short, so the result is the m smallest pairs of the whole matrix, as one
+    solve of it would give up to rounding and to the basis chosen inside a
+    repeated eigenvalue.
+
+    Components on the dense route are solved here; those on the Lanczos
+    route are solved by parallel.fork_map, largest first, on forked workers
+    that inherit the blocks, so only component indices and eigenpairs are
+    pickled. Each component's solve is the same wherever it runs, so the
+    result does not depend on the worker count.
+    """
+    n = a.shape[0]
+    # Permuted so that each component's rows are contiguous, ascending within it.
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.bincount(labels, minlength=count))
+    members = np.split(order, ends[:-1])
+    permuted = a[order][:, order]
+    blocks = [permuted[e - rows.size:e, e - rows.size:e] for rows, e in zip(members, ends)]
+    wanted = [min(rows.size, m, -(-m * rows.size // n) + 2) for rows in members]
+    solved = {}
+
+    def solve(c):
+        try:
+            return _solve(blocks[c], wanted[c], (seed, c), method, max_steps,
+                          float(row_norms[members[c]].max()))
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"component {c} of {count} ({members[c].size} points): {exc}",
+                residual=exc.residual,
+            ) from exc
+
+    pending = range(count)
+    while pending:
+        lanczos = []
+        for c in pending:
+            if _route(members[c].size, wanted[c], method) == "lanczos":
+                lanczos.append(c)
+            else:
+                solved[c] = solve(c)
+        lanczos.sort(key=lambda c: -members[c].size)
+        solved.update(zip(lanczos, parallel.fork_map(solve, lanczos, parallel.usable_cpus())))
+
+        values = np.concatenate([solved[c][0] for c in range(count)])
+        component = np.repeat(np.arange(count), wanted)
+        index = np.concatenate([np.arange(k) for k in wanted])
+        keep = np.lexsort((index, component, values))[:m]
+        cut = values[keep[-1]]
+        pending = [c for c in range(count)
+                   if wanted[c] < members[c].size and solved[c][0].max() < cut]
+        for c in pending:
+            below = (values < solved[c][0].max()) & (component != c)
+            wanted[c] = min(members[c].size, m - int(below.sum()))
+
+    vectors = np.zeros((n, m))
+    for j, (c, i) in enumerate(zip(component[keep], index[keep])):
+        vectors[members[c], j] = solved[c][1][:, i]
+    return values[keep], vectors
 
 
 def _shift_invert_lanczos(a, m, seed, max_steps, norm):
@@ -211,4 +313,6 @@ def _shift_invert_lanczos(a, m, seed, max_steps, norm):
         raise ConvergenceError(
             f"eigensolver did not converge within {budget} iterations: {exc}",
         ) from exc
+    except spla.ArpackError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     return values, vectors

@@ -89,9 +89,10 @@ def one_blas_thread():
 def fork_map(fn, items, workers):
     """Yield fn(item) for each item, in order, computed in forked processes.
 
-    min(workers, len(items)) processes are started; with at most one, or
-    without the fork start method, fn runs in this process. Either way BLAS
-    runs on one thread, so results do not depend on the worker count. fn
+    min(workers, len(items)) processes are started; with at most one,
+    without the fork start method, or inside a worker of another fork_map
+    (so pools never nest), fn runs in this process. Either way BLAS runs on
+    one thread, so results do not depend on the worker count. fn
     reaches the workers through the fork and is never pickled; items and
     results are. An exception fn raises is re-raised here when its result is
     reached, and a worker that dies raises ChildProcessError.
@@ -99,7 +100,7 @@ def fork_map(fn, items, workers):
     items = list(items)
     workers = min(workers, len(items))
     with one_blas_thread():
-        if workers > 1:
+        if workers > 1 and _inherited is None:
             import multiprocessing
 
             if "fork" in multiprocessing.get_all_start_methods():
@@ -122,7 +123,8 @@ def _pool_map(fn, items, workers, context):
             raise ChildProcessError(f"a worker process ended without a result: {exc}") from exc
 
 
-# The function a forked worker applies, set by _inherit in the worker only.
+# The function a forked worker applies, set by _inherit in the worker only;
+# it also tells fork_map that it runs inside a worker.
 _inherited = None
 
 

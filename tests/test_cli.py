@@ -1,4 +1,5 @@
 import errno
+import functools
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphssl import bow, cli, fileio, harness, parallel
+from graphssl import bow, cli, fileio, harness, linalg, parallel, spectral
 from graphssl.bow import RefineConfig, co_refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
@@ -322,8 +323,9 @@ class TestEigenDump:
         assert "exceeds" in result.stderr
 
     def test_matches_json_rendering_on_lanczos_path(self, tmp_path):
-        # More points than DENSE_EIGEN_CUTOFF, so eigen-dump takes the Lanczos path.
-        x, _ = gaussian_blobs(600, classes=3, seed=0)
+        # Three components of more than DENSE_EIGEN_CUTOFF points each, so
+        # eigen-dump takes the Lanczos path.
+        x, _ = gaussian_blobs(1800, classes=3, seed=0)
         features = tmp_path / "f.csv"
         features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
         out = tmp_path / "out"
@@ -332,9 +334,45 @@ class TestEigenDump:
         lap = normalized_laplacian(gaussian_knn_graph(fileio.read_features(features),
                                                       GraphConfig(sigma=1.0, k=10)))
         basis = build_basis(lap, 5, seed=4)
-        lines = ["600 5", " ".join(json.dumps(float(v)) for v in basis.eigenvalues)]
+        lines = ["1800 5", " ".join(json.dumps(float(v)) for v in basis.eigenvalues)]
         lines += [" ".join(json.dumps(float(v)) for v in row) for row in basis.vectors]
         assert (out / "eigen.txt").read_text() == "\n".join(lines) + "\n"
+
+
+class TestComponents:
+    """Three blobs of 600 points, each a component solved by Lanczos."""
+
+    def test_classify_predictions_do_not_depend_on_the_seed(self, tmp_path):
+        # Each class's labels lie in one component, so every score off that
+        # component is exactly 0. Solved whole, seeds 2 and 3 changed 114 and
+        # 124 of the 1800 labels against seed 1; those labels rested on
+        # rounding noise.
+        features, labels, _, _ = write_blob_dataset(tmp_path, n=1800, labeled_per_class=5)
+        predictions = set()
+        for seed in ("1", "2", "3"):
+            out = tmp_path / f"out-{seed}"
+            assert cli.main(["classify", "--preset", "mnist-style", "--k", "10", "--seed", seed,
+                             "--input", str(features), "--labels", str(labels),
+                             "--output", str(out)]) == 0
+            predictions.add((out / "predictions.txt").read_bytes())
+        assert len(predictions) == 1
+
+    def test_eigensolver_failure_names_the_component(self, tmp_path, monkeypatch, capsys):
+        # With one usable CPU the components are solved in this process, with
+        # two in forked workers; the message and exit code are the same.
+        features, _, _, _ = write_blob_dataset(tmp_path, n=1800)
+        monkeypatch.setattr(spectral, "smallest_eigenpairs",
+                            functools.partial(linalg.smallest_eigenpairs, max_steps=1))
+        outcomes = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+            code = cli.main(["eigen-dump", "--input", str(features), "--k", "10", "--m", "20"])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 2
+        assert outcomes[0][1].startswith(
+            "numerical failure: component 0 of 3 (600 points): eigensolver did not converge "
+            "within 1 iterations")
 
 
 def fail_if_called(*args, **kwargs):

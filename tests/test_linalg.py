@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from graphssl import cli, ssl
+from graphssl import cli, linalg, parallel, ssl
 from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
 from graphssl.graph import GraphConfig, _mirror, gaussian_knn_graph, normalized_laplacian
@@ -349,6 +350,15 @@ class TestSmallestEigenpairs:
         with pytest.raises(ValueError, match="not symmetric"):
             smallest_eigenpairs(sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]])), 1)
 
+    def test_arpack_failure_is_a_convergence_error(self, monkeypatch):
+        def no_shifts(*args, **kwargs):
+            raise spla.ArpackError(3)
+
+        monkeypatch.setattr(spla, "eigsh", no_shifts)
+        with pytest.raises(ConvergenceError, match="^eigensolver failed: ARPACK error 3: "):
+            smallest_eigenpairs(sym_csr(random_psd(30, np.random.default_rng(13))), 3,
+                                method="lanczos")
+
     def test_budget_exhaustion(self):
         # Eigenvalues packed far from zero stay clustered after the
         # shift-invert transform, so one restart cycle cannot resolve them.
@@ -432,8 +442,9 @@ class TestShiftInvertFactor:
             smallest_eigenpairs(a, 3, method="lanczos")
 
     def test_failed_factorization_exits_with_code_two(self, tmp_path, monkeypatch, capsys):
-        # More points than DENSE_EIGEN_CUTOFF, so eigen-dump takes the Lanczos path.
-        x, _ = gaussian_blobs(600, classes=3, seed=0)
+        # Three components of more than DENSE_EIGEN_CUTOFF points each, so
+        # eigen-dump takes the Lanczos path, on forked workers.
+        x, _ = gaussian_blobs(1800, classes=3, seed=0)
         features = tmp_path / "f.csv"
         features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
         monkeypatch.setattr(spla, "splu", zero_pivot)
@@ -475,21 +486,206 @@ class TestShiftInvertFactor:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_factor_solves_per_eigensolve(self, monkeypatch, seed):
         # A shift below the wanted eigenvalues (lambda_20 is about 7e-3 here)
-        # keeps their shift-inverted images apart: 69 solves, where a shift
-        # of 1e-3 ||A||_inf took 74-85.
-        solves = []
+        # keeps their shift-inverted images apart. Each of the five
+        # components is solved for 6 pairs: 32-41 solves each, where a shift
+        # of 1e-3 ||A||_inf took 43-44. (Solved whole for 20 pairs, the graph
+        # took 69 solves, and 74-85 with the larger shift.)
+        factors = []
         original = spla.splu
 
         class Counting:
             def __init__(self, lu):
                 self.lu = lu
+                self.solves = 0
+                factors.append(self)
 
             def solve(self, b):
-                solves.append(1)
+                self.solves += 1
                 return self.lu.solve(b)
 
+        # One usable CPU keeps every component's solve in this process, where
+        # the counts are seen.
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         monkeypatch.setattr(spla, "splu", lambda *args, **kw: Counting(original(*args, **kw)))
         x, _ = gaussian_blobs(10000, classes=5, seed=seed)
         lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
         smallest_eigenpairs(lap, 20, method="lanczos", seed=seed)
-        assert len(solves) <= 72
+        assert len(factors) == 5
+        assert max(factor.solves for factor in factors) <= 42
+
+
+def ring_laplacian(n, rng):
+    """Normalized Laplacian of a ring of n >= 3 nodes with random weights: one component."""
+    lo = np.arange(n)
+    return normalized_laplacian(_mirror(n, lo, (lo + 1) % n, rng.uniform(0.5, 1.5, n)))
+
+
+def expander_laplacian(n, rng, out=8):
+    """Normalized Laplacian of n nodes, each joined to `out` random others: one component."""
+    lo = np.repeat(np.arange(n), out)
+    hi = rng.integers(0, n, lo.size)
+    pairs = np.unique(np.sort(np.stack([lo, hi])[:, lo != hi], axis=0), axis=1)
+    lap = normalized_laplacian(_mirror(n, pairs[0], pairs[1],
+                                       rng.uniform(0.5, 1.5, pairs.shape[1])))
+    assert connected_components(lap)[0] == 1
+    return lap
+
+
+def components_matrix(blocks, seed):
+    """Block-diagonal matrix of blocks, rows and columns shuffled alike.
+
+    Returns (a, labels), where labels[i] is the block that row i came from.
+    """
+    perm = np.random.default_rng(seed).permutation(sum(b.shape[0] for b in blocks))
+    labels = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
+    return check_symmetric(sp.block_diag(blocks, format="csr")[perm][:, perm]), labels[perm]
+
+
+def singletons_and_pairs(rng, singletons, pairs):
+    """1 x 1 blocks and 2 x 2 blocks [[a, -b], [-b, a]] (a > b > 0), each with distinct values."""
+    blocks = [sp.csr_matrix([[d]]) for d in rng.uniform(0.05, 1.5, singletons)]
+    for a, b in zip(rng.uniform(0.6, 1.5, pairs), rng.uniform(0.1, 0.5, pairs)):
+        blocks.append(sp.csr_matrix([[a, -b], [-b, a]]))
+    return blocks
+
+
+def assert_matches_whole_solve(a, labels, values, vectors):
+    """The pairs are the m smallest of the whole matrix, each supported on one component.
+
+    Eigenvalues agree with a dense solve of the whole matrix to 1e-12, and
+    every cluster of equal eigenvalues that the cut at m leaves whole spans
+    the same subspace as the whole solve's.
+    """
+    m = values.size
+    w, v = np.linalg.eigh(a.toarray())
+    assert np.allclose(values, w[:m], rtol=0.0, atol=1e-12)
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(w) > 1e-8) + 1, [w.size]])
+    whole = [(s, e) for s, e in zip(starts[:-1], starts[1:]) if e <= m]
+    assert whole
+    for s, e in whole:
+        assert subspace_overlap(v[:, s:e], vectors[:, s:e]) >= 1.0 - 1e-8
+    for j in range(m):
+        assert np.unique(labels[vectors[:, j] != 0.0]).size == 1
+
+
+def recording_solves(monkeypatch):
+    """(points, pairs) of every component solve, all run in this process."""
+    calls = []
+    original = linalg._solve
+
+    def recording(a, m, *args):
+        calls.append((a.shape[0], m))
+        return original(a, m, *args)
+
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(linalg, "_solve", recording)
+    return calls
+
+
+def per_cpu_count(monkeypatch, *args, **kwargs):
+    """smallest_eigenpairs(*args, **kwargs) with 1 and with 2 usable CPUs."""
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+        results.append(smallest_eigenpairs(*args, **kwargs))
+    return results
+
+
+class TestByComponent:
+    """A disconnected matrix is solved one connected component at a time."""
+
+    @pytest.mark.parametrize("n", [100, 700])
+    def test_one_component_is_the_direct_route(self, monkeypatch, n):
+        # Dense at 100 points, Lanczos at 700: the call a connected matrix
+        # always got, without a worker process.
+        a = ring_laplacian(n, np.random.default_rng(n))
+        monkeypatch.setattr(parallel, "fork_map", fail_if_forked)
+        values, vectors = smallest_eigenpairs(a, 12, seed=3)
+        norm = float(_row_sums(a, np.abs(a.data)).max())
+        if n > DENSE_EIGEN_CUTOFF:
+            direct = linalg._shift_invert_lanczos(a, 12, 3, None, norm)[1]
+        else:
+            direct = scipy.linalg.eigh(a.toarray(), subset_by_index=[0, 11])[1]
+        rayleigh = np.einsum("ij,ij->j", direct, a @ direct)
+        order = np.argsort(rayleigh, kind="stable")
+        assert np.array_equal(values, rayleigh[order])
+        assert np.array_equal(vectors, direct[:, order])
+
+    def test_many_small_and_singleton_components(self):
+        rng = np.random.default_rng(20)
+        blocks = singletons_and_pairs(rng, 12, 10)
+        blocks += [ring_laplacian(size, rng) for size in (3, 5, 8, 40)]
+        a, labels = components_matrix(blocks, seed=20)
+        values, vectors = smallest_eigenpairs(a, 15)
+        assert connected_components(a)[0] == 26
+        assert_matches_whole_solve(a, labels, values, vectors)
+
+    def test_more_components_than_pairs(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        a, labels = components_matrix(singletons_and_pairs(rng, 30, 10) + [ring_laplacian(9, rng)],
+                                      seed=21)
+        calls = recording_solves(monkeypatch)
+        values, vectors = smallest_eigenpairs(a, 5)
+        assert len(calls) == 41
+        assert_matches_whole_solve(a, labels, values, vectors)
+
+    def test_uneven_spectra_force_a_resolve(self, monkeypatch):
+        # The ring holds 60 of 460 points but 8 of the 12 smallest
+        # eigenvalues: it is asked for 4 pairs, then for the 12 less the
+        # expanders' four zero eigenvalues.
+        rng = np.random.default_rng(22)
+        ring = ring_laplacian(60, rng)
+        a, labels = components_matrix([ring] + [expander_laplacian(100, rng) for _ in range(4)],
+                                      seed=22)
+        calls = recording_solves(monkeypatch)
+        values, vectors = smallest_eigenpairs(a, 12)
+        assert [pairs for points, pairs in calls if points == 60] == [4, 8]
+        assert sum(labels[np.flatnonzero(vectors[:, j])[0]] == 0 for j in range(12)) == 8
+        assert_matches_whole_solve(a, labels, values, vectors)
+
+    def test_lanczos_components_and_a_resolve(self, monkeypatch):
+        # Three components above DENSE_EIGEN_CUTOFF, so each is a Lanczos
+        # solve. The ring's 10 pairs fall short of its 18 among the 20
+        # smallest, so it is solved again for 18: the 20 less the expanders'
+        # two zero eigenvalues, the only ones below its 10th.
+        rng = np.random.default_rng(23)
+        blocks = [ring_laplacian(600, rng), expander_laplacian(520, rng),
+                  expander_laplacian(520, rng)]
+        a, labels = components_matrix(blocks, seed=23)
+        calls = recording_solves(monkeypatch)
+        values, vectors = smallest_eigenpairs(a, 20, seed=5)
+        assert calls == [(600, 10), (520, 9), (520, 9), (600, 18)]
+        assert_matches_whole_solve(a, labels, values, vectors)
+        forked = per_cpu_count(monkeypatch, a, 20, seed=5)
+        assert np.array_equal(forked[0][0], values) and np.array_equal(forked[0][1], vectors)
+
+    def test_blobs_match_the_whole_solve_on_any_cpu_count(self, monkeypatch):
+        lap = normalized_laplacian(gaussian_knn_graph(gaussian_blobs(1800, classes=3, seed=0)[0],
+                                                      GraphConfig(sigma=1.0, k=10)))
+        count, labels = connected_components(lap)
+        assert count == 3 and np.bincount(labels).min() > DENSE_EIGEN_CUTOFF
+        (values, vectors), (forked_values, forked_vectors) = per_cpu_count(monkeypatch, lap, 20)
+        assert np.array_equal(values, forked_values)
+        assert np.array_equal(vectors, forked_vectors)
+        assert_matches_whole_solve(lap, labels, values, vectors)
+
+    def test_failure_names_the_component_in_process_and_in_a_worker(self, monkeypatch):
+        # The budget_exhaustion spectrum, on two components solved by Lanczos.
+        blocks = []
+        for size in (80, 90):
+            q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
+            blocks.append(sym_csr((q * (100.0 + np.linspace(0, 0.01, size))) @ q.T))
+        a = sp.block_diag(blocks, format="csr")
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(ConvergenceError) as caught:
+                smallest_eigenpairs(a, 5, method="lanczos", max_steps=1)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(
+            "component 1 of 2 (90 points): eigensolver did not converge within 1 iterations")
+
+
+def fail_if_forked(*args, **kwargs):
+    pytest.fail("a connected matrix went through fork_map")

@@ -71,6 +71,14 @@ class TestForkMap:
         assert caught.value.vertex == 3
         assert str(caught.value) == str(IsolatedVertexError(3))
 
+    def test_a_worker_maps_in_process(self):
+        # Two processes in all: the inner fork_map starts none.
+        def inner(_):
+            return list(parallel.fork_map(lambda _: os.getpid(), range(2), 2)) + [os.getpid()]
+
+        for pids in parallel.fork_map(inner, range(2), 2):
+            assert len(set(pids)) == 1 and pids[0] != os.getpid()
+
     def test_a_dead_worker_is_a_child_process_error(self):
         with pytest.raises(ChildProcessError, match="ended without a result"):
             list(parallel.fork_map(lambda _: os._exit(3), range(2), 2))
