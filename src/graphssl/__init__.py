@@ -14,9 +14,6 @@ from .linalg import check_symmetric, smallest_eigenpairs
 from .graph import (
     GraphConfig,
     gaussian_knn_graph,
-    gaussian_weights,
-    knn_sparsify,
-    linear_kernel,
     linear_knn_graph,
     normalized_laplacian,
 )
@@ -36,7 +33,6 @@ from .solver import (
     soft_threshold,
 )
 from .ssl import (
-    NoiseSpec,
     Solution,
     encode_labels,
     evaluate,
@@ -65,9 +61,6 @@ __all__ = [
     "smallest_eigenpairs",
     "GraphConfig",
     "gaussian_knn_graph",
-    "gaussian_weights",
-    "knn_sparsify",
-    "linear_kernel",
     "linear_knn_graph",
     "normalized_laplacian",
     "SmoothnessReport",
@@ -81,7 +74,6 @@ __all__ = [
     "l1_coefficients",
     "objective",
     "soft_threshold",
-    "NoiseSpec",
     "Solution",
     "encode_labels",
     "evaluate",

@@ -7,19 +7,17 @@ emits for a finite float) and key order is the insertion order of the caller.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import json
 import math
-import os
 import warnings
 
 import numpy as np
 
 from . import parallel
 
-# Rows of a count matrix rendered per block by format_bow and bow_chunks.
+# Rows of a count matrix rendered per block by bow_chunks.
 FORMAT_BLOCK_ROWS = 256
 
 
@@ -223,23 +221,15 @@ def _format_block(matrix, keep, row_text, col_text, start):
                     in zip(rows.tolist(), cols.tolist(), vals.tolist())])
 
 
-def format_bow(matrix, threshold=1e-12):
+def bow_chunks(matrix, threshold=1e-12):
     """A matrix as sparse triplet text, dropping |value| <= threshold.
 
-    Entries are in row-major order and values are rendered by repr, which
-    gives the same text as json for every finite float. A NaN or infinite
-    entry raises ValueError.
-    """
-    header, starts, block = _block_formatter(matrix, threshold)
-    return header + "".join(map(block, starts))
-
-
-def bow_chunks(matrix, threshold=1e-12):
-    """format_bow's text as an iterator of encoded chunks, in order.
-
-    The matrix is checked here, before the first chunk exists. The chunks
-    are the header, then one per FORMAT_BLOCK_ROWS rows, so the whole text
-    is never held at once.
+    The text comes as an iterator of encoded chunks, in order: the header
+    `n M nnz`, then one chunk per FORMAT_BLOCK_ROWS rows, so the whole text
+    is never held at once. Entries are in row-major order and values are
+    rendered by repr, which gives the same text as json for every finite
+    float. The matrix is checked here, before the first chunk exists: a NaN
+    or infinite entry raises ValueError.
     """
     header, starts, block = _block_formatter(matrix, threshold)
     return _stream(header, starts, block)
@@ -255,22 +245,6 @@ def _stream(header, starts, block):
     yield header.encode()
     for text in parallel.fork_map(block, starts, parallel.usable_cpus()):
         yield text.encode()
-
-
-def write_bow(path, matrix, threshold=1e-12):
-    """Write a matrix in the sparse triplet format, dropping |value| <= threshold.
-
-    The matrix is checked before the file is opened, and a failure while
-    writing removes the partial file.
-    """
-    chunks = bow_chunks(matrix, threshold)
-    try:
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(path)
-        raise
 
 
 def _plain(value):

@@ -64,55 +64,6 @@ def _as_features(x):
     return x
 
 
-def gaussian_weights(x, sigma):
-    """Dense Gaussian-kernel affinities exp(-||xi - xj||^2 / (2 sigma^2)).
-
-    The diagonal is forced to zero; every off-diagonal pair is stored unless
-    the kernel underflows to exactly zero. Duplicate points keep weight
-    exactly 1 at any bandwidth, as in gaussian_knn_graph.
-    """
-    x = _as_features(x)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two samples")
-    sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        w = np.where(d2 == 0.0, 1.0, np.exp(-d2 / (2.0 * sigma * sigma)))
-    iu, ju = np.triu_indices(n, k=1)
-    vals = w[iu, ju]
-    keep = vals > 0.0
-    return _mirror(n, iu[keep], ju[keep], vals[keep])
-
-
-def _linear_features(x):
-    """Features for a linear kernel: finite, nonnegative, at least two samples."""
-    x = _as_features(x)
-    if np.any(x < 0.0):
-        raise ValueError("linear kernel requires nonnegative features")
-    if x.shape[0] < 2:
-        raise ValueError("need at least two samples")
-    return x
-
-
-def linear_kernel(x):
-    """Inner-product affinities <xi, xj> for nonnegative features.
-
-    Zero products (orthogonal rows) are not stored; any negative feature is
-    rejected because it could produce a negative weight.
-    """
-    x = _linear_features(x)
-    n = x.shape[0]
-    g = x @ x.T
-    iu, ju = np.triu_indices(n, k=1)
-    vals = g[iu, ju]
-    keep = vals > 0.0
-    return _mirror(n, iu[keep], ju[keep], vals[keep])
-
-
 def _top_k_per_row(src, dst, vals, k):
     """Positions of each source's k largest weights.
 
@@ -143,37 +94,21 @@ def _symmetrize(n, src, dst, vals):
     return lo_idx[pick], hi_idx[pick], vals[pick]
 
 
-def knn_sparsify(w, config):
-    """Keep each vertex's k strongest edges, then symmetrize.
-
-    (i, j) is kept if either endpoint ranks the other among its top k
-    weights. Ties go to the lowest column index. Surviving weights are
-    unchanged.
-    """
-    w = _check_weights(w)
-    n = w.shape[0]
-    if config.k >= n:
-        raise ValueError(f"k={config.k} must be smaller than the number of vertices {n}")
-    if w.nnz == 0:
-        raise ValueError("weight matrix has no edges")
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(w.indptr))
-    dst = w.indices.astype(np.int64)
-    keep = _top_k_per_row(src, dst, w.data, config.k)
-    lo_idx, hi_idx, vals = _symmetrize(n, src[keep], dst[keep], w.data[keep])
-    return _mirror(n, lo_idx, hi_idx, vals)
-
-
 def linear_knn_graph(x, config):
-    """k-NN linear-kernel graph built from row blocks of the features.
+    """k-NN linear-kernel graph of nonnegative features, built from row blocks.
 
-    Matches knn_sparsify(linear_kernel(x), config) without forming the n x n
-    kernel: each block of LINEAR_BLOCK_ROWS rows is multiplied by x.T, its
-    self entries are zeroed and every row keeps its k largest positive
-    products (ties to the lowest column), so memory stays O(block * n) and
-    the result does not depend on the block size.
+    Each block of LINEAR_BLOCK_ROWS rows is multiplied by x.T, its self
+    entries are zeroed and every row keeps its k largest positive products
+    (ties to the lowest column); an edge survives when either endpoint picks
+    it. Memory stays O(block * n), and the result does not depend on the
+    block size. tests/oracle_graph.py holds the dense n x n reference.
     """
-    x = _linear_features(x)
+    x = _as_features(x)
+    if np.any(x < 0.0):
+        raise ValueError("linear kernel requires nonnegative features")
     n = x.shape[0]
+    if n < 2:
+        raise ValueError("need at least two samples")
     if config.k >= n:
         raise ValueError(f"k={config.k} must be smaller than the number of vertices {n}")
     cut = n - config.k
@@ -201,10 +136,10 @@ def linear_knn_graph(x, config):
 def gaussian_knn_graph(x, config):
     """k-NN Gaussian affinity graph built directly from features.
 
-    Matches knn_sparsify(gaussian_weights(x, sigma), config) without forming
-    the dense kernel; neighbors come from a KD-tree, which keeps the
-    construction close to n log n. Selecting neighbors by distance equals
-    selecting by kernel value because the kernel is monotone.
+    Neighbors come from a KD-tree, which keeps the construction close to
+    n log n instead of forming the dense kernel of tests/oracle_graph.py.
+    Selecting neighbors by distance equals selecting by kernel value because
+    the kernel is monotone.
     """
     x = _as_features(x)
     n = x.shape[0]

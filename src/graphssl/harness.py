@@ -15,7 +15,6 @@ from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from .solver import l1_coefficients
 from .spectral import build_basis, smoothness_report
 from .ssl import (
-    NoiseSpec,
     encode_labels,
     evaluate,
     inject_label_noise,
@@ -78,12 +77,7 @@ def flip_per_class(assignments, flip_fraction, classes, seed):
         pool = [(i, c) for i, c in assignments if c == cls]
         if not pool:
             continue
-        spec = NoiseSpec(
-            labeled_per_class=len(pool),
-            noise_fraction=flip_fraction,
-            seed=child_seed(seed, cls),
-        )
-        flipped.extend(inject_label_noise(pool, spec, classes))
+        flipped.extend(inject_label_noise(pool, flip_fraction, classes, child_seed(seed, cls)))
     return flipped
 
 
@@ -181,12 +175,9 @@ def multiclass_trial(x, truth, classes, labels_per_class, noise_fractions, seed,
     assignments = select_labeled(truth, labels_per_class, child_seed(seed, _STREAM_LABELED))
     blocks = []
     for fraction_index, fraction in enumerate(noise_fractions):
-        spec = NoiseSpec(
-            labeled_per_class=labels_per_class,
-            noise_fraction=fraction,
-            seed=child_seed(seed, _STREAM_NOISE, fraction_index),
-        )
-        blocks.append(encode_labels(inject_label_noise(assignments, spec, classes), n, classes))
+        noisy = inject_label_noise(assignments, fraction, classes,
+                                   child_seed(seed, _STREAM_NOISE, fraction_index))
+        blocks.append(encode_labels(noisy, n, classes))
     lap, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
     labeled = np.zeros(n, dtype=bool)
     for index, _ in assignments:
@@ -253,7 +244,10 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
 
 
 def l1_classify(x, assignments, classes, sigma, k, lam, m, seed=0):
-    """Full pipeline: k-NN Gaussian graph, basis, closed-form solve, argmax labels."""
-    _, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
+    """Full pipeline: k-NN Gaussian graph, basis, closed-form solve, argmax labels.
+
+    The labels are encoded first, so a bad label fails before the eigensolve.
+    """
     y = encode_labels(assignments, x.shape[0], classes)
+    _, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
     return l1_ssl_fit(basis, y, lam)

@@ -22,21 +22,6 @@ from .solver import l1_coefficients, l2_system
 L2_RESIDUAL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Label-noise protocol: labeled count per class, corrupted fraction, seed."""
-
-    labeled_per_class: int
-    noise_fraction: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.labeled_per_class < 1:
-            raise ValueError("labeled_per_class must be at least 1")
-        if not 0.0 <= self.noise_fraction <= 1.0:
-            raise ValueError("noise_fraction must lie in [0, 1]")
-
-
 @dataclass
 class Solution:
     """Score matrix (samples x classes) and its argmax labels."""
@@ -122,25 +107,28 @@ def l2_ssl_fit(lap, y_matrix, lam, names=None):
     return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 
-def inject_label_noise(assignments, spec, c):
+def inject_label_noise(assignments, fraction, classes, seed):
     """Replace floor(fraction * count) labels with uniformly random wrong classes.
 
-    Corrupted positions are drawn without replacement; unlisted (unlabeled)
-    points are never touched. Deterministic for a fixed spec.seed.
+    fraction lies in [0, 1]. Corrupted positions are drawn without
+    replacement; unlisted (unlabeled) points are never touched. Deterministic
+    for a fixed seed.
     """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("noise fraction must lie in [0, 1]")
     assignments = [(int(i), int(cls)) for i, cls in assignments]
-    if spec.noise_fraction > 0 and c < 2:
+    if fraction > 0 and classes < 2:
         raise ValueError("cannot corrupt labels with fewer than two classes")
     # The 1e-9 nudge keeps floor() faithful when fraction * count is an
     # integer up to float rounding (e.g. 0.3 * 10).
-    count = int(np.floor(spec.noise_fraction * len(assignments) + 1e-9))
+    count = int(np.floor(fraction * len(assignments) + 1e-9))
     if count == 0:
         return assignments
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(len(assignments), size=count, replace=False)
     for pos in chosen:
         index, cls = assignments[pos]
-        wrong = int(rng.integers(c - 1))
+        wrong = int(rng.integers(classes - 1))
         if wrong >= cls:
             wrong += 1
         assignments[pos] = (index, wrong)

@@ -1,0 +1,37 @@
+"""Dense n x n reference graphs for graphssl.graph's k-NN graphs, sharing no code with them,
+so a bug in graph.py's top-k or symmetrize steps cannot hide in the comparison."""
+
+import numpy as np
+import scipy.sparse as sp
+
+
+def _mirrored(dense):
+    """CSR of the strict upper triangle plus its mirror; zeros are not stored."""
+    upper = np.triu(dense, k=1)
+    return sp.csr_matrix(upper + upper.T)
+
+
+def gaussian_kernel(x, sigma):
+    """exp(-||xi - xj||^2 / (2 sigma^2)) off the diagonal; distance 0 weighs 1."""
+    x = np.asarray(x, dtype=np.float64)
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _mirrored(np.where(d2 == 0.0, 1.0, np.exp(-d2 / (2.0 * sigma * sigma))))
+
+
+def linear_kernel(x):
+    """Inner products <xi, xj> off the diagonal."""
+    x = np.asarray(x, dtype=np.float64)
+    return _mirrored(x @ x.T)
+
+
+def knn(w, k):
+    """Row-by-row top k (largest weight, then lowest column), then the union."""
+    dense = w.toarray()
+    keep = np.zeros(dense.shape, dtype=bool)
+    for i, row in enumerate(dense):
+        ranked = sorted((-v, j) for j, v in enumerate(row) if j != i and v > 0.0)
+        for _, j in ranked[:k]:
+            keep[i, j] = keep[j, i] = True
+    return sp.csr_matrix(np.where(keep, dense, 0.0))

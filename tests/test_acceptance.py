@@ -12,11 +12,12 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
+import oracle_graph
 from oracle_grid import grid_minimum, random_instance
 
 from graphssl.bow import RefineConfig, apply_error_sparsity, refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
-from graphssl.graph import GraphConfig, gaussian_weights, knn_sparsify, normalized_laplacian
+from graphssl.graph import normalized_laplacian
 from graphssl.harness import l1_classify, run_moons_benchmark
 from graphssl.solver import kkt_residual, l1_coefficients, objective
 from graphssl.spectral import apply_b, build_basis, l2_smoothness
@@ -47,9 +48,9 @@ def connected_test_graphs(count=20, n_max=64, seed=2024):
     while len(graphs) < count:
         n = int(rng.integers(8, n_max + 1))
         x = rng.standard_normal((n, 2))
-        w = gaussian_weights(x, sigma=float(rng.uniform(0.5, 1.5)))
+        w = oracle_graph.gaussian_kernel(x, float(rng.uniform(0.5, 1.5)))
         if attempt % 2:
-            w = knn_sparsify(w, GraphConfig(k=max(3, n // 4)))
+            w = oracle_graph.knn(w, max(3, n // 4))
         attempt += 1
         lap = normalized_laplacian(w)
         basis = build_basis(lap, n)
@@ -229,8 +230,8 @@ def test_command_determinism(tmp_path):
     _, corrupted, _, other = two_block_corpus(seed=23)
     visual = corpus_dir / "visual.txt"
     textual = corpus_dir / "textual.txt"
-    fileio.write_bow(visual, corrupted)
-    fileio.write_bow(textual, other)
+    visual.write_bytes(b"".join(fileio.bow_chunks(corrupted)))
+    textual.write_bytes(b"".join(fileio.bow_chunks(other)))
 
     commands = {
         "moons-demo": ["moons-demo", "--runs", "2", "--seed", "13"],

@@ -41,12 +41,16 @@ def write_blob_dataset(tmp_path, n=60, classes=3, labeled_per_class=4, seed=0):
     return features, labels, truth_path, truth
 
 
+def write_bow(path, matrix):
+    path.write_bytes(b"".join(fileio.bow_chunks(matrix)))
+
+
 def write_corpus(tmp_path, seed=0):
     _, corrupted, _, other = two_block_corpus(seed=seed)
     visual = tmp_path / "visual.txt"
     textual = tmp_path / "textual.txt"
-    fileio.write_bow(visual, corrupted)
-    fileio.write_bow(textual, other)
+    write_bow(visual, corrupted)
+    write_bow(textual, other)
     return visual, textual
 
 
@@ -157,6 +161,21 @@ class TestClassify:
         assert "line 2" in result.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lines, message", [("0,0\n60,1\n", "label index 60 out of range"),
+                                                ("0,0\n0,1\n", "duplicate label index 0"),
+                                                ("0,0\n1,-1\n", "class -1 out of range")])
+    def test_bad_labels_fail_before_the_eigensolve(self, tmp_path, monkeypatch, capsys,
+                                                   lines, message):
+        features, labels, _, _ = write_blob_dataset(tmp_path)
+        labels.write_text(lines)
+        monkeypatch.setattr(harness, "laplacian_basis", fail_if_called)
+        out = tmp_path / "out"
+        code = cli.main(["classify", "--input", str(features), "--labels", str(labels),
+                         "--output", str(out), "--k", "6", "--m", "10"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNoiseSweep:
     def test_degenerate_grid_reduces_to_clean(self):
@@ -255,9 +274,7 @@ class TestRefineBow:
         (ref_v, _), (ref_t, _) = co_refine(fileio.read_bow(visual), fileio.read_bow(textual),
                                            cfg, cfg, seed=2)
         for name, matrix in (("refined_visual.txt", ref_v), ("refined_textual.txt", ref_t)):
-            expected = tmp_path / f"expected_{name}"
-            fileio.write_bow(expected, matrix)
-            assert (out / name).read_bytes() == expected.read_bytes()
+            assert (out / name).read_bytes() == b"".join(fileio.bow_chunks(matrix))
 
     def test_unregularized_round_trips_input_bits(self, tmp_path):
         visual, textual = write_corpus(tmp_path, seed=1)
@@ -274,8 +291,8 @@ class TestRefineBow:
         clean, _, _, other = two_block_corpus(seed=2)
         visual = tmp_path / "clean.txt"
         textual = tmp_path / "textual.txt"
-        fileio.write_bow(visual, clean)
-        fileio.write_bow(textual, other)
+        write_bow(visual, clean)
+        write_bow(textual, other)
         out = tmp_path / "out"
         result = run_cli(
             "refine-bow", "--input", visual, textual, "--output", out,
@@ -288,7 +305,7 @@ class TestRefineBow:
     def test_mismatched_documents_is_config_error(self, tmp_path):
         visual, _ = write_corpus(tmp_path)
         small = tmp_path / "small.txt"
-        fileio.write_bow(small, np.ones((4, 3)))
+        write_bow(small, np.ones((4, 3)))
         result = run_cli("refine-bow", "--input", visual, small,
                          "--output", tmp_path / "out")
         assert result.returncode == 1
@@ -376,7 +393,7 @@ class TestComponents:
 
 
 def fail_if_called(*args, **kwargs):
-    pytest.fail("the command ran its computation before checking --output")
+    pytest.fail("the command ran its computation before checking its input")
 
 
 class TestOutputRequiredUpFront:
@@ -531,8 +548,8 @@ class TestStreamedBowOutput:
         (ref_v, _), (ref_t, _) = co_refine(fileio.read_bow(tmp_path / "visual.txt"),
                                            fileio.read_bow(tmp_path / "textual.txt"),
                                            cfg, cfg, seed=2)
-        assert (out / "refined_visual.txt").read_text() == fileio.format_bow(ref_v)
-        assert (out / "refined_textual.txt").read_text() == fileio.format_bow(ref_t)
+        assert (out / "refined_visual.txt").read_bytes() == b"".join(fileio.bow_chunks(ref_v))
+        assert (out / "refined_textual.txt").read_bytes() == b"".join(fileio.bow_chunks(ref_t))
 
     @pytest.mark.parametrize("formatter", [raise_in_worker, exit_worker])
     def test_worker_failure_is_a_clean_error(self, tmp_path, monkeypatch, capsys, formatter):
@@ -609,8 +626,8 @@ class TestBlasThreadCount:
         # The maximum KKT residuals differed in their 10th digit.
         _, visual, _, textual = two_block_corpus(n=1000, vocab=200, other_vocab=100,
                                                  jitter=0.5, seed=0)
-        fileio.write_bow(tmp_path / "visual.txt", visual)
-        fileio.write_bow(tmp_path / "textual.txt", textual)
+        write_bow(tmp_path / "visual.txt", visual)
+        write_bow(tmp_path / "textual.txt", textual)
         outputs = outputs_per_blas_thread_count(
             tmp_path, "refine-bow", "--input", tmp_path / "visual.txt",
             tmp_path / "textual.txt")

@@ -6,6 +6,11 @@ import pytest
 from graphssl import fileio, parallel
 
 
+def format_bow(matrix, threshold=1e-12):
+    """bow_chunks' triplet text, joined into one string."""
+    return b"".join(fileio.bow_chunks(matrix, threshold)).decode()
+
+
 class TestFeatures:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -97,10 +102,10 @@ class TestBowFormat:
         matrix = np.where(rng.random((6, 5)) < 0.4, rng.random((6, 5)) * 3, 0.0)
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"
-        fileio.write_bow(first, matrix)
+        first.write_text(format_bow(matrix))
         parsed = fileio.read_bow(first)
         assert np.array_equal(parsed, matrix)
-        fileio.write_bow(second, parsed)
+        second.write_text(format_bow(parsed))
         assert first.read_bytes() == second.read_bytes()
 
     def test_header_mismatch(self, tmp_path):
@@ -117,7 +122,7 @@ class TestBowFormat:
 
     def test_storage_threshold(self, tmp_path):
         path = tmp_path / "t.txt"
-        fileio.write_bow(path, np.array([[1e-13, 2.0]]))
+        path.write_text(format_bow(np.array([[1e-13, 2.0]])))
         assert fileio.read_bow(path).tolist() == [[0.0, 2.0]]
 
     def test_duplicate_coordinate_names_repeat_line(self, tmp_path):
@@ -192,7 +197,7 @@ class TestBowFormat:
         scale = 10.0 ** rng.integers(-320, 300, (700, 40))
         matrix = np.where(rng.random((700, 40)) < 0.3, rng.standard_normal((700, 40)) * scale, 0.0)
         path = tmp_path / "m.txt"
-        fileio.write_bow(path, matrix, threshold=0.0)
+        path.write_text(format_bow(matrix, threshold=0.0))
         assert np.array_equal(fileio.read_bow(path), matrix)
 
 
@@ -212,7 +217,7 @@ class TestFormatBow:
             [1e-12, -1e-12, edge, -edge],
             [123456789.123, -1e-5, 1e22, 1.0 / 3.0],
         ])
-        text = fileio.format_bow(matrix)
+        text = format_bow(matrix)
         assert text == json_triplets(matrix)
         assert "0 0 0.30000000000000004\n" in text
         assert "0 1 1e+16\n" in text
@@ -221,35 +226,29 @@ class TestFormatBow:
 
     def test_subnormal_matches_json(self):
         matrix = np.array([[5e-324, 0.0], [-2.2250738585072014e-308, 1.5]])
-        assert fileio.format_bow(matrix, threshold=0.0) == json_triplets(matrix, threshold=0.0)
-        assert fileio.format_bow(matrix) == "2 2 1\n1 1 1.5\n"
+        assert format_bow(matrix, threshold=0.0) == json_triplets(matrix, threshold=0.0)
+        assert format_bow(matrix) == "2 2 1\n1 1 1.5\n"
 
     def test_random_matrix_matches_json(self):
         rng = np.random.default_rng(11)
         matrix = rng.standard_normal((30, 20)) * 10.0 ** rng.integers(-15, 20, (30, 20))
-        assert fileio.format_bow(matrix) == json_triplets(matrix)
+        assert format_bow(matrix) == json_triplets(matrix)
 
     def test_rejects_infinite_entries(self):
         with pytest.raises(ValueError, match="finite"):
-            fileio.format_bow(np.array([[1.0, np.inf]]))
+            format_bow(np.array([[1.0, np.inf]]))
 
     def test_rejects_nan_entries(self):
         # NaN compares false against the threshold; it must not be dropped as small.
         with pytest.raises(ValueError, match="finite"):
-            fileio.format_bow(np.array([[np.nan, 1.0]]))
+            format_bow(np.array([[np.nan, 1.0]]))
 
     def test_rejects_nan_in_a_later_block(self, monkeypatch):
         monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 1)
         matrix = np.ones((3, 2))
         matrix[2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            fileio.format_bow(matrix)
-
-    def test_write_bow_with_nan_leaves_no_file(self, tmp_path):
-        path = tmp_path / "nan.txt"
-        with pytest.raises(ValueError, match="finite"):
-            fileio.write_bow(path, np.array([[1.0, 0.0], [0.0, np.nan]]))
-        assert not path.exists()
+            format_bow(matrix)
 
     @pytest.mark.parametrize("block_rows", [1, 7, 256, 10_000])
     @pytest.mark.parametrize("kind", ["random", "empty rows", "nothing kept"])
@@ -260,12 +259,9 @@ class TestFormatBow:
             matrix[rng.random(600) < 0.5] = 0.0
         elif kind == "nothing kept":
             matrix = np.full((600, 30), 1e-13)
-        rows, cols = np.nonzero(np.abs(matrix) > 1e-12)
-        expected = f"600 30 {rows.size}\n" + "".join(
-            f"{i} {j} {v!r}\n" for i, j, v in zip(rows.tolist(), cols.tolist(),
-                                                  matrix[rows, cols].tolist()))
+        expected = json_triplets(matrix)
         monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", block_rows)
-        assert fileio.format_bow(matrix) == expected
+        assert format_bow(matrix) == expected
         if kind == "nothing kept":
             assert expected == "600 30 0\n"
 
@@ -276,14 +272,16 @@ class TestBowChunks:
                                          (600, "nothing kept")])
     def test_chunks_join_to_format_bow(self, monkeypatch, workers, n, kind):
         # 600 rows end in a short block, 512 fill two blocks, 5 fill less than one.
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         rng = np.random.default_rng(4)
         matrix = rng.standard_normal((n, 30)) * 10.0 ** rng.integers(-15, 5, (n, 30))
         if kind == "nothing kept":
             matrix = np.full((n, 30), 1e-13)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        expected = format_bow(matrix)  # formatted in this process
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
         chunks = list(fileio.bow_chunks(matrix))
         assert len(chunks) == 1 + -(-n // fileio.FORMAT_BLOCK_ROWS)
-        assert b"".join(chunks).decode() == fileio.format_bow(matrix)
+        assert b"".join(chunks).decode() == expected
         if kind == "nothing kept":
             assert b"".join(chunks) == f"{n} 30 0\n".encode()
 
@@ -293,18 +291,6 @@ class TestBowChunks:
         matrix[2, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             fileio.bow_chunks(matrix)
-
-    def test_write_bow_removes_the_file_a_worker_failed(self, tmp_path, monkeypatch):
-        def fail(matrix, keep, row_text, col_text, start):
-            raise RuntimeError(f"block {start} failed")
-
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 1)
-        monkeypatch.setattr(fileio, "_format_block", fail)
-        path = tmp_path / "m.txt"
-        with pytest.raises(RuntimeError, match="block 0 failed"):
-            fileio.write_bow(path, np.ones((3, 2)))
-        assert not path.exists()
 
 
 class TestMetrics:

@@ -4,21 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracle_graph
 from graphssl import graph
 from graphssl.errors import IsolatedVertexError
-from graphssl.graph import (
-    GraphConfig,
-    gaussian_knn_graph,
-    gaussian_weights,
-    knn_sparsify,
-    linear_kernel,
-    linear_knn_graph,
-    normalized_laplacian,
-)
-
-
-def weights_from_dense(w):
-    return sp.csr_matrix(w)
+from graphssl.graph import GraphConfig, gaussian_knn_graph, linear_knn_graph, normalized_laplacian
 
 
 def same_graph(a, b):
@@ -45,13 +34,8 @@ def tied_counts():
     return np.random.default_rng(0).integers(0, 3, size=(60, 5)).astype(np.float64)
 
 
-def knn_reference(dense, k):
-    """Row-by-row top k (largest weight, then lowest column), then the union."""
-    picked = set()
-    for i, row in enumerate(dense):
-        ranked = sorted((-w, j) for j, w in enumerate(row) if j != i and w > 0.0)
-        picked.update((i, j) for _, j in ranked[:k])
-    return {(min(i, j), max(i, j)) for i, j in picked}
+def linear_reference(x, k):
+    return oracle_graph.knn(oracle_graph.linear_kernel(x), k)
 
 
 def degrees(w):
@@ -70,163 +54,133 @@ class TestGraphConfig:
 
 
 class TestWeightMatrixInvariants:
-    """Affinity matrices are checked where they enter normalized_laplacian and knn_sparsify."""
+    """Affinity matrices are checked where they enter normalized_laplacian."""
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive"):
-            normalized_laplacian(weights_from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])))
+            normalized_laplacian(sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]])))
 
     def test_rejects_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
-            normalized_laplacian(weights_from_dense(np.array([[1.0, 1.0], [1.0, 0.0]])))
+            normalized_laplacian(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]])))
 
     def test_rejects_asymmetric_weights(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            normalized_laplacian(weights_from_dense(np.array([[0.0, 1.0], [2.0, 0.0]])))
-
-    def test_knn_sparsify_checks_its_input(self):
-        with pytest.raises(ValueError, match="positive"):
-            knn_sparsify(weights_from_dense(np.array([[0.0, -1.0], [-1.0, 0.0]])),
-                         GraphConfig(k=1))
+            normalized_laplacian(sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]])))
 
 
 class TestGaussianWeights:
+    """The weights of gaussian_knn_graph, on full graphs (k = n - 1)."""
+
     def test_identical_points_weight_one(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
-        w = gaussian_weights(x, sigma=0.7).toarray()
+        w = gaussian_knn_graph(x, GraphConfig(sigma=0.7, k=2)).toarray()
         assert w[0, 1] == pytest.approx(1.0)
 
     def test_identical_points_keep_weight_one_when_the_bandwidth_underflows(self):
-        # 2 * sigma * sigma underflows to 0, as in gaussian_knn_graph's test.
+        # 2 * sigma * sigma underflows to 0, and the other pairs' weights to 0.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            w = gaussian_weights([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]], sigma=1e-200)
+            w = gaussian_knn_graph([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                                   GraphConfig(sigma=1e-200, k=2))
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 1.0
         assert np.array_equal(w.toarray(), expected) and w.nnz == 2
 
     def test_scalar_value(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])  # distance sqrt(2)
-        w = gaussian_weights(x, sigma=1.0).toarray()
+        w = gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=1)).toarray()
         assert w[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_wide_bandwidth_limit(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 3))
-        w = gaussian_weights(x, sigma=1e8).toarray()
+        w = gaussian_knn_graph(x, GraphConfig(sigma=1e8, k=5)).toarray()
         off = w[~np.eye(6, dtype=bool)]
         assert np.allclose(off, 1.0, atol=1e-12)
 
     def test_zero_diagonal(self):
         rng = np.random.default_rng(1)
-        w = gaussian_weights(rng.standard_normal((5, 2)), sigma=1.0)
+        w = gaussian_knn_graph(rng.standard_normal((5, 2)), GraphConfig(sigma=1.0, k=4))
         assert np.all(w.diagonal() == 0.0) and w.nnz == 5 * 4
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_weights(np.zeros((3, 2)), sigma=-1.0)
 
 
 class TestLinearKernel:
+    """The weights of linear_knn_graph, on full graphs (k = n - 1)."""
+
     def test_orthogonal_rows_not_stored(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        w = linear_kernel(x)
+        w = linear_knn_graph(x, GraphConfig(k=2))
         dense = w.toarray()
         assert dense[0, 1] == 0.0
         assert w.nnz == 4  # (0,2) and (1,2), each stored in both triangles
 
     def test_dot_product_value(self):
         x = np.array([[1.0, 2.0], [3.0, 1.0]])
-        assert linear_kernel(x).toarray()[0, 1] == pytest.approx(5.0)
+        assert linear_knn_graph(x, GraphConfig(k=1)).toarray()[0, 1] == pytest.approx(5.0)
 
     def test_matches_gram_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.random((6, 4))
-        w = linear_kernel(x).toarray()
+        w = linear_knn_graph(x, GraphConfig(k=5)).toarray()
         gram = x @ x.T
         np.fill_diagonal(gram, 0.0)
         assert np.allclose(w, gram, atol=1e-12)
 
-    def test_rejects_negative_features(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            linear_kernel(np.array([[1.0, -0.1], [0.5, 0.2]]))
-
 
 class TestKnnSparsify:
+    """Top k edges per vertex, ties to the lowest column; either endpoint's pick keeps an edge."""
+
     def test_full_k_is_identity(self):
-        rng = np.random.default_rng(3)
-        w = gaussian_weights(rng.standard_normal((7, 2)), sigma=1.0)
-        out = knn_sparsify(w, GraphConfig(k=6))
-        assert same_graph(out, w)
+        x = np.random.default_rng(3).integers(0, 3, size=(7, 3)).astype(np.float64)
+        assert same_graph(linear_knn_graph(x, GraphConfig(k=6)), oracle_graph.linear_kernel(x))
 
     def test_three_node_chain_union(self):
-        dense = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.8], [0.1, 0.8, 0.0]])
-        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1))
-        kept = edges(out)
-        assert kept == {(0, 1), (1, 2)}
+        # 0 and 2 both pick 1; 1 picks only 0, and keeps (1, 2) through 2's pick.
+        out = gaussian_knn_graph(np.array([[0.0], [1.0], [2.2]]), GraphConfig(k=1))
+        assert edges(out) == {(0, 1), (1, 2)}
 
     def test_weights_unchanged(self):
-        rng = np.random.default_rng(4)
-        w = gaussian_weights(rng.standard_normal((20, 3)), sigma=1.0)
-        out = knn_sparsify(w, GraphConfig(k=4))
-        full = w.toarray()
-        sparse = out.toarray()
+        x = np.random.default_rng(4).standard_normal((20, 3))
+        sparse = gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=4)).toarray()
+        full = oracle_graph.gaussian_kernel(x, 1.0).toarray()
         mask = sparse != 0.0
-        assert np.allclose(sparse[mask], full[mask])
-
-    def test_idempotent_when_degree_bound_holds(self):
-        rng = np.random.default_rng(5)
-        w = gaussian_weights(rng.standard_normal((15, 2)), sigma=1.0)
-        # Once the degree bound holds, any k at or above the maximum degree
-        # is a fixed point.
-        sparse = knn_sparsify(w, GraphConfig(k=3))
-        again = knn_sparsify(sparse, GraphConfig(k=15 - 1))
-        assert same_graph(sparse, again)
-
-    def test_rejects_k_too_large(self):
-        rng = np.random.default_rng(6)
-        w = gaussian_weights(rng.standard_normal((5, 2)), sigma=1.0)
-        with pytest.raises(ValueError, match="smaller"):
-            knn_sparsify(w, GraphConfig(k=5))
-
+        assert np.allclose(sparse[mask], full[mask], atol=1e-12, rtol=0.0)
 
     def test_matches_row_loop_on_heavy_ties(self):
-        kernel = linear_kernel(tied_counts())
-        out = knn_sparsify(kernel, GraphConfig(k=4))
-        dense = kernel.toarray()
+        x = tied_counts()
+        out = linear_knn_graph(x, GraphConfig(k=4))
+        dense = oracle_graph.linear_kernel(x).toarray()
         kth = -np.sort(-dense, axis=1)[:, 3]
         assert np.sum(np.sum(dense == kth[:, None], axis=1) > 1) > 10  # ties at the k-th place
-        assert edges(out) == knn_reference(dense, 4)
-        rows, cols, vals = upper(out)
-        assert np.array_equal(vals, dense[rows, cols])
+        assert same_graph(out, linear_reference(x, 4))  # weights included, bit for bit
 
     def test_ties_go_to_lowest_column(self):
-        # Vertex 0 weighs 1, 2 and 3 equally; k=1 keeps column 1. Vertices
-        # 1-3 pick vertex 4, and 4 weighs them equally, keeping column 1.
-        dense = np.array([[0.0, 1.0, 1.0, 1.0, 0.0],
-                          [1.0, 0.0, 0.0, 0.0, 2.0],
-                          [1.0, 0.0, 0.0, 0.0, 2.0],
-                          [1.0, 0.0, 0.0, 0.0, 2.0],
-                          [0.0, 2.0, 2.0, 2.0, 0.0]])
-        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1))
+        # Vertex 0 weighs 1, 2 and 3 equally (1); k=1 keeps column 1. Vertices
+        # 1-3 pick vertex 4 (2), and 4 weighs them equally, keeping column 1.
+        x = np.array([[1, 1, 1, 0, 0, 0], [1, 0, 0, 2, 0, 0], [0, 1, 0, 0, 2, 0],
+                      [0, 0, 1, 0, 0, 2], [0, 0, 0, 1, 1, 1]], dtype=np.float64)
+        out = linear_knn_graph(x, GraphConfig(k=1))
         assert edges(out) == {(0, 1), (1, 4), (2, 4), (3, 4)}
+        assert same_graph(out, linear_reference(x, 1))
 
     def test_larger_weight_beats_lower_column(self):
-        # Vertex 0 keeps 3, its heaviest edge; 1-3 pick vertex 4 instead of 0.
-        dense = np.array([[0.0, 1.0, 1.0, 2.0, 0.0],
-                          [1.0, 0.0, 0.0, 0.0, 3.0],
-                          [1.0, 0.0, 0.0, 0.0, 3.0],
-                          [2.0, 0.0, 0.0, 0.0, 3.0],
-                          [0.0, 3.0, 3.0, 3.0, 0.0]])
-        out = knn_sparsify(weights_from_dense(dense), GraphConfig(k=1))
+        # Vertex 0 keeps 3, its heaviest edge (2); 1-3 pick vertex 4 (3) instead of 0.
+        x = np.array([[1, 1, 2, 0, 0, 0], [1, 0, 0, 3, 0, 0], [0, 1, 0, 0, 3, 0],
+                      [0, 0, 1, 0, 0, 3], [0, 0, 0, 1, 1, 1]], dtype=np.float64)
+        out = linear_knn_graph(x, GraphConfig(k=1))
         assert edges(out) == {(0, 3), (1, 4), (2, 4), (3, 4)}
+        assert same_graph(out, linear_reference(x, 1))
 
 
 class TestLinearKnnGraph:
     def test_matches_dense_route_on_heavy_ties(self):
-        x = tied_counts()
-        cfg = GraphConfig(k=4)
-        assert same_graph(linear_knn_graph(x, cfg), knn_sparsify(linear_kernel(x), cfg))
+        rng = np.random.default_rng(13)
+        for _ in range(120):  # integer counts: exact products, many ties
+            n = int(rng.integers(3, 71))
+            x = rng.integers(0, 3, size=(n, int(rng.integers(2, 7)))).astype(np.float64)
+            k = int(rng.integers(1, n))
+            assert same_graph(linear_knn_graph(x, GraphConfig(k=k)), linear_reference(x, k))
 
     @pytest.mark.parametrize("block_rows", [1, 7, 59, 1000])
     def test_block_size_does_not_change_graph(self, monkeypatch, block_rows):
@@ -248,7 +202,7 @@ class TestLinearKnnGraph:
         x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [0.0, 5.0]])
         out = linear_knn_graph(x, GraphConfig(k=3))
         assert edges(out) == {(0, 1), (0, 2), (1, 2), (3, 4)}
-        assert same_graph(out, knn_sparsify(linear_kernel(x), GraphConfig(k=3)))
+        assert same_graph(out, linear_reference(x, 3))
 
     def test_rejects_negative_features(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -261,14 +215,17 @@ class TestLinearKnnGraph:
 
 class TestGaussianKnnGraph:
     def test_matches_dense_route(self):
+        # The KD-tree's distances round differently from the dense formula's.
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((80, 3))
-        cfg = GraphConfig(sigma=0.8, k=5)
-        fast = gaussian_knn_graph(x, cfg)
-        slow = knn_sparsify(gaussian_weights(x, cfg.sigma), cfg)
-        assert np.array_equal(fast.indptr, slow.indptr)
-        assert np.array_equal(fast.indices, slow.indices)
-        assert np.allclose(fast.data, slow.data, atol=1e-12, rtol=0.0)
+        for _ in range(120):
+            n = int(rng.integers(3, 71))
+            x = rng.standard_normal((n, int(rng.integers(1, 5))))
+            cfg = GraphConfig(sigma=float(rng.uniform(0.3, 2.0)), k=int(rng.integers(1, n)))
+            fast = gaussian_knn_graph(x, cfg)
+            slow = oracle_graph.knn(oracle_graph.gaussian_kernel(x, cfg.sigma), cfg.k)
+            assert np.array_equal(fast.indptr, slow.indptr)
+            assert np.array_equal(fast.indices, slow.indices)
+            assert np.allclose(fast.data, slow.data, atol=1e-12, rtol=0.0)
 
     def test_duplicate_points(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
@@ -294,13 +251,13 @@ class TestGaussianKnnGraph:
 
 class TestNormalizedLaplacian:
     def test_two_node_graph(self):
-        w = weights_from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert np.allclose(
             normalized_laplacian(w).toarray(), [[1.0, -1.0], [-1.0, 1.0]], atol=1e-15
         )
 
     def test_triangle_graph(self):
-        w = weights_from_dense(np.ones((3, 3)) - np.eye(3))
+        w = sp.csr_matrix(np.ones((3, 3)) - np.eye(3))
         lap = normalized_laplacian(w).toarray()
         assert np.allclose(np.diag(lap), 1.0)
         off = lap[~np.eye(3, dtype=bool)]
@@ -308,14 +265,14 @@ class TestNormalizedLaplacian:
 
     def test_scaled_constant_vector_in_null_space(self):
         rng = np.random.default_rng(8)
-        w = gaussian_weights(rng.standard_normal((12, 2)), sigma=1.0)
+        w = oracle_graph.gaussian_kernel(rng.standard_normal((12, 2)), 1.0)
         lap = normalized_laplacian(w)
         null = np.sqrt(degrees(w))
         assert np.linalg.norm(lap @ null) <= 1e-10 * np.linalg.norm(null)
 
     def test_psd_quadratic_form(self):
         rng = np.random.default_rng(9)
-        w = gaussian_weights(rng.standard_normal((15, 3)), sigma=0.9)
+        w = oracle_graph.gaussian_kernel(rng.standard_normal((15, 3)), 0.9)
         lap = normalized_laplacian(w)
         for _ in range(100):
             x = rng.standard_normal(15)
@@ -325,19 +282,19 @@ class TestNormalizedLaplacian:
         rng = np.random.default_rng(10)
         for trial in range(5):
             x = rng.standard_normal((12, 2))
-            w = knn_sparsify(gaussian_weights(x, 0.8), GraphConfig(k=4))
+            w = oracle_graph.knn(oracle_graph.gaussian_kernel(x, 0.8), 4)
             vals = np.linalg.eigvalsh(normalized_laplacian(w).toarray())
             assert vals.max() <= 2.0 + 1e-8
             assert vals.min() >= -1e-10
 
     def test_connected_graph_has_zero_eigenvalue(self):
         rng = np.random.default_rng(11)
-        w = gaussian_weights(rng.standard_normal((10, 2)), sigma=1.0)
+        w = oracle_graph.gaussian_kernel(rng.standard_normal((10, 2)), 1.0)
         vals = np.linalg.eigvalsh(normalized_laplacian(w).toarray())
         assert abs(vals[0]) <= 1e-8
 
     def test_isolated_vertex_identified(self):
-        w = weights_from_dense(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        w = sp.csr_matrix(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
         with pytest.raises(IsolatedVertexError) as info:
             normalized_laplacian(w)
         assert info.value.vertex == 2

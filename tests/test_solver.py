@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracle_graph import gaussian_kernel
 from oracle_grid import grid_minimum, random_instance
 
-from graphssl.graph import gaussian_weights, normalized_laplacian
+from graphssl.graph import normalized_laplacian
 from graphssl.solver import (
     kkt_residual,
     l1_coefficients,
@@ -70,7 +71,7 @@ class TestObjective:
         # With every eigenvector retained, the coefficient objective equals
         # the original vector objective evaluated at the basis expansion.
         rng = np.random.default_rng(3)
-        w = gaussian_weights(rng.standard_normal((10, 2)), sigma=1.0)
+        w = gaussian_kernel(rng.standard_normal((10, 2)), 1.0)
         lap = normalized_laplacian(w)
         basis = build_basis(lap, 10)
         lam = 0.3
@@ -199,7 +200,7 @@ def l2_solve(lap, y, lam):
 class TestQuadraticBaseline:
     def test_no_regularization_returns_target(self):
         rng = np.random.default_rng(14)
-        w = gaussian_weights(rng.standard_normal((8, 2)), sigma=1.0)
+        w = gaussian_kernel(rng.standard_normal((8, 2)), 1.0)
         lap = normalized_laplacian(w)
         y = rng.standard_normal(8)
         assert np.allclose(l2_solve(lap, y, 0.0), y, atol=1e-10)
@@ -211,7 +212,7 @@ class TestQuadraticBaseline:
 
     def test_residual_contract(self):
         rng = np.random.default_rng(15)
-        w = gaussian_weights(rng.standard_normal((12, 3)), sigma=0.8)
+        w = gaussian_kernel(rng.standard_normal((12, 3)), 0.8)
         lap = normalized_laplacian(w)
         y = rng.standard_normal(12)
         lam = 3.0
@@ -221,7 +222,7 @@ class TestQuadraticBaseline:
 
     def test_minimizer_dominates_probe_points(self):
         rng = np.random.default_rng(16)
-        w = gaussian_weights(rng.standard_normal((10, 2)), sigma=1.0)
+        w = gaussian_kernel(rng.standard_normal((10, 2)), 1.0)
         lap = normalized_laplacian(w)
         for _ in range(5):
             y = rng.standard_normal(10)

@@ -5,15 +5,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from oracle_graph import gaussian_kernel
 from graphssl import ssl
 from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
-from graphssl.graph import GraphConfig, gaussian_knn_graph, gaussian_weights, normalized_laplacian
+from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from graphssl.harness import run_moons_benchmark, run_moons_trial
 from graphssl.solver import soft_threshold
 from graphssl.spectral import build_basis
 from graphssl.ssl import (
-    NoiseSpec,
     encode_labels,
     evaluate,
     inject_label_noise,
@@ -116,7 +116,7 @@ class TestL1Fit:
     def test_sample_permutation_equivariance(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((30, 2))
-        w = gaussian_weights(x, sigma=1.0)
+        w = gaussian_kernel(x, 1.0)
         y = encode_labels([(0, 0), (7, 1), (15, 0), (22, 1)], 30, 2)
         perm = rng.permutation(30)
 
@@ -124,7 +124,7 @@ class TestL1Fit:
         basis = build_basis(lap, 8)
         scores = l1_ssl_fit(basis, y, 0.5).scores
 
-        w_perm = gaussian_weights(x[perm], sigma=1.0)
+        w_perm = gaussian_kernel(x[perm], 1.0)
         basis_perm = build_basis(normalized_laplacian(w_perm), 8)
         scores_perm = l1_ssl_fit(basis_perm, y[perm], 0.5).scores
         assert np.allclose(scores_perm, scores[perm], atol=1e-8)
@@ -214,20 +214,17 @@ class TestL2Fit:
 class TestInjectLabelNoise:
     def test_zero_fraction_unchanged(self):
         assignments = [(0, 0), (1, 1), (2, 0)]
-        spec = NoiseSpec(labeled_per_class=1, noise_fraction=0.0, seed=0)
-        assert inject_label_noise(assignments, spec, 2) == assignments
+        assert inject_label_noise(assignments, 0.0, 2, 0) == assignments
 
     def test_full_fraction_two_classes_flips_everything(self):
         assignments = [(i, i % 2) for i in range(8)]
-        spec = NoiseSpec(labeled_per_class=4, noise_fraction=1.0, seed=1)
-        flipped = inject_label_noise(assignments, spec, 2)
+        flipped = inject_label_noise(assignments, 1.0, 2, 1)
         assert all(new != old for (_, new), (_, old) in zip(flipped, assignments))
 
     def test_exact_count_and_wrong_class(self):
         assignments = [(i, i % 5) for i in range(10)]
         for seed in range(20):
-            spec = NoiseSpec(labeled_per_class=2, noise_fraction=0.2, seed=seed)
-            noisy = inject_label_noise(assignments, spec, 5)
+            noisy = inject_label_noise(assignments, 0.2, 5, seed)
             changed = [
                 (old, new)
                 for (_, old), (_, new) in zip(assignments, noisy)
@@ -238,19 +235,21 @@ class TestInjectLabelNoise:
 
     def test_indices_never_touched(self):
         assignments = [(3, 0), (9, 1), (14, 0), (20, 1)]
-        spec = NoiseSpec(labeled_per_class=2, noise_fraction=0.5, seed=3)
-        noisy = inject_label_noise(assignments, spec, 2)
+        noisy = inject_label_noise(assignments, 0.5, 2, 3)
         assert [i for i, _ in noisy] == [i for i, _ in assignments]
 
     def test_rejects_single_class_with_noise(self):
-        spec = NoiseSpec(labeled_per_class=1, noise_fraction=0.5, seed=0)
         with pytest.raises(ValueError, match="two classes"):
-            inject_label_noise([(0, 0), (1, 0)], spec, 1)
+            inject_label_noise([(0, 0), (1, 0)], 0.5, 1, 0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_rejects_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            inject_label_noise([(0, 0), (1, 1)], fraction, 2, 0)
 
     def test_floor_semantics(self):
         assignments = [(i, i % 2) for i in range(10)]
-        spec = NoiseSpec(labeled_per_class=5, noise_fraction=0.3, seed=4)
-        noisy = inject_label_noise(assignments, spec, 2)
+        noisy = inject_label_noise(assignments, 0.3, 2, 4)
         changed = sum(1 for (_, a), (_, b) in zip(assignments, noisy) if a != b)
         assert changed == 3
 
