@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import IsolatedVertexError
 from .graph import GraphConfig, linear_knn_graph, normalized_laplacian
 from .solver import kkt_residual, objective, soft_threshold
@@ -124,8 +125,17 @@ def co_refine(y_visual, y_textual, cfg_visual, cfg_textual, seed=0):
     """Refine both modalities against each other's original matrix.
 
     Both refinements read the unmodified counterpart, so they are independent
-    and order-free; swapping the arguments swaps the outputs.
+    and order-free; swapping the arguments swaps the outputs. They run on
+    parallel.fork_map's forked workers, one per usable CPU, which inherit
+    the matrices; only the refined matrices and reports are pickled back.
+    Each refinement is the same wherever it runs, and a failure of the
+    visual one is raised before one of the textual one.
     """
-    refined_visual = refine(y_visual, y_textual, cfg_visual, seed=seed)
-    refined_textual = refine(y_textual, y_visual, cfg_textual, seed=seed)
+    halves = ((y_visual, y_textual, cfg_visual), (y_textual, y_visual, cfg_textual))
+
+    def half(i):
+        y, other, cfg = halves[i]
+        return refine(y, other, cfg, seed=seed)
+
+    refined_visual, refined_textual = parallel.fork_map(half, (0, 1), parallel.usable_cpus())
     return refined_visual, refined_textual

@@ -335,8 +335,9 @@ def cmd_refine_bow(args):
         dataclasses.replace(base, **overrides) for base in REFINE_PRESETS[args.preset]
     )
 
-    visual = fileio.read_bow(args.input[0])
-    textual = fileio.read_bow(args.input[1])
+    # Read on forked workers, one file each; results arrive in order, so a
+    # bad visual file is reported before a bad textual one.
+    visual, textual = parallel.fork_map(fileio.read_bow, args.input, parallel.usable_cpus())
     if visual.shape[0] != textual.shape[0]:
         raise ValueError(
             f"document counts differ: {visual.shape[0]} vs {textual.shape[0]}"

@@ -78,21 +78,50 @@ def spd_factor(a, shift=0.0):
     COLAMD LU that scipy builds by default (2.0 M against 4.7 M entries on a
     30000-point k=10 Gaussian k-NN Laplacian). Positive definiteness is the
     caller's guarantee; a zero pivot raises ConvergenceError naming the shift.
+
+    Minimum degree stalls on dense rows, such as the hub documents of a
+    linear-kernel k-NN graph. A row with more than max(16, 10 sqrt(n)) stored
+    entries counts as dense, AMD's default threshold (Amestoy, Davis & Duff
+    1996). When some rows but not all are dense, the hub-free principal block
+    is ordered by minimum degree (SuperLU has no ordering-only call, so the
+    block is factored once to read its column order), the dense rows are
+    ordered after it, and the symmetrically permuted matrix is factored in
+    that order: 7-9 ms instead of 36-46 ms on the 1500-point components of
+    refine-bow's 3000-document corpus, with about the same fill.
     """
+    n = a.shape[0]
     if shift:
-        a = a + shift * sp.identity(a.shape[0], format="csr")
+        a = a + shift * sp.identity(n, format="csr")
+    a = a.tocsc()
+    options = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+    dense = np.diff(a.indptr) > max(16, 10 * np.sqrt(n))
     try:
-        return spla.splu(
-            a.tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        if not dense.any() or dense.all():
+            return spla.splu(a, permc_spec="MMD_AT_PLUS_A", **options)
+        sparse = np.flatnonzero(~dense)
+        block = spla.splu(a[sparse][:, sparse], permc_spec="MMD_AT_PLUS_A", **options)
+        # perm_c[i] is the place of column i, so argsort lists the columns in order.
+        perm = np.concatenate([sparse[np.argsort(block.perm_c)], np.flatnonzero(dense)])
+        return _PermutedFactor(
+            spla.splu(a[perm][:, perm], permc_spec="NATURAL", **options), perm)
     except RuntimeError as exc:
         raise ConvergenceError(
             f"factorization of the matrix shifted by {shift:.3e} failed: {exc}; "
             "the matrix is not positive definite",
         ) from exc
+
+
+class _PermutedFactor:
+    """Factor lu of a[perm][:, perm], solving systems in a's own order."""
+
+    def __init__(self, lu, perm):
+        self.lu = lu
+        self.perm = perm
+
+    def solve(self, b):
+        x = np.empty(b.shape)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
 
 
 def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):

@@ -689,3 +689,108 @@ class TestByComponent:
 
 def fail_if_forked(*args, **kwargs):
     pytest.fail("a connected matrix went through fork_map")
+
+
+def hub_features(n=600, hubs=5, seed=0):
+    """n points on the unit sphere in 30 dimensions, and `hubs` points near its center.
+
+    A sphere point lies about sqrt(2) from any other and 1 from the center,
+    so every point's 10 nearest neighbors include all the hubs, whose rows
+    in the k-NN graph are then dense.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 30))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    return np.vstack([x, 0.01 * rng.standard_normal((hubs, 30))])
+
+
+def hub_laplacian():
+    return normalized_laplacian(gaussian_knn_graph(hub_features(), GraphConfig(sigma=1.0, k=10)))
+
+
+def recording_splu(monkeypatch, fail_on=None):
+    """[(permc_spec, factor)] of each spla.splu call; call number fail_on meets a zero pivot."""
+    calls = []
+    original = spla.splu
+
+    def recording(*args, **kwargs):
+        if len(calls) + 1 == fail_on:
+            zero_pivot()
+        calls.append((kwargs["permc_spec"], original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return calls
+
+
+def shifted(a, shift):
+    return (a + shift * sp.identity(a.shape[0], format="csr")).tocsc()
+
+
+SPD_OPTIONS = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
+class TestDenseRowFactor:
+    """spd_factor orders rows with more than max(16, 10 sqrt(n)) entries last."""
+
+    def test_hub_rows_are_ordered_last(self, monkeypatch):
+        lap = hub_laplacian()
+        n = lap.shape[0]
+        degrees = np.diff(lap.indptr)
+        assert degrees[-5:].min() > 10 * np.sqrt(n) >= degrees[:-5].max()
+        shift = 1e-5 * float(_row_sums(lap, np.abs(lap.data)).max())
+        calls = recording_splu(monkeypatch)
+        factor = spd_factor(lap, shift)
+        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert calls[0][1].shape == (n - 5, n - 5)
+        monkeypatch.undo()
+        whole = spla.splu(shifted(lap, shift), permc_spec="MMD_AT_PLUS_A", **SPD_OPTIONS)
+        lu = calls[1][1]
+        assert lu.L.nnz + lu.U.nnz <= whole.L.nnz + whole.U.nnz
+        b = np.random.default_rng(3).standard_normal(n)
+        x = factor.solve(b)
+        assert np.linalg.norm(shifted(lap, shift) @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_dense_and_lanczos_agree_on_hub_laplacian(self):
+        lap = hub_laplacian()
+        assert lap.shape[0] > DENSE_EIGEN_CUTOFF
+        m = 3
+        spectrum = np.linalg.eigvalsh(lap.toarray())
+        assert spectrum[m] > 1.01 * spectrum[m - 1]
+        dense_values, dense_vectors = smallest_eigenpairs(lap, m, method="dense")
+        for seed in (0, 1):
+            values, vectors = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
+            assert np.allclose(values, dense_values, rtol=0.0, atol=1e-10)
+            assert subspace_overlap(dense_vectors, vectors) >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("fail_on", [1, 2])
+    def test_zero_pivot_in_either_call_is_a_convergence_error(self, tmp_path, monkeypatch,
+                                                              capsys, fail_on):
+        recording_splu(monkeypatch, fail_on)
+        with pytest.raises(ConvergenceError, match="shifted by"):
+            smallest_eigenpairs(hub_laplacian(), 5, method="lanczos")
+        features = tmp_path / "hubs.csv"
+        features.write_text("".join(",".join(map(repr, row)) + "\n"
+                                    for row in hub_features().tolist()))
+        recording_splu(monkeypatch, fail_on)
+        code = cli.main(["eigen-dump", "--input", str(features), "--k", "10", "--m", "5"])
+        assert code == 2
+        assert "shifted by" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dense_rows", ["none", "all"])
+    def test_graph_without_dense_rows_makes_the_direct_call(self, monkeypatch, dense_rows):
+        # A blob Laplacian has no dense row; in a full 200 x 200 matrix every
+        # row is dense, and there is no hub-free block to order.
+        if dense_rows == "none":
+            lap = disconnected_laplacian()
+        else:
+            lap = sym_csr(random_psd(200, np.random.default_rng(16)))
+        shift = 1e-5 * float(_row_sums(lap, np.abs(lap.data)).max())
+        calls = recording_splu(monkeypatch)
+        factor = spd_factor(lap, shift)
+        assert [spec for spec, _ in calls] == ["MMD_AT_PLUS_A"]
+        monkeypatch.undo()
+        direct = spla.splu(shifted(lap, shift), permc_spec="MMD_AT_PLUS_A", **SPD_OPTIONS)
+        b = np.random.default_rng(4).standard_normal((lap.shape[0], 3))
+        for column in b.T:
+            assert np.array_equal(factor.solve(column), direct.solve(column))
