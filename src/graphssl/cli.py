@@ -409,9 +409,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # Pinned for good: after the command's forks, restoring the count would
+    # restart OpenBLAS's server threads, and in-process callers would run
+    # the next command beside them.
+    parallel.pin_one_blas_thread()
     try:
-        with parallel.one_blas_thread():
-            return COMMANDS[args.command](args)
+        return COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

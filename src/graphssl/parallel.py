@@ -2,11 +2,20 @@
 
 fork_map runs a function over items in forked processes, which inherit the
 function and everything it refers to instead of receiving them pickled.
-one_blas_thread pins OpenBLAS to one thread for the whole computation, in
-the parent before the fork and therefore in every worker: several workers
-each running multi-threaded BLAS would oversubscribe the CPUs, and the
-rounding of some BLAS routines depends on their thread count, so without
-the pin the answer would depend on the worker count and the environment.
+pin_one_blas_thread sets OpenBLAS to one thread, and one_blas_thread does
+so for the length of a block. The pin is in place in the parent before the
+fork and therefore in every worker: several workers each running
+multi-threaded BLAS would oversubscribe the CPUs, and the rounding of some
+BLAS routines depends on their thread count, so without the pin the answer
+would depend on the worker count and the environment.
+
+OpenBLAS stops its server threads when the process forks, in the parent as
+in the child, and its next set call starts them again, even to the count
+it already has. Each started thread spins before it sleeps: with numpy's
+and scipy's libraries, one set call each after a fork cost 0.13-0.16 s
+of CPU on a 2-vCPU Xeon. So a pin calls set only for a library whose
+count is not already one, and restores only what it changed: a pin inside
+another pin, or in a forked worker, makes no OpenBLAS call at all.
 
 ctypes and multiprocessing are imported only when a pool or the pin is
 used, so importing the package stays as fast as before.
@@ -68,21 +77,34 @@ def _openblas_controls():
     return controls
 
 
+def pin_one_blas_thread():
+    """Set every mapped OpenBLAS library that is not on one thread to one.
+
+    Returns the (set, earlier count) pairs of the libraries it changed. A
+    library already on one thread, as in a forked worker or under another
+    pin, is only read: a set call after a fork restarts its server threads.
+    """
+    changed = []
+    for get, set_ in _openblas_controls():
+        count = get()
+        if count != 1:
+            set_(1)
+            changed.append((set_, count))
+    return changed
+
+
 @contextlib.contextmanager
 def one_blas_thread():
     """Run the body with every mapped OpenBLAS library set to one thread.
 
-    The earlier thread counts are restored on exit. The setting is process
+    The counts the pin changed are restored on exit. The setting is process
     wide, so it also holds for other threads while the body runs.
     """
-    controls = _openblas_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_ in controls:
-        set_(1)
+    changed = pin_one_blas_thread()
     try:
         yield
     finally:
-        for (_, set_), count in zip(controls, previous):
+        for set_, count in changed:
             set_(count)
 
 

@@ -744,6 +744,58 @@ class TestBlasThreadCount:
         assert outputs["1"] == outputs["2"]
 
 
+def logging_set_calls(log):
+    """A stand-in for parallel._openblas_controls whose set calls append to log.
+
+    The log is a file, so set calls in forked workers are counted too.
+    """
+    controls = parallel._openblas_controls
+
+    def logged(set_):
+        def set_and_log(count):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {count}\n")
+            set_(count)
+        return set_and_log
+
+    return lambda: [(get, logged(set_)) for get, set_ in controls()]
+
+
+class TestBlasPinOutlivesTheCommand:
+    """cli.main leaves every OpenBLAS library on one thread.
+
+    OpenBLAS stops its server threads on a fork, and its next set call
+    starts them again, even to the count it already has. So after the first
+    command neither cli.main nor a fork_map pin, in the parent or in a
+    worker, may call set.
+    """
+
+    @pytest.mark.skipif(not parallel._openblas_controls(),
+                        reason="no OpenBLAS library is mapped")
+    @pytest.mark.parametrize("command", ["noise-sweep", "refine-bow"])
+    def test_a_second_command_makes_no_set_call(self, tmp_path, monkeypatch, command):
+        if command == "noise-sweep":
+            argv = ["noise-sweep", "--runs", "2", "--workers", "2", "--noise-fraction", "0"]
+        else:
+            visual, textual = write_corpus(tmp_path, seed=3)
+            argv = ["refine-bow", "--input", str(visual), str(textual), *REFINE_ARGS]
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        controls = parallel._openblas_controls()
+        before = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(2)
+            assert cli.main(argv + ["--output", str(tmp_path / "first")]) == 0
+            assert [get() for get, _ in controls] == [1] * len(controls)
+            log = tmp_path / "set-calls.log"
+            monkeypatch.setattr(parallel, "_openblas_controls", logging_set_calls(log))
+            assert cli.main(argv + ["--output", str(tmp_path / "second")]) == 0
+            assert not log.exists()
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+
+
 # Flags that a command does not read, each with a value that is valid where
 # the flag is read.
 UNREAD_FLAGS = [

@@ -1,6 +1,9 @@
 import inspect
+import json
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +44,50 @@ class TestOneBlasThread:
             with parallel.one_blas_thread():
                 raise RuntimeError("body failed")
         assert blas_thread_counts() == before
+
+
+# Threads of this process, read in each worker after a nested fork_map and in
+# the parent after the pool. A joined thread can stay listed for a moment
+# while it exits, so a count above one is read again for up to a second; an
+# OpenBLAS server thread sleeps once it has spun, and stays.
+NESTED_POOL_THREADS = """
+import json, os, time
+from graphssl import parallel
+
+def threads():
+    deadline = time.monotonic() + 1.0
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return len(os.listdir("/proc/self/task"))
+
+def inner(_):
+    list(parallel.fork_map(abs, range(2), 2))
+    return threads()
+
+with parallel.one_blas_thread():
+    workers = list(parallel.fork_map(inner, range(2), 2))
+    parent = threads()
+print(json.dumps([workers, parent]))
+"""
+
+
+class TestNoRestartAfterFork:
+    """A pin makes no OpenBLAS set call where the count is already one.
+
+    OpenBLAS stops its server threads on a fork, and its next set call
+    starts them again, even to the count it already has. Each then spins
+    on a CPU before it sleeps. With a set call on entry and exit of every
+    pin, each worker and the parent held one such thread per library.
+    """
+
+    @needs_openblas
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_nested_pools_leave_every_process_on_one_thread(self):
+        result = subprocess.run([sys.executable, "-c", NESTED_POOL_THREADS],
+                                capture_output=True, text=True,
+                                env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [[1, 1], 1]
 
 
 def fail_on_three(item):
