@@ -283,14 +283,12 @@ def cmd_classify(args):
         *params.items(),
     ]
     if truth is not None:
-        labeled_mask = np.zeros(n, dtype=bool)
-        for index, _ in assignments:
-            labeled_mask[index] = True
-        unlabeled = ~labeled_mask
+        unlabeled = np.ones(n, dtype=bool)
+        unlabeled[[index for index, _ in assignments]] = False
         items.append(("accuracy_all", evaluate(solution, truth, np.ones(n, dtype=bool))))
         if unlabeled.any():
             items.append(("accuracy_unlabeled", evaluate(solution, truth, unlabeled)))
-    predictions = "".join(f"{int(label)}\n" for label in solution.labels)
+    predictions = "".join([f"{label}\n" for label in solution.labels.tolist()])
     _emit(args, [
         ("predictions.txt", predictions),
         ("metrics.txt", fileio.render_metrics(items)),

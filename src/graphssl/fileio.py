@@ -7,6 +7,7 @@ emits for a finite float) and key order is the insertion order of the caller.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import json
@@ -90,7 +91,23 @@ def read_label_assignments(path):
 
 
 def read_truth(path):
-    """Ground-truth file: one integer class per line."""
+    """Ground-truth file: one integer class per line.
+
+    A file of only digits, signs and whitespace that parses as one column is
+    read in bulk; any other goes to the line reader, which names a bad line.
+    """
+    with open(path, "rb") as fh:
+        body = fh.read()
+    if body.strip() and not body.translate(None, b"0123456789+- \t\r\n"):
+        with contextlib.suppress(ValueError):  # loadtxt's error names no line
+            labels = np.loadtxt(io.BytesIO(body), dtype=np.int64, ndmin=2, comments=None)
+            if labels.shape[1] == 1:
+                return labels[:, 0]
+    return _read_truth_by_line(path)
+
+
+def _read_truth_by_line(path):
+    """read_truth one line at a time, raising on the first bad line."""
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -264,10 +281,7 @@ def _plain(value):
 
 def render_metrics(items):
     """Render ordered (key, value) pairs as `key = <json>` lines."""
-    lines = []
-    for key, value in items:
-        lines.append(f"{key} = {json.dumps(_plain(value))}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(f"{key} = {json.dumps(_plain(value))}" for key, value in items) + "\n"
 
 
 def parse_metrics(text):

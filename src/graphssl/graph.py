@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
+from . import parallel
 from .errors import IsolatedVertexError
 from .linalg import _row_sums, check_symmetric
 
@@ -47,9 +48,10 @@ def _mirror(n, lo, hi, vals):
     """Symmetric CSR weight matrix from undirected edges (lo < hi, weight)."""
     if not np.all(np.isfinite(vals) & (vals != 0.0)):
         raise ValueError("edge weights must be finite and nonzero")
-    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    # Mirrored entries first: edges sorted by (lo, hi) then leave tocsr with sorted rows.
+    rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
     w = sp.coo_matrix((np.concatenate([vals, vals]), (rows, cols)), shape=(n, n)).tocsr()
-    w.sum_duplicates()  # sorts each row; a repeated edge would merge into one entry
+    w.sum_duplicates()  # sorts any unsorted row; a repeated edge would merge into one entry
     if w.nnz != 2 * vals.size:
         raise ValueError("duplicate matrix entries")
     return w
@@ -82,15 +84,16 @@ def _symmetrize(n, src, dst, vals):
     """Undirected edges (lo, hi, weight), sorted by (lo, hi), from directed picks.
 
     An edge is kept when either endpoint picked it, with the weight of the
-    first pick in input order. Each (src, dst) pair must occur at most once.
+    first pick in input order (its equal keys' earliest position, as a stable
+    sort would pick). Each (src, dst) pair must occur at most once.
     """
     lo_idx = np.minimum(src, dst)
     hi_idx = np.maximum(src, dst)
     keys = lo_idx * n + hi_idx
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     first = np.flatnonzero(np.diff(keys, prepend=-1))
-    pick = order[first]
+    pick = np.minimum.reduceat(order, first)
     return lo_idx[pick], hi_idx[pick], vals[pick]
 
 
@@ -129,8 +132,7 @@ def linear_knn_graph(x, config):
     if src.size == 0:
         raise ValueError("weight matrix has no edges")
     dst, vals = np.concatenate(dst_parts), np.concatenate(val_parts)
-    lo_idx, hi_idx, vals = _symmetrize(n, src, dst, vals)
-    return _mirror(n, lo_idx, hi_idx, vals)
+    return _mirror(n, *_symmetrize(n, src, dst, vals))
 
 
 def gaussian_knn_graph(x, config):
@@ -139,7 +141,7 @@ def gaussian_knn_graph(x, config):
     Neighbors come from a KD-tree, which keeps the construction close to
     n log n instead of forming the dense kernel of tests/oracle_graph.py.
     Selecting neighbors by distance equals selecting by kernel value because
-    the kernel is monotone.
+    the kernel is monotone. The query runs on usable_cpus() threads, joined on return.
     """
     x = _as_features(x)
     n = x.shape[0]
@@ -148,27 +150,25 @@ def gaussian_knn_graph(x, config):
     if config.k >= n:
         raise ValueError(f"k={config.k} must be smaller than the number of samples {n}")
     tree = cKDTree(x)
-    dist, idx = tree.query(x, k=config.k + 1)
+    dist, idx = tree.query(x, k=config.k + 1, workers=parallel.usable_cpus())
     # Drop exactly one slot per row: the self match when present, else the
     # farthest hit (self can be crowded out by duplicate points).
     drop = idx == np.arange(n)[:, None]
     missing = ~drop.any(axis=1)
     drop[missing, -1] = True
     keep = ~drop
-    dst = idx[keep].reshape(n, config.k)
-    dd = dist[keep].reshape(n, config.k)
     src = np.repeat(np.arange(n, dtype=np.int64), config.k)
-    dst = dst.reshape(-1).astype(np.int64)
+    dst = idx[keep].astype(np.int64, copy=False)
     # A bandwidth small enough to under- or overflow the exponent gives
     # weight 0; such edges are dropped below, as any underflowed weight is.
     # Duplicate points keep weight exactly 1, even where 0/0 would be NaN.
-    dd = dd.reshape(-1)
+    dd = dist[keep]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         wvals = np.where(dd == 0.0, 1.0, np.exp(-(dd ** 2) / (2.0 * config.sigma * config.sigma)))
     nz = wvals > 0.0
     src, dst, wvals = src[nz], dst[nz], wvals[nz]
-    lo_idx, hi_idx, wvals = _symmetrize(n, src, dst, wvals)
-    return _mirror(n, lo_idx, hi_idx, wvals)
+    del dist, idx, drop, keep, dd, nz  # the edge kernels set the peak memory; free these first
+    return _mirror(n, *_symmetrize(n, src, dst, wvals))
 
 
 def normalized_laplacian(w):

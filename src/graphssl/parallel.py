@@ -38,8 +38,10 @@ _BLAS_CONTROLS = (
 
 
 def usable_cpus():
-    """CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """CPUs this process may run on; one inside a fork_map worker, whose pool has them."""
+    if _inherited is not None or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _openblas_controls():

@@ -31,8 +31,9 @@ class SpectralBasis:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        vectors = np.ascontiguousarray(self.vectors, dtype=np.float64)
-        eigenvalues = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
+        # Copies, so that freezing them leaves the caller's arrays writeable.
+        vectors = np.array(self.vectors, dtype=np.float64, order="C")
+        eigenvalues = np.array(self.eigenvalues, dtype=np.float64, order="C")
         if vectors.ndim != 2 or eigenvalues.ndim != 1:
             raise ValueError("expected a 2-d vector block and 1-d eigenvalues")
         n, m = vectors.shape

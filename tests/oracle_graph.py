@@ -35,3 +35,23 @@ def knn(w, k):
         for _, j in ranked[:k]:
             keep[i, j] = keep[j, i] = True
     return sp.csr_matrix(np.where(keep, dense, 0.0))
+
+
+def symmetrize(n, src, dst, vals):
+    """Undirected edges (lo, hi, weight) by a stable sort of the pair keys: each edge
+    keeps the weight of its first pick in input order."""
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    keys = lo * n + hi
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    pick = order[np.flatnonzero(np.diff(keys, prepend=-1))]
+    return lo[pick], hi[pick], vals[pick]
+
+
+def mirror(n, lo, hi, vals):
+    """Symmetric CSR through COO, each (lo, hi) entry before its mirror, every row sorted by
+    sum_duplicates, which also merges a repeated edge into one entry."""
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    w = sp.coo_matrix((np.concatenate([vals, vals]), (rows, cols)), shape=(n, n)).tocsr()
+    w.sum_duplicates()
+    return w

@@ -96,6 +96,52 @@ class TestLabels:
         assert fileio.read_truth(path).tolist() == [0, 1, 1]
 
 
+class TestBulkTruth:
+    """read_truth must return exactly what the line-by-line reader returns, or raise its error."""
+
+    @pytest.mark.parametrize("text", [
+        "0\n1\n1\n",
+        "+3\n-2\n007\n",
+        " 3 \n\t4\t\n",
+        "3\n\n   \n4\n\n",
+        "3\r\n4\r\n",
+        "3\r4\r",
+        "1_0\n",
+        "\u0663\n",
+        "\x853\xa0\n",
+        "\x1c3\n",
+        "3",
+    ], ids=["plain", "signs-and-zeros", "spaced", "blank-and-whitespace-lines", "crlf", "cr",
+            "digit-separator", "arabic-indic-digit", "unicode-spaces", "file-separator",
+            "no-final-newline"])
+    def test_matches_line_reader(self, tmp_path, text):
+        path = tmp_path / "truth.txt"
+        path.write_bytes(text.encode())
+        expected = fileio._read_truth_by_line(path)
+        got = fileio.read_truth(path)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("text", [
+        "3.0\n", "1 2\n", "1 2\n3 4\n", "3\n1 2\n", "--3\n", "- 3\n", "3-4\n", "+\n",
+        "#3\n", "", "\n \n", "9223372036854775808\n",
+    ])
+    def test_rejects_like_line_reader(self, tmp_path, text):
+        path = tmp_path / "truth.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            fileio._read_truth_by_line(path)
+        with pytest.raises(expected.type) as got:
+            fileio.read_truth(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_plain_file_is_parsed_in_bulk(self, tmp_path, monkeypatch):
+        path = tmp_path / "truth.txt"
+        path.write_bytes("".join(f"{v}\n" for v in range(-5, 995)).encode())
+        monkeypatch.setattr(fileio, "_read_truth_by_line", lambda _: pytest.fail("line reader ran"))
+        assert fileio.read_truth(path).tolist() == list(range(-5, 995))
+
+
 class TestBowFormat:
     def test_round_trip_bits(self, tmp_path):
         rng = np.random.default_rng(0)

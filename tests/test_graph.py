@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 import oracle_graph
-from graphssl import graph
+from graphssl import graph, parallel
 from graphssl.errors import IsolatedVertexError
 from graphssl.graph import GraphConfig, gaussian_knn_graph, linear_knn_graph, normalized_laplacian
 
@@ -15,6 +16,12 @@ def same_graph(a, b):
             and np.array_equal(a.indptr, b.indptr)
             and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data, b.data))
+
+
+def same_csr_arrays(a, b):
+    """same_graph, with the index and value dtypes equal too."""
+    return same_graph(a, b) and all(getattr(a, name).dtype == getattr(b, name).dtype
+                                    for name in ("indptr", "indices", "data"))
 
 
 def upper(w):
@@ -247,6 +254,97 @@ class TestGaussianKnnGraph:
     def test_rejects_k_too_large(self):
         with pytest.raises(ValueError, match="smaller"):
             gaussian_knn_graph(np.zeros((3, 2)), GraphConfig(k=3))
+
+
+def directed_picks(rng, n, count):
+    """count distinct (src, dst) pairs with src != dst, in random order, and random weights."""
+    flat = rng.choice(n * (n - 1), size=count, replace=False)
+    src, offset = np.divmod(flat, n - 1)
+    dst = offset + (offset >= src)
+    return src.astype(np.int64), dst.astype(np.int64), rng.uniform(0.1, 1.0, count)
+
+
+class TestEdgeKernels:
+    """_symmetrize and _mirror against the stable-sort and row-sorting kernels of oracle_graph."""
+
+    def check(self, n, src, dst, vals):
+        edges = graph._symmetrize(n, src, dst, vals)
+        expected = oracle_graph.symmetrize(n, src, dst, vals)
+        for got, want in zip(edges, expected):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert same_csr_arrays(graph._mirror(n, *edges), oracle_graph.mirror(n, *expected))
+
+    def test_random_directed_picks(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            self.check(n, *directed_picks(rng, n, int(rng.integers(1, n * (n - 1) + 1))))
+
+    def test_pairs_picked_from_both_ends_keep_the_first_weight(self):
+        # Every edge is picked from both ends, with weights that differ in
+        # the last bit, in random order: the first pick's weight must win.
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            a, b = np.triu_indices(n, k=1)
+            pick = rng.choice(a.size, size=int(rng.integers(1, a.size + 1)), replace=False)
+            src, dst = np.concatenate([a[pick], b[pick]]), np.concatenate([b[pick], a[pick]])
+            w = rng.uniform(0.1, 1.0, pick.size)
+            vals = np.concatenate([w, np.nextafter(w, 2.0)])
+            order = rng.permutation(src.size)
+            self.check(n, src[order], dst[order], vals[order])
+
+    def test_pair_keys_beyond_32_bits(self):
+        rng = np.random.default_rng(23)
+        n = 100_000
+        src, dst, vals = directed_picks(rng, 50, 1000)
+        src, dst = src + (n - 50), dst + (n - 50)
+        assert (np.minimum(src, dst) * n + np.maximum(src, dst)).max() > 2 ** 31
+        self.check(n, src, dst, vals)
+
+    def test_zero_edges(self):
+        empty = np.empty(0, dtype=np.int64)
+        self.check(5, empty, empty, np.empty(0))
+
+    @pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+    def test_mirror_rejects_zero_and_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            graph._mirror(3, np.array([0, 1]), np.array([1, 2]), np.array([1.0, bad]))
+
+
+class TestThreadedQuery:
+    """The KD-tree query runs on usable_cpus() threads: one inside a fork_map worker."""
+
+    def test_query_threads_follow_usable_cpus(self, monkeypatch):
+        calls = []
+
+        class RecordingTree:
+            def __init__(self, data):
+                self.tree = cKDTree(data)
+
+            def query(self, *args, **kwargs):
+                calls.append(kwargs.get("workers", 1))
+                return self.tree.query(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "cKDTree", RecordingTree)
+        x = np.random.default_rng(24).standard_normal((50, 2))
+
+        def build(_):
+            calls.clear()
+            gaussian_knn_graph(x, GraphConfig(k=3))
+            return list(calls)
+
+        assert build(None) == [parallel.usable_cpus()]
+        assert list(parallel.fork_map(build, range(2), 2)) == [[1], [1]]
+
+    def test_graph_does_not_depend_on_the_thread_count(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        x = np.vstack([rng.standard_normal((4000, 3)), np.zeros((5, 3))])  # with duplicates
+        graphs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
+            graphs.append(gaussian_knn_graph(x, GraphConfig(sigma=0.5, k=10)))
+        assert same_csr_arrays(*graphs)
 
 
 class TestNormalizedLaplacian:

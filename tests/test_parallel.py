@@ -126,6 +126,12 @@ class TestForkMap:
         for pids in parallel.fork_map(inner, range(2), 2):
             assert len(set(pids)) == 1 and pids[0] != os.getpid()
 
+    def test_usable_cpus_is_one_in_a_worker(self):
+        # The pool has the CPUs: code in a worker must not start threads of its own.
+        cpus = parallel.usable_cpus()
+        assert list(parallel.fork_map(lambda _: parallel.usable_cpus(), range(2), 1)) == [cpus] * 2
+        assert list(parallel.fork_map(lambda _: parallel.usable_cpus(), range(2), 2)) == [1, 1]
+
     def test_a_dead_worker_is_a_child_process_error(self):
         with pytest.raises(ChildProcessError, match="ended without a result"):
             list(parallel.fork_map(lambda _: os._exit(3), range(2), 2))

@@ -175,6 +175,14 @@ class TestSpectralBasisInvariants:
         with pytest.raises(ValueError, match="range"):
             SpectralBasis(vectors=np.eye(2), eigenvalues=np.array([0.0, 2.5]))
 
+    def test_freezes_copies_not_the_callers_arrays(self):
+        vectors, eigenvalues = np.eye(3)[:, :2].copy(), np.array([0.0, 1.0])
+        basis = SpectralBasis(vectors=vectors, eigenvalues=eigenvalues)
+        assert vectors.flags.writeable and eigenvalues.flags.writeable
+        assert not basis.vectors.flags.writeable and not basis.eigenvalues.flags.writeable
+        vectors[0, 0] = eigenvalues[0] = 5.0
+        assert basis.vectors[0, 0] == 1.0 and basis.eigenvalues[0] == 0.0
+
     def test_clamps_small_negatives(self):
         # build_basis clamps PSD rounding noise to zero before the sqrt.
         _, lap = random_laplacian(10, seed=15)
