@@ -10,16 +10,15 @@ counterpart matrices, so the order does not matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import parallel
+from . import fileio, parallel
 from .errors import IsolatedVertexError
 from .graph import GraphConfig, linear_knn_graph, normalized_laplacian
-from .solver import kkt_residual, objective, soft_threshold
-from .spectral import build_basis
-from .ssl import fit_scores
+from .solver import kkt_residual, l1_coefficients, objective, soft_threshold
+from .spectral import SpectralBasis, build_basis
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,49 @@ def apply_error_sparsity(y_star, y, gamma):
     return soft_threshold(y_star - y, gamma) + y
 
 
-def refine(y, other, cfg, seed=0):
-    """Refine count matrix y on the graph of its counterpart modality.
+@dataclass(frozen=True)
+class Refinement:
+    """A refined matrix as the parts its rows are rebuilt from; basis is None when lam is 0.
 
-    The graph is the k-NN linear-kernel graph of `other`; a document
-    whose counterpart row is all zero has no edges and raises
-    IsolatedVertexError naming it. Returns (refined, RefineReports).
+    rows(start, stop) equals those rows of refine's matrix bit for bit, so
+    the matrix is never held whole. co_refine counts changed_entries, the
+    entries that differ from y, and nnz, those that a triplet file keeps.
     """
+
+    y: np.ndarray
+    basis: SpectralBasis | None
+    alpha: np.ndarray | None
+    gamma: float
+    reports: RefineReports
+    changed_entries: int = 0
+    nnz: int = 0
+
+    @property
+    def shape(self):
+        return self.y.shape
+
+    def rows(self, start, stop):
+        y = self.y[start:stop]
+        smoothed = y if self.basis is None else self.basis.expand_rows(self.alpha, start, stop)
+        return apply_error_sparsity(smoothed, y, self.gamma)
+
+    def kept(self, threshold):
+        """Entries with |value| > threshold; a NaN or infinite one raises ValueError."""
+        return self.nnz if threshold == fileio.THRESHOLD else self.walk(threshold)[1]
+
+    def walk(self, threshold):
+        """(changed entries, kept entries), over the rows in fileio.FORMAT_BLOCK_ROWS blocks."""
+        changed = kept = 0
+        for start in range(0, self.shape[0], fileio.FORMAT_BLOCK_ROWS):
+            stop = start + fileio.FORMAT_BLOCK_ROWS
+            block = self.rows(start, stop)
+            changed += int(np.count_nonzero(block != self.y[start:stop]))
+            kept += int(np.count_nonzero(fileio.kept_mask(block, threshold)))
+        return changed, kept
+
+
+def _refinement(y, other, cfg, seed):
+    """The Refinement of y on the graph of other, its counts not yet walked."""
     y = _as_bow(y, "bow matrix")
     other = _as_bow(other, "counterpart matrix")
     n = y.shape[0]
@@ -108,34 +143,44 @@ def refine(y, other, cfg, seed=0):
         # The smoothing objective reduces to 0.5 ||F - Y||^2, whose exact
         # minimizer is Y itself; skip the graph machinery so the identity is
         # bit-exact.
-        smoothed = y.copy()
-        total, worst = 0.0, 0.0
-    else:
-        graph = linear_knn_graph(other, GraphConfig(k=cfg.k))
-        lap = normalized_laplacian(graph)
-        basis = build_basis(lap, cfg.m, seed=seed)
-        smoothed, alpha = fit_scores(basis, y, cfg.lam)
-        total = objective(basis, y, cfg.lam, alpha)
-        worst = kkt_residual(basis, y, cfg.lam, alpha)
-    refined = apply_error_sparsity(smoothed, y, cfg.gamma)
-    return refined, RefineReports(total_objective=total, max_kkt_residual=worst)
+        return Refinement(y, None, None, cfg.gamma, RefineReports(0.0, 0.0))
+    graph = linear_knn_graph(other, GraphConfig(k=cfg.k))
+    basis = build_basis(normalized_laplacian(graph), cfg.m, seed=seed)
+    alpha = np.asfortranarray(l1_coefficients(basis, y, cfg.lam))  # expanded column by column
+    reports = RefineReports(total_objective=objective(basis, y, cfg.lam, alpha),
+                            max_kkt_residual=kkt_residual(basis, y, cfg.lam, alpha))
+    return Refinement(y, basis, alpha, cfg.gamma, reports)
+
+
+def refine(y, other, cfg, seed=0):
+    """Refine count matrix y on the graph of its counterpart modality.
+
+    The graph is the k-NN linear-kernel graph of `other`; a document
+    whose counterpart row is all zero has no edges and raises
+    IsolatedVertexError naming it. Returns (refined, RefineReports), with
+    the whole refined matrix.
+    """
+    parts = _refinement(y, other, cfg, seed)
+    smoothed = parts.y.copy() if parts.basis is None else parts.basis.expand(parts.alpha)
+    return apply_error_sparsity(smoothed, parts.y, cfg.gamma), parts.reports
 
 
 def co_refine(y_visual, y_textual, cfg_visual, cfg_textual, seed=0):
-    """Refine both modalities against each other's original matrix.
+    """Refine both modalities against each other's original matrix, as two Refinements.
 
-    Both refinements read the unmodified counterpart, so they are independent
-    and order-free; swapping the arguments swaps the outputs. They run on
-    parallel.fork_map's forked workers, one per usable CPU, which inherit
-    the matrices; only the refined matrices and reports are pickled back.
-    Each refinement is the same wherever it runs, and a failure of the
-    visual one is raised before one of the textual one.
+    Both read the unmodified counterpart, so swapping the arguments swaps
+    the outputs. They run on parallel.fork_map's forked workers, one per
+    usable CPU, which inherit the matrices, walk the refined rows once (a
+    NaN or infinite entry raises ValueError) and pickle back all but y. A
+    failure of the visual refinement is raised before one of the textual one.
     """
     halves = ((y_visual, y_textual, cfg_visual), (y_textual, y_visual, cfg_textual))
 
     def half(i):
-        y, other, cfg = halves[i]
-        return refine(y, other, cfg, seed=seed)
+        refinement = _refinement(*halves[i], seed)
+        changed, nnz = refinement.walk(fileio.THRESHOLD)
+        return replace(refinement, y=None, changed_entries=changed, nnz=nnz)
 
-    refined_visual, refined_textual = parallel.fork_map(half, (0, 1), parallel.usable_cpus())
-    return refined_visual, refined_textual
+    parts = parallel.fork_map(half, (0, 1), parallel.usable_cpus())
+    return tuple(replace(part, y=np.asarray(y, dtype=np.float64))
+                 for part, (y, _, _) in zip(parts, halves))

@@ -344,21 +344,7 @@ def cmd_refine_bow(args):
     for name, cfg in (("visual", cfg_visual), ("textual", cfg_textual)):
         _check_sizes(cfg.k, cfg.m, n, "document count", prefix=f"{name} ")
 
-    (refined_visual, rep_v), (refined_textual, rep_t) = bow.co_refine(
-        visual, textual, cfg_visual, cfg_textual, seed=args.seed
-    )
-
-    def summary(prefix, refined, original, cfg, reports):
-        changed = int(np.count_nonzero(refined != original))
-        return [
-            (f"{prefix}.lam", cfg.lam),
-            (f"{prefix}.gamma", cfg.gamma),
-            (f"{prefix}.k", cfg.k),
-            (f"{prefix}.m", cfg.m),
-            (f"{prefix}.changed_entries", changed),
-            (f"{prefix}.total_objective", reports.total_objective),
-            (f"{prefix}.max_kkt_residual", reports.max_kkt_residual),
-        ]
+    refinements = bow.co_refine(visual, textual, cfg_visual, cfg_textual, seed=args.seed)
 
     items = [
         ("schema", SCHEMA_VERSION),
@@ -366,12 +352,21 @@ def cmd_refine_bow(args):
         ("seed", args.seed),
         ("documents", n),
     ]
-    items += summary("visual", refined_visual, visual, cfg_visual, rep_v)
-    items += summary("textual", refined_textual, textual, cfg_textual, rep_t)
-
+    for prefix, cfg, refinement in zip(("visual", "textual"), (cfg_visual, cfg_textual),
+                                       refinements):
+        items += [
+            (f"{prefix}.lam", cfg.lam),
+            (f"{prefix}.gamma", cfg.gamma),
+            (f"{prefix}.k", cfg.k),
+            (f"{prefix}.m", cfg.m),
+            (f"{prefix}.changed_entries", refinement.changed_entries),
+            (f"{prefix}.total_objective", refinement.reports.total_objective),
+            (f"{prefix}.max_kkt_residual", refinement.reports.max_kkt_residual),
+        ]
+    refined_visual, refined_textual = fileio.bow_documents(refinements)
     _emit(args, [
-        ("refined_visual.txt", fileio.bow_chunks(refined_visual)),
-        ("refined_textual.txt", fileio.bow_chunks(refined_textual)),
+        ("refined_visual.txt", refined_visual),
+        ("refined_textual.txt", refined_textual),
         ("metrics.txt", fileio.render_metrics(items)),
     ])
     return 0

@@ -10,9 +10,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from . import parallel
 
 # Rows of a count matrix rendered per block by bow_chunks.
 FORMAT_BLOCK_ROWS = 256
+
+# Entries of at most this magnitude are left out of a triplet file.
+THRESHOLD = 1e-12
 
 
 def read_features(path):
@@ -210,58 +215,74 @@ def _raise_first_bad_line(path, body, n, m):
     raise ValueError(f"{path}: malformed triplet body")
 
 
-def _block_formatter(matrix, threshold):
-    """(header, block starts, formatter of one block) of a matrix to write.
+def kept_mask(block, threshold=THRESHOLD):
+    """Mask of the entries with |value| > threshold, which a triplet file keeps.
 
-    Every entry with |value| > threshold is kept; a NaN or infinite one
-    raises ValueError here, before any text exists.
+    A NaN is kept, so that a NaN or infinite kept entry raises ValueError.
     """
+    keep = ~(np.abs(block) <= threshold)
+    if not np.all(np.isfinite(block[keep])):
+        raise ValueError("matrix entries must be finite")
+    return keep
+
+
+def _matrix_rows(matrix):
+    """A 2-d matrix as a row-block source of bow_documents."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    keep = ~(np.abs(matrix) <= threshold)  # NaN is kept, so the finiteness check sees it
-    if not np.all(np.isfinite(matrix[keep])):
-        raise ValueError("matrix entries must be finite")
-    n, m = matrix.shape
-    row_text = [f"{i} " for i in range(n)]
-    col_text = [f"{j} " for j in range(m)]
-    return (f"{n} {m} {np.count_nonzero(keep)}\n", range(0, n, FORMAT_BLOCK_ROWS),
-            functools.partial(_format_block, matrix, keep, row_text, col_text))
+    return SimpleNamespace(shape=matrix.shape, rows=lambda start, stop: matrix[start:stop],
+                           kept=lambda threshold: np.count_nonzero(kept_mask(matrix, threshold)))
 
 
-def _format_block(matrix, keep, row_text, col_text, start):
-    """Triplet lines of the kept entries in FORMAT_BLOCK_ROWS rows from start."""
-    rows, cols = np.nonzero(keep[start:start + FORMAT_BLOCK_ROWS])
-    rows += start
-    vals = matrix[rows, cols]
-    return "".join([f"{row_text[i]}{col_text[j]}{v!r}\n" for i, j, v
-                    in zip(rows.tolist(), cols.tolist(), vals.tolist())])
-
-
-def bow_chunks(matrix, threshold=1e-12):
+def bow_chunks(source, threshold=THRESHOLD):
     """A matrix as sparse triplet text, dropping |value| <= threshold.
 
     The text comes as an iterator of encoded chunks, in order: the header
     `n M nnz`, then one chunk per FORMAT_BLOCK_ROWS rows, so the whole text
     is never held at once. Entries are in row-major order and values are
     rendered by repr, which gives the same text as json for every finite
-    float. The matrix is checked here, before the first chunk exists: a NaN
-    or infinite entry raises ValueError.
+    float. The source (see bow_documents) is checked here, before the first
+    chunk exists: a NaN or infinite entry raises ValueError.
     """
-    header, starts, block = _block_formatter(matrix, threshold)
-    return _stream(header, starts, block)
+    return bow_documents([source], threshold)[0]
 
 
-def _stream(header, starts, block):
-    """Yield the encoded header, then each block's text.
+def bow_documents(sources, threshold=THRESHOLD):
+    """bow_chunks of each source, with the blocks of all of them formatted on one pool.
 
-    The blocks are formatted in forked workers, one per usable CPU, which
-    inherit the matrix through the fork instead of receiving it pickled
-    with every block.
+    A source is a 2-d matrix or a row-block source: an object with a shape
+    (n, M), rows(start, stop), which returns those rows as a 2-d array, and
+    kept(threshold), which counts the entries that kept_mask keeps. Every
+    source is checked before this returns. The pool's forked workers
+    inherit the sources and return encoded blocks; the iterators share the
+    pool, so they must be read in order.
     """
-    yield header.encode()
-    for text in parallel.fork_map(block, starts, parallel.usable_cpus()):
-        yield text.encode()
+    sources = [source if hasattr(source, "rows") else _matrix_rows(source)
+               for source in sources]
+    headers = [f"{source.shape[0]} {source.shape[1]} {source.kept(threshold)}\n".encode()
+               for source in sources]
+    items = [(index, start) for index, source in enumerate(sources)
+             for start in range(0, source.shape[0], FORMAT_BLOCK_ROWS)]
+    texts = parallel.fork_map(functools.partial(_format_block, sources, threshold), items,
+                              parallel.usable_cpus())
+    counts = [-(-source.shape[0] // FORMAT_BLOCK_ROWS) for source in sources]
+    counts[-1] = None  # the last document runs the pool to its end, which closes it
+    return [itertools.chain([header], itertools.islice(texts, count))
+            for header, count in zip(headers, counts)]
+
+
+def _format_block(sources, threshold, item):
+    """Encoded triplet lines of the FORMAT_BLOCK_ROWS rows from item = (source, first row)."""
+    index, start = item
+    block = sources[index].rows(start, start + FORMAT_BLOCK_ROWS)
+    flat = np.flatnonzero(kept_mask(block, threshold))
+    rows, cols = np.divmod(flat, block.shape[1])
+    vals = block.ravel()[flat]
+    row_text = [f"{i} " for i in range(start, start + block.shape[0])]
+    col_text = [f"{j} " for j in range(block.shape[1])]
+    return "".join([f"{row_text[i]}{col_text[j]}{v!r}\n" for i, j, v
+                    in zip(rows.tolist(), cols.tolist(), vals.tolist())]).encode()
 
 
 def _plain(value):

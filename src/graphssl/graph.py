@@ -102,9 +102,10 @@ def linear_knn_graph(x, config):
 
     Each block of LINEAR_BLOCK_ROWS rows is multiplied by x.T, its self
     entries are zeroed and every row keeps its k largest positive products
-    (ties to the lowest column); an edge survives when either endpoint picks
-    it. Memory stays O(block * n), and the result does not depend on the
-    block size. tests/oracle_graph.py holds the dense n x n reference.
+    (ties to the lowest column), found by one comparison in row-major
+    order; an edge survives when either endpoint picks it. Memory stays
+    O(block * n), and the result does not depend on the block size.
+    tests/oracle_graph.py holds the dense n x n reference.
     """
     x = _as_features(x)
     if np.any(x < 0.0):
@@ -120,10 +121,12 @@ def linear_knn_graph(x, config):
         block = x[start:start + LINEAR_BLOCK_ROWS] @ x.T
         local = np.arange(block.shape[0])
         block[local, start + local] = 0.0
-        # A row's top k lie at or above its k-th largest product.
+        # A row's top k lie at or above its k-th largest product, and are
+        # positive: the least double above zero is the smallest subnormal.
         kth = np.partition(block, cut, axis=1)[:, cut, None]
-        rows, cols = np.nonzero((block >= kth) & (block > 0.0))
-        vals = block[rows, cols]
+        flat = np.flatnonzero(block >= np.maximum(kth, np.nextafter(0.0, 1.0)))
+        rows, cols = np.divmod(flat, n)
+        vals = block.ravel()[flat]
         keep = _top_k_per_row(rows, cols, vals, config.k)
         src_parts.append(rows[keep] + start)
         dst_parts.append(cols[keep])

@@ -19,6 +19,12 @@ from .linalg import smallest_eigenpairs
 EIGENVALUE_CLAMP = -1e-8
 EIGENVALUE_MAX = 2.0 + 1e-8
 
+# gemv rounds an output row by its place in groups of a few rows counted
+# from the call's first row, and numpy sends a one-row product to dot. Rows
+# are rounded as in the whole product by a window that starts at a multiple
+# of this, ends at one or at the last row, and holds at least two rows.
+ROW_WINDOW = 64
+
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -75,6 +81,15 @@ class SpectralBasis:
     def expand(self, alpha):
         """Basis expansion V alpha of a vector, or of each column of an m x c block."""
         return _by_column(self.vectors, alpha)
+
+    def expand_rows(self, alpha, start, stop):
+        """Rows start:stop of expand(alpha), bit for bit, from a ROW_WINDOW-aligned window."""
+        stop = min(stop, self.n)
+        lo = start - start % ROW_WINDOW
+        hi = min(-(-stop // ROW_WINDOW) * ROW_WINDOW, self.n)
+        if hi - lo == 1 and lo > 0:
+            lo -= ROW_WINDOW
+        return _by_column(self.vectors[lo:hi], alpha)[start - lo:stop - lo]
 
     def truncate(self, m):
         """Basis of the m smallest retained eigenpairs."""

@@ -37,6 +37,31 @@ def knn(w, k):
     return sp.csr_matrix(np.where(keep, dense, 0.0))
 
 
+def linear_picks(x, k, block_rows):
+    """Directed (src, dst, weight) picks of the k-NN linear-kernel graph by the three-pass
+    selection: (block >= kth) & (block > 0) over each block of block_rows kernel rows,
+    np.nonzero of that 2-d mask, then each row's candidates sorted by weight descending
+    and column ascending, its first k kept. Rows come in order."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    src, dst, vals = [], [], []
+    for start in range(0, n, block_rows):
+        block = x[start:start + block_rows] @ x.T
+        local = np.arange(block.shape[0])
+        block[local, start + local] = 0.0
+        kth = np.partition(block, n - k, axis=1)[:, n - k, None]
+        rows, cols = np.nonzero((block >= kth) & (block > 0.0))
+        weights = block[rows, cols]
+        for row in range(block.shape[0]):
+            here = rows == row
+            ranked = sorted(zip((-weights[here]).tolist(), cols[here].tolist()))
+            for negated, col in ranked[:k]:
+                src.append(start + row)
+                dst.append(col)
+                vals.append(-negated)
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(vals)
+
+
 def symmetrize(n, src, dst, vals):
     """Undirected edges (lo, hi, weight) by a stable sort of the pair keys: each edge
     keeps the weight of its first pick in input order."""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphssl import fileio
 from graphssl.bow import (
     TABLE2_TEXTUAL,
     TABLE2_VISUAL,
@@ -142,15 +143,36 @@ class TestRefine:
             refine(corrupted, other[:-2], RefineConfig(lam=0.01, gamma=0.01, k=5, m=4))
 
 
+def whole(refinement):
+    """A Refinement's refined matrix, rebuilt in one block."""
+    return refinement.rows(0, refinement.shape[0])
+
+
 class TestCoRefine:
     def test_swapped_arguments_swap_outputs(self):
         _, corrupted, _, other = small_corpus(seed=5)
         cfg_a = RefineConfig(lam=0.05, gamma=0.02, k=19, m=4)
         cfg_b = RefineConfig(lam=0.02, gamma=0.05, k=19, m=6)
-        (fa, _), (fb, _) = co_refine(corrupted, other, cfg_a, cfg_b)
-        (gb, _), (ga, _) = co_refine(other, corrupted, cfg_b, cfg_a)
+        fa, fb = (whole(r) for r in co_refine(corrupted, other, cfg_a, cfg_b))
+        gb, ga = (whole(r) for r in co_refine(other, corrupted, cfg_b, cfg_a))
         assert np.array_equal(fa, ga)
         assert np.array_equal(fb, gb)
+        assert np.array_equal(fa, refine(corrupted, other, cfg_a)[0])
+        assert np.array_equal(fb, refine(other, corrupted, cfg_b)[0])
+
+    @pytest.mark.parametrize("lam, gamma", [(0.05, 0.02), (0.0, 0.02), (0.05, 0.0)])
+    def test_counts_and_triplets_equal_refine(self, lam, gamma):
+        # The counts come from the walk in the worker; another threshold than
+        # fileio's walks the rows again.
+        _, corrupted, _, other = small_corpus(seed=7)
+        cfg = RefineConfig(lam=lam, gamma=gamma, k=9, m=4)
+        refinement, _ = co_refine(corrupted, other, cfg, cfg)
+        refined, reports = refine(corrupted, other, cfg)
+        assert refinement.reports == reports
+        assert refinement.changed_entries == np.count_nonzero(refined != corrupted)
+        for threshold in (fileio.THRESHOLD, 0.05):
+            assert (b"".join(fileio.bow_chunks(refinement, threshold))
+                    == b"".join(fileio.bow_chunks(refined, threshold)))
 
     def test_all_zero_matrix_stays_zero(self):
         _, _, _, other = small_corpus(seed=6)

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import functools
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from graphssl import bow, cli, fileio, harness, linalg, parallel, spectral
-from graphssl.bow import RefineConfig, co_refine
+from graphssl.bow import RefineConfig, refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
 from graphssl.harness import confidence_halfwidth
@@ -271,8 +272,8 @@ class TestRefineBow:
         )
         assert result.returncode == 0, result.stderr
         cfg = RefineConfig(lam=0.01, gamma=0.075, k=29, m=4)
-        (ref_v, _), (ref_t, _) = co_refine(fileio.read_bow(visual), fileio.read_bow(textual),
-                                           cfg, cfg, seed=2)
+        ref_v, _ = refine(fileio.read_bow(visual), fileio.read_bow(textual), cfg, seed=2)
+        ref_t, _ = refine(fileio.read_bow(textual), fileio.read_bow(visual), cfg, seed=2)
         for name, matrix in (("refined_visual.txt", ref_v), ("refined_textual.txt", ref_t)):
             assert (out / name).read_bytes() == b"".join(fileio.bow_chunks(matrix))
 
@@ -545,9 +546,10 @@ class TestStreamedBowOutput:
         code, out = run_refine_bow(tmp_path, monkeypatch, workers)
         assert code == 0
         cfg = RefineConfig(lam=0.01, gamma=0.075, k=29, m=4)
-        (ref_v, _), (ref_t, _) = co_refine(fileio.read_bow(tmp_path / "visual.txt"),
-                                           fileio.read_bow(tmp_path / "textual.txt"),
-                                           cfg, cfg, seed=2)
+        visual = fileio.read_bow(tmp_path / "visual.txt")
+        textual = fileio.read_bow(tmp_path / "textual.txt")
+        ref_v, _ = refine(visual, textual, cfg, seed=2)
+        ref_t, _ = refine(textual, visual, cfg, seed=2)
         assert (out / "refined_visual.txt").read_bytes() == b"".join(fileio.bow_chunks(ref_v))
         assert (out / "refined_textual.txt").read_bytes() == b"".join(fileio.bow_chunks(ref_t))
 
@@ -568,6 +570,91 @@ class TestStreamedBowOutput:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+class TestRowBlockOutput:
+    """refine-bow rebuilds the refined rows block by block where it formats them.
+
+    Its files must equal bow_chunks of bow.refine's whole matrices. The
+    202-document corpus ends off a 64-row window, and blocks of 1 and 7
+    rows start off one.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("corpus")
+        _, corrupted, _, other = two_block_corpus(n=202, jitter=0.5, seed=5)
+        write_bow(directory / "visual.txt", corrupted)
+        write_bow(directory / "textual.txt", other)
+        return directory
+
+    def run(self, corpus, out, *flags):
+        return cli.main(["refine-bow", "--input", str(corpus / "visual.txt"),
+                         str(corpus / "textual.txt"), "--output", str(out), "--seed", "3", *flags])
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 16, 256, 10_000])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("given, flags", [({}, []), ({"lam": 0.0}, ["--lambda", "0"]),
+                                              ({"gamma": 0.0}, ["--gamma", "0"])],
+                             ids=["presets", "lambda 0", "gamma 0"])
+    def test_files_equal_bow_chunks_of_refine(self, corpus, tmp_path, monkeypatch, block_rows,
+                                              cpus, given, flags):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", block_rows)
+        out = tmp_path / "out"
+        assert self.run(corpus, out, *flags) == 0
+        visual = fileio.read_bow(corpus / "visual.txt")
+        textual = fileio.read_bow(corpus / "textual.txt")
+        expected = {"schema": cli.SCHEMA_VERSION, "command": "refine-bow", "seed": 3,
+                    "documents": 202}
+        halves = (("visual", visual, textual), ("textual", textual, visual))
+        for (prefix, y, other), preset in zip(halves, cli.REFINE_PRESETS[None]):
+            cfg = dataclasses.replace(preset, **given)
+            refined, reports = refine(y, other, cfg, seed=3)
+            assert ((out / f"refined_{prefix}.txt").read_bytes()
+                    == b"".join(fileio.bow_chunks(refined)))
+            expected.update({f"{prefix}.lam": cfg.lam, f"{prefix}.gamma": cfg.gamma,
+                             f"{prefix}.k": cfg.k, f"{prefix}.m": cfg.m,
+                             f"{prefix}.changed_entries": int(np.count_nonzero(refined != y)),
+                             f"{prefix}.total_objective": reports.total_objective,
+                             f"{prefix}.max_kkt_residual": reports.max_kkt_residual})
+        assert (out / "metrics.txt").read_text() == fileio.render_metrics(expected.items())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_row_in_a_later_block_fails_before_any_file(
+            self, corpus, tmp_path, monkeypatch, capsys, cpus):
+        # A NaN smoothed entry in visual row 150, in the tenth 16-row block,
+        # makes that refined entry NaN; forked workers inherit the patch.
+        expand_rows = spectral.SpectralBasis.expand_rows
+
+        def poisoned(basis, alpha, start, stop):
+            rows = expand_rows(basis, alpha, start, stop)
+            if start <= 150 < stop and alpha.shape[1] == 40:
+                rows[150 - start, 3] = np.nan
+            return rows
+
+        monkeypatch.setattr(spectral.SpectralBasis, "expand_rows", poisoned)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 16)
+        out = tmp_path / "out"
+        assert self.run(corpus, out) == 1
+        assert capsys.readouterr().err == "error: matrix entries must be finite\n"
+        assert not out.exists()
+
+    def test_both_files_are_formatted_on_one_pool(self, corpus, tmp_path, monkeypatch):
+        # Three pools start in this process: the reads, the refinements and
+        # the output; the eigensolves run inside the refinement workers.
+        pools = []
+        pool_map = parallel._pool_map
+
+        def counting(fn, items, workers, context):
+            pools.append(len(items))
+            return pool_map(fn, items, workers, context)
+
+        monkeypatch.setattr(parallel, "_pool_map", counting)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        assert self.run(corpus, tmp_path / "out") == 0
+        assert pools == [2, 2, 2]
 
 
 def refine_bow_per_cpu_count(tmp_path, monkeypatch, capsys, visual, textual):

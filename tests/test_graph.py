@@ -197,6 +197,49 @@ class TestLinearKnnGraph:
         monkeypatch.setattr(graph, "LINEAR_BLOCK_ROWS", block_rows)
         assert same_graph(linear_knn_graph(x, cfg), reference)
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 256])
+    @pytest.mark.parametrize("kind", ["tied counts", "few positive products", "subnormal"])
+    def test_selection_matches_the_three_pass_selection(self, monkeypatch, block_rows, kind):
+        # The one comparison against max(kth, least positive double) and its flat
+        # indices must pick what (block >= kth) & (block > 0) and np.nonzero picked,
+        # in the same order, so that the symmetrized weights are the same too.
+        rng = np.random.default_rng(21)
+        k = 4
+        if kind == "tied counts":
+            x = rng.integers(0, 3, size=(300, 5)).astype(np.float64)
+        elif kind == "few positive products":
+            # One word per document, 200 words: most rows have fewer than k
+            # positive products, so their k-th largest is 0.
+            x = np.zeros((300, 200))
+            x[np.arange(300), rng.integers(0, 200, 300)] = rng.integers(1, 3, 300)
+            x[:: 7, 0] = 1.0
+        else:
+            # Products of 2**-537 and 2**-538 words are the least positive double,
+            # half of it (rounded to zero) and a quarter of it (zero).
+            x = rng.integers(0, 2, size=(300, 6)) * 2.0 ** rng.choice([-537, -538, -520], 6)
+            x[:, 0] += 1.0 - np.sign(x.sum(axis=1))
+        picks = []
+        real_symmetrize = graph._symmetrize
+
+        def recording(n, src, dst, vals):
+            picks.append((src, dst, vals))
+            return real_symmetrize(n, src, dst, vals)
+
+        monkeypatch.setattr(graph, "_symmetrize", recording)
+        monkeypatch.setattr(graph, "LINEAR_BLOCK_ROWS", block_rows)
+        out = linear_knn_graph(x, GraphConfig(k=k))
+        src, dst, vals = oracle_graph.linear_picks(x, k, block_rows)
+        (got_src, got_dst, got_vals), = picks
+        assert np.array_equal(got_src, src) and np.array_equal(got_dst, dst)
+        assert np.array_equal(got_vals.view(np.int64), vals.view(np.int64))
+        n = x.shape[0]
+        assert same_csr_arrays(out, oracle_graph.mirror(n, *oracle_graph.symmetrize(n, src, dst,
+                                                                                      vals)))
+        if kind == "few positive products":
+            assert np.sum(np.bincount(src, minlength=n) < k) > 100
+        if kind == "subnormal":
+            assert np.any(vals == np.nextafter(0.0, 1.0))
+
     def test_ties_go_to_lowest_column(self):
         x = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert edges(linear_knn_graph(x, GraphConfig(k=1))) == {(0, 1), (0, 2), (0, 3)}

@@ -189,3 +189,22 @@ class TestSpectralBasisInvariants:
         basis = build_basis(lap, 10)
         assert np.all(basis.eigenvalues >= 0.0)
         assert np.all(np.isfinite(basis.sqrt_eigenvalues))
+
+
+class TestExpandRows:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 65, 66, 129, 257, 1001])
+    def test_blocks_equal_the_whole_expansion_bit_for_bit(self, n):
+        # gemv rounds a row by its place in the call and numpy sends one row
+        # to dot: blocks of 1, 2, 3 or 7 rows, and a last block of one row
+        # (n = 65, 129, 257, 1001), differ from the whole product unless
+        # they are computed in aligned windows.
+        rng = np.random.default_rng(n)
+        m = min(n, 30)
+        vectors = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        basis = SpectralBasis(vectors=vectors, eigenvalues=np.linspace(0.0, 1.5, m))
+        alpha = rng.standard_normal((m, 20)) * 10.0 ** rng.integers(-3, 4, (m, 20))
+        whole = basis.expand(alpha)
+        for block in (1, 2, 3, 7, 16, 100, 256):
+            rows = np.vstack([basis.expand_rows(alpha, start, start + block)
+                              for start in range(0, n, block)])
+            assert np.array_equal(rows.view(np.int64), whole.view(np.int64))
