@@ -244,7 +244,7 @@ def _by_component(a, m, seed, method, max_steps, row_norms, count, labels):
 
     Components on the dense route are solved here; those on the Lanczos
     route are solved by parallel.fork_map, largest first, on forked workers
-    that inherit the blocks, so only component indices and eigenpairs are
+    that inherit the blocks and component indices, so only eigenpairs are
     pickled. Each component's solve is the same wherever it runs, so the
     result does not depend on the worker count.
     """

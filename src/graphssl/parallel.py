@@ -1,13 +1,13 @@
 """Forked worker pools, with every OpenBLAS library held to one thread.
 
-fork_map runs a function over items in forked processes, which inherit the
-function and everything it refers to instead of receiving them pickled.
-pin_one_blas_thread sets OpenBLAS to one thread, and one_blas_thread does
-so for the length of a block. The pin is in place in the parent before the
-fork and therefore in every worker: several workers each running
-multi-threaded BLAS would oversubscribe the CPUs, and the rounding of some
-BLAS routines depends on their thread count, so without the pin the answer
-would depend on the worker count and the environment.
+fork_map runs a function over items in forked children, which inherit it
+and everything it refers to, and reads their results back from files in
+TMPDIR, unlinked from the start. pin_one_blas_thread sets OpenBLAS to one
+thread, and one_blas_thread does so for a block. The pin is in place
+before the fork and therefore in every worker: several workers each
+running multi-threaded BLAS would oversubscribe the CPUs, and the rounding
+of some BLAS routines depends on their thread count, so without the pin
+the answer would depend on the worker count and the environment.
 
 OpenBLAS stops its server threads when the process forks, in the parent as
 in the child, and its next set call starts them again, even to the count
@@ -16,16 +16,16 @@ and scipy's libraries, one set call each after a fork cost 0.13-0.16 s
 of CPU on a 2-vCPU Xeon. So a pin calls set only for a library whose
 count is not already one, and restores only what it changed: a pin inside
 another pin, or in a forked worker, makes no OpenBLAS call at all.
-
-ctypes and multiprocessing are imported only when a pool or the pin is
-used, so importing the package stays as fast as before.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
+import signal
 import sys
+import tempfile
 
 # OpenBLAS thread-count controls, by symbol family: plain builds, 64-bit
 # integer builds, and the scipy-openblas wheels numpy and scipy ship.
@@ -114,48 +114,88 @@ def fork_map(fn, items, workers):
     """Yield fn(item) for each item, in order, computed in forked processes.
 
     min(workers, len(items)) processes are started; with at most one,
-    without the fork start method, or inside a worker of another fork_map
-    (so pools never nest), fn runs in this process. Either way BLAS runs on
-    one thread, so results do not depend on the worker count. fn
-    reaches the workers through the fork and is never pickled; items and
-    results are. An exception fn raises is re-raised here when its result is
-    reached, and a worker that dies raises ChildProcessError.
+    without os.fork, or inside a worker of another fork_map (so pools never
+    nest), fn runs in this process. Either way BLAS runs on one thread, so
+    results do not depend on the worker count. fn reaches the workers
+    through the fork; results are pickled. An exception raised by fn or by
+    pickling its result is re-raised here when its item is reached, and an
+    item whose worker died raises ChildProcessError.
     """
     items = list(items)
     workers = min(workers, len(items))
     with one_blas_thread():
-        if workers > 1 and _inherited is None:
-            import multiprocessing
-
-            if "fork" in multiprocessing.get_all_start_methods():
-                yield from _pool_map(fn, items, workers, multiprocessing.get_context("fork"))
-                return
-        for item in items:
-            yield fn(item)
+        if workers > 1 and _inherited is None and hasattr(os, "fork"):
+            yield from _pool_map(fn, items, workers)
+        else:
+            yield from map(fn, items)
 
 
-def _pool_map(fn, items, workers, context):
-    """fork_map's results from a pool of `workers` processes made by context."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+def _pool_map(fn, items, workers):
+    """fork_map's results from `workers` children forked by this process.
 
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_inherit,
-                             initargs=(fn,)) as pool:
+    Children claim items by reading indices from one shared file, whose
+    offset the kernel moves under a lock, and append (index, size) headers
+    and pickled results to spool files of their own, read back in order.
+    """
+    with contextlib.ExitStack() as files:
+        queue, *spools = [files.enter_context(tempfile.TemporaryFile()).fileno()
+                          for _ in range(workers + 1)]
+        os.pwrite(queue, b"".join(b"%8d" % i for i in range(len(items))), 0)
+        pids = []
         try:
-            yield from pool.map(_call_inherited, items)
-        except BrokenProcessPool as exc:
-            raise ChildProcessError(f"a worker process ended without a result: {exc}") from exc
+            _flush_std_streams()
+            for spool in spools:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    try:
+                        _serve(fn, items, queue, spool)
+                    finally:
+                        os._exit(1)
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        finally:  # kill and reap the children an exception left
+            for pid in pids:
+                with contextlib.suppress(ChildProcessError):  # reaped already
+                    if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+        where = {}
+        for spool in spools:
+            os.lseek(spool, 0, os.SEEK_SET)
+            while len(header := os.read(spool, 24)) == 24:
+                index, size = int(header[:8]), int(header[8:])
+                where[index] = spool, size, os.lseek(spool, size, os.SEEK_CUR) - size
+        for index in range(len(items)):
+            if index not in where or len(data := os.pread(*where[index])) < where[index][1]:
+                raise ChildProcessError(f"a worker process ended without a result: item "
+                                        f"{index}, worker exit codes {codes}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            yield value
 
 
-# The function a forked worker applies, set by _inherit in the worker only;
-# it also tells fork_map that it runs inside a worker.
-_inherited = None
-
-
-def _inherit(fn):
+def _serve(fn, items, queue, spool):
+    """Spool (ok, fn(item) or its exception) for each item claimed from queue, and exit."""
     global _inherited
     _inherited = fn
+    while record := os.read(queue, 8):
+        try:
+            result = True, fn(items[int(record)])
+        except BaseException as exc:
+            result = False, exc
+        try:
+            data = pickle.dumps(result)
+        except Exception as exc:  # raised at its item, as an exception of fn would be
+            data = pickle.dumps((False, exc))
+        os.writev(spool, (b"%8d%16d" % (int(record), len(data)), data))
+    _flush_std_streams()
+    os._exit(0)
 
 
-def _call_inherited(item):
-    return _inherited(item)
+def _flush_std_streams():
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        stream.flush()
+
+
+# The function a forked worker applies, which tells fork_map it runs in one.
+_inherited = None

@@ -563,13 +563,21 @@ class TestStreamedBowOutput:
         assert list(out.iterdir()) == []
 
     def test_importing_the_cli_does_not_import_multiprocessing(self):
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, graphssl.cli; print('multiprocessing' in sys.modules)"],
-            capture_output=True, text=True,
-        )
+        # Nor does a sweep on two forked workers: fork_map calls os.fork
+        # itself. concurrent.futures may be loaded by the import already
+        # (numpy.testing, which some scipy releases import, loads it), so
+        # the sweep is checked for the modules of either that it adds.
+        script = ("import sys\n"
+                  "from graphssl import cli\n"
+                  "imported = set(sys.modules)\n"
+                  "code = cli.main(['noise-sweep', '--runs', '2', '--workers', '2'])\n"
+                  "added = [name for name in set(sys.modules) - imported\n"
+                  "         if name.partition('.')[0] in ('multiprocessing', 'concurrent')]\n"
+                  "print(code, 'multiprocessing' in imported, sorted(added), file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stderr.strip() == "0 False []"
+        assert "l1_mean" in result.stdout
 
 
 class TestRowBlockOutput:
@@ -642,19 +650,22 @@ class TestRowBlockOutput:
         assert not out.exists()
 
     def test_both_files_are_formatted_on_one_pool(self, corpus, tmp_path, monkeypatch):
-        # Three pools start in this process: the reads, the refinements and
-        # the output; the eigensolves run inside the refinement workers.
-        pools = []
-        pool_map = parallel._pool_map
+        # Three pools start in this process, two workers each: the reads, the
+        # refinements and the output; the eigensolves run inside the
+        # refinement workers. A pool per output file, of one block each,
+        # would fork no worker.
+        forks = []
+        fork = os.fork
 
-        def counting(fn, items, workers, context):
-            pools.append(len(items))
-            return pool_map(fn, items, workers, context)
+        def counting():
+            pid = fork()
+            forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(parallel, "_pool_map", counting)
+        monkeypatch.setattr(os, "fork", counting)
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         assert self.run(corpus, tmp_path / "out") == 0
-        assert pools == [2, 2, 2]
+        assert len(forks) == 6
 
 
 def refine_bow_per_cpu_count(tmp_path, monkeypatch, capsys, visual, textual):

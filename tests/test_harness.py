@@ -1,4 +1,4 @@
-import concurrent.futures
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -96,20 +96,22 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (8, 3)])
     def test_process_count_is_capped_by_runs_and_usable_cpus(self, monkeypatch, cpus,
                                                              expected):
-        requested = []
+        forks = []
+        fork = os.fork
 
-        class Refused(Exception):
-            pass
-
-        def record(max_workers, **kwargs):
-            requested.append(max_workers)
-            raise Refused  # start no process
+        def exit_at_once():
+            # Each worker ends before it claims a run, so no run starts.
+            pid = fork()
+            if pid == 0:
+                os._exit(0)
+            forks.append(pid)
+            return pid
 
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
-        with pytest.raises(Refused):
+        monkeypatch.setattr(os, "fork", exit_at_once)
+        with pytest.raises(ChildProcessError, match="ended without a result"):
             run_noise_sweep(0, [0.0], 3, 5, sigma=0.1, k=10, lam=5.0, m=20, workers=10**6)
-        assert requested == [expected]
+        assert len(forks) == expected
 
 
 def _counting(monkeypatch, module, name):

@@ -2,8 +2,10 @@ import inspect
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -135,6 +137,70 @@ class TestForkMap:
     def test_a_dead_worker_is_a_child_process_error(self):
         with pytest.raises(ChildProcessError, match="ended without a result"):
             list(parallel.fork_map(lambda _: os._exit(3), range(2), 2))
+
+
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPoolContract:
+    """fork_map's children claim items from one shared file and spool their results."""
+
+    def test_uneven_items_arrive_in_order_each_computed_once(self, tmp_path):
+        # Every 7th item takes 8 times as long. Each call appends its item to
+        # a log, whose O_APPEND writes the children cannot interleave.
+        log = tmp_path / "calls.txt"
+
+        def slow(item):
+            time.sleep(0.004 if item % 7 == 0 else 0.0005)
+            with open(log, "a") as fh:
+                fh.write(f"{item}\n")
+            return item, os.getpid()
+
+        results = list(parallel.fork_map(slow, range(300), 2))
+        assert [item for item, _ in results] == list(range(300))
+        assert sorted(map(int, log.read_text().split())) == list(range(300))
+        pids = {pid for _, pid in results}
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert_no_child_is_left()
+
+    def test_a_killed_worker_fails_at_its_item_and_leaves_no_child(self):
+        def kill_on_three(item):
+            if item == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return item
+
+        arrived = []
+        with pytest.raises(ChildProcessError, match="ended without a result: item 3"):
+            for value in parallel.fork_map(kill_on_three, range(8), 2):
+                arrived.append(value)
+        assert arrived == [0, 1, 2]
+        assert_no_child_is_left()
+
+    def test_an_unpicklable_result_raises_the_pickling_error_at_its_item(self):
+        def local():
+            pass
+
+        with pytest.raises(Exception) as expected:
+            pickle.dumps(local)
+        arrived = []
+        with pytest.raises(type(expected.value)) as caught:
+            for value in parallel.fork_map(lambda i: local if i == 2 else i, range(5), 2):
+                arrived.append(value)
+        assert str(caught.value) == str(expected.value)
+        assert "local object" in str(caught.value)
+        assert arrived == [0, 1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_an_abandoned_map_leaves_no_child_and_no_descriptor(self):
+        before = sorted(os.listdir("/proc/self/fd"))
+        results = parallel.fork_map(lambda i: i * 2, range(10), 2)
+        first = next(results)
+        del results
+        assert first == 0
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_child_is_left()
 
 
 ERROR_INSTANCES = {
