@@ -70,17 +70,6 @@ def signed_label_vector(assignments, n):
     return y
 
 
-def flip_per_class(assignments, flip_fraction, classes, seed):
-    """Corrupt floor(fraction * count) labels inside each class pool separately."""
-    flipped = []
-    for cls in range(classes):
-        pool = [(i, c) for i, c in assignments if c == cls]
-        if not pool:
-            continue
-        flipped.extend(inject_label_noise(pool, flip_fraction, classes, child_seed(seed, cls)))
-    return flipped
-
-
 @dataclass
 class MoonsTrial:
     """Paired two-class run of both methods on one seeded moons instance."""
@@ -108,26 +97,28 @@ def laplacian_basis(x, sigma, k, m, seed):
 def run_moons_trial(master_seed, run_index, **overrides):
     """One seeded two-moons instance, both methods at the same lam.
 
+    Run r is noise-sweep's run r on the grid [flip_fraction]: the same
+    seeds give the same instance, labeled set, flips, graph and m-pair
+    basis. The smoothness reports use a full basis of the same Laplacian.
     overrides replace entries of MOONS_DEFAULTS; an unknown key is a
     TypeError. Labels use the signed two-class encoding; predictions are the
     sign of the solution (zero counts as class 0, matching the argmax tie
-    rule).
+    rule). One-hot columns would make the L1 fit threshold a coefficient on
+    which the classes disagree once per column, like the signed fit at 2 lam,
+    and the moons lam is calibrated on the signed target.
     """
     unknown = sorted(set(overrides) - set(MOONS_DEFAULTS))
     if unknown:
         raise TypeError(f"unknown moons parameters: {', '.join(unknown)}")
     cfg = {**MOONS_DEFAULTS, **overrides}
-    x, truth = two_moons(cfg["n"], cfg["noise_sd"], child_seed(master_seed, _STREAM_DATA, run_index))
-    assignments = select_labeled(
-        truth, cfg["labels_per_class"], child_seed(master_seed, _STREAM_LABELED, run_index)
-    )
-    noisy = flip_per_class(
-        assignments, cfg["flip_fraction"], 2, child_seed(master_seed, _STREAM_NOISE, run_index)
-    )
-    lap, full_basis = laplacian_basis(
-        x, cfg["sigma"], cfg["k"], cfg["n"], child_seed(master_seed, _STREAM_EIGEN, run_index)
-    )
-    basis = full_basis.truncate(cfg["m"])
+    seed = child_seed(master_seed, run_index)
+    x, truth = two_moons(cfg["n"], cfg["noise_sd"], child_seed(seed, _STREAM_DATA))
+    assignments = select_labeled(truth, cfg["labels_per_class"], child_seed(seed, _STREAM_LABELED))
+    noisy = inject_label_noise(assignments, cfg["flip_fraction"], 2,
+                               child_seed(seed, _STREAM_NOISE, 0))
+    lap, basis = laplacian_basis(x, cfg["sigma"], cfg["k"], cfg["m"],
+                                 child_seed(seed, _STREAM_EIGEN))
+    full_basis = build_basis(lap, cfg["n"])
 
     y = signed_label_vector(noisy, cfg["n"])
     f_l1 = basis.expand(l1_coefficients(basis, y, cfg["lam"]))

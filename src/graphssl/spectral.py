@@ -91,12 +91,6 @@ class SpectralBasis:
             lo -= ROW_WINDOW
         return _by_column(self.vectors[lo:hi], alpha)[start - lo:stop - lo]
 
-    def truncate(self, m):
-        """Basis of the m smallest retained eigenpairs."""
-        if not 1 <= m <= self.m:
-            raise ValueError(f"truncation size must be in [1, {self.m}]")
-        return SpectralBasis(vectors=self.vectors[:, :m], eigenvalues=self.eigenvalues[:m])
-
 
 def _by_column(matrix, block):
     """matrix @ block, one contiguous column at a time.

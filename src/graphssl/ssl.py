@@ -108,30 +108,34 @@ def l2_ssl_fit(lap, y_matrix, lam, names=None):
 
 
 def inject_label_noise(assignments, fraction, classes, seed):
-    """Replace floor(fraction * count) labels with uniformly random wrong classes.
+    """In each class pool, replace floor(fraction * pool size) labels with random wrong classes.
 
-    fraction lies in [0, 1]. Corrupted positions are drawn without
-    replacement; unlisted (unlabeled) points are never touched. Deterministic
-    for a fixed seed.
+    fraction lies in [0, 1]. The pools of classes 0 .. classes-1 are
+    corrupted in class order from one generator: positions without
+    replacement, then a uniformly random wrong class for each. Unlisted
+    (unlabeled) points are never touched. Deterministic for a fixed seed.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("noise fraction must lie in [0, 1]")
     assignments = [(int(i), int(cls)) for i, cls in assignments]
     if fraction > 0 and classes < 2:
         raise ValueError("cannot corrupt labels with fewer than two classes")
-    # The 1e-9 nudge keeps floor() faithful when fraction * count is an
-    # integer up to float rounding (e.g. 0.3 * 10).
-    count = int(np.floor(fraction * len(assignments) + 1e-9))
-    if count == 0:
-        return assignments
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(assignments), size=count, replace=False)
-    for pos in chosen:
-        index, cls = assignments[pos]
-        wrong = int(rng.integers(classes - 1))
-        if wrong >= cls:
-            wrong += 1
-        assignments[pos] = (index, wrong)
+    original = [cls for _, cls in assignments]  # pools hold the labels before any flip
+    rng = None  # made on the first flip, so a draw that flips nothing costs no generator
+    for cls in range(classes):
+        pool = [pos for pos, c in enumerate(original) if c == cls]
+        # The 1e-9 nudge keeps floor() faithful when fraction * size is an
+        # integer up to float rounding (0.29 * 100 is 28.999999999999996).
+        count = int(np.floor(fraction * len(pool) + 1e-9))
+        if count == 0:
+            continue
+        if rng is None:
+            rng = np.random.default_rng(seed)
+        for j in rng.choice(len(pool), size=count, replace=False):
+            wrong = int(rng.integers(classes - 1))
+            if wrong >= cls:
+                wrong += 1
+            assignments[pool[j]] = (assignments[pool[j]][0], wrong)
     return assignments
 
 

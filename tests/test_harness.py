@@ -10,9 +10,9 @@ from graphssl.errors import ConvergenceError
 from graphssl.harness import (
     child_seed,
     confidence_halfwidth,
-    flip_per_class,
     l1_classify,
     multiclass_trial,
+    run_moons_benchmark,
     run_moons_trial,
     run_noise_sweep,
     signed_label_vector,
@@ -46,22 +46,6 @@ class TestSignedLabels:
             signed_label_vector([(0, 2)], 3)
 
 
-class TestPerClassFlips:
-    def test_exactly_one_flip_per_class(self):
-        assignments = [(i, 0) for i in range(5)] + [(i + 10, 1) for i in range(5)]
-        for seed in range(10):
-            flipped = flip_per_class(assignments, 0.2, 2, seed)
-            changed_by_class = {0: 0, 1: 0}
-            for (_, old), (_, new) in zip(assignments, flipped):
-                if old != new:
-                    changed_by_class[old] += 1
-            assert changed_by_class == {0: 1, 1: 1}
-
-    def test_zero_fraction_is_identity(self):
-        assignments = [(0, 0), (1, 1)]
-        assert flip_per_class(assignments, 0.0, 2, 0) == assignments
-
-
 class TestMoonsTrial:
     def test_deterministic(self):
         a = run_moons_trial(3, 1)
@@ -78,6 +62,42 @@ class TestMoonsTrial:
     def test_rejects_unknown_parameter(self):
         with pytest.raises(TypeError, match="unknown moons parameters: gamma"):
             run_moons_trial(3, 1, gamma=0.1)
+
+    def test_runs_are_the_sweeps_runs(self, monkeypatch):
+        # moons-demo run r and noise-sweep run r on the grid [f] flip the same
+        # labels and fit on the same graph and basis; only the decision differs.
+        seen = {}
+        draw, build = harness.inject_label_noise, harness.laplacian_basis
+
+        def noise(*args):
+            noisy = draw(*args)
+            seen[command].append(noisy)
+            return noisy
+
+        def basis(*args):
+            lap, spectral = build(*args)
+            seen[command].append((lap.toarray(), spectral.vectors, spectral.eigenvalues))
+            return lap, spectral
+
+        monkeypatch.setattr(harness, "inject_label_noise", noise)
+        monkeypatch.setattr(harness, "laplacian_basis", basis)
+        runs = {
+            "moons-demo": lambda: run_moons_benchmark(5, 3, flip_fraction=0.2),
+            "noise-sweep": lambda: run_noise_sweep(5, [0.2], 3, 5, sigma=0.1, k=10, lam=5.0,
+                                                   m=20),
+        }
+        for command, run in runs.items():
+            seen[command] = []
+            # One BLAS thread, as in the commands and the sweep's pool: the
+            # eigenvectors differ in their last bits between thread counts.
+            with parallel.one_blas_thread():
+                run()
+        assert len(seen["moons-demo"]) == len(seen["noise-sweep"]) == 6
+        for ours, theirs in zip(seen["moons-demo"], seen["noise-sweep"]):
+            if isinstance(ours, list):
+                assert ours == theirs
+            else:
+                assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
 
 
 class TestNoiseSweep:

@@ -56,9 +56,9 @@ class TestBuildBasis:
         _, lap = random_laplacian(8, seed=2)
         basis = build_basis(lap, 8)
         assert basis.full
-        cut = basis.truncate(3)
+        cut = build_basis(lap, 3)
         assert not cut.full and cut.m == 3
-        assert np.array_equal(cut.eigenvalues, basis.eigenvalues[:3])
+        assert np.allclose(cut.eigenvalues, basis.eigenvalues[:3], rtol=0.0, atol=1e-12)
 
 
 class TestApplyFactor:

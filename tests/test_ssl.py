@@ -222,7 +222,8 @@ class TestInjectLabelNoise:
         assert all(new != old for (_, new), (_, old) in zip(flipped, assignments))
 
     def test_exact_count_and_wrong_class(self):
-        assignments = [(i, i % 5) for i in range(10)]
+        # Five labels per class at 0.2: exactly one flip inside each class pool.
+        assignments = [(i, i % 5) for i in range(25)]
         for seed in range(20):
             noisy = inject_label_noise(assignments, 0.2, 5, seed)
             changed = [
@@ -230,7 +231,7 @@ class TestInjectLabelNoise:
                 for (_, old), (_, new) in zip(assignments, noisy)
                 if old != new
             ]
-            assert len(changed) == 2
+            assert sorted(old for old, _ in changed) == [0, 1, 2, 3, 4]
             assert all(0 <= new < 5 and new != old for old, new in changed)
 
     def test_indices_never_touched(self):
@@ -248,10 +249,43 @@ class TestInjectLabelNoise:
             inject_label_noise([(0, 0), (1, 1)], fraction, 2, 0)
 
     def test_floor_semantics(self):
+        # floor(0.3 * 5) = 1 flip in each of the two pools of five.
         assignments = [(i, i % 2) for i in range(10)]
         noisy = inject_label_noise(assignments, 0.3, 2, 4)
         changed = sum(1 for (_, a), (_, b) in zip(assignments, noisy) if a != b)
-        assert changed == 3
+        assert changed == 2
+
+    @staticmethod
+    def flips_by_class(assignments, noisy, classes):
+        counts = [0] * classes
+        for (_, old), (_, new) in zip(assignments, noisy):
+            counts[old] += old != new
+        return counts
+
+    def test_floor_per_pool(self):
+        # 0.29 * 100 is 28.999999999999996 in floating point; the count is 29.
+        assignments = [(i, 0) for i in range(100)] + [(100 + i, 1) for i in range(7)]
+        assignments += [(200 + i, 2) for i in range(3)]
+        for seed in range(5):
+            noisy = inject_label_noise(assignments, 0.29, 3, seed)
+            assert self.flips_by_class(assignments, noisy, 3) == [29, 2, 0]
+
+    def test_class_with_empty_pool(self):
+        # No label of class 1: its pool flips nothing, but it is a wrong class
+        # the other pools may flip into.
+        assignments = [(i, 0) for i in range(4)] + [(10 + i, 2) for i in range(4)]
+        targets = set()
+        for seed in range(20):
+            noisy = inject_label_noise(assignments, 0.5, 3, seed)
+            assert self.flips_by_class(assignments, noisy, 3) == [2, 0, 2]
+            targets |= {new for (_, old), (_, new) in zip(assignments, noisy) if old != new}
+        assert targets == {0, 1, 2}
+
+    def test_same_seed_same_output(self):
+        assignments = [(i, i % 3) for i in range(30)]
+        draws = [inject_label_noise(assignments, 0.4, 3, seed) for seed in (7, 7, 8)]
+        assert draws[0] == draws[1]
+        assert draws[0] != draws[2]
 
 
 class TestEvaluate:
