@@ -46,6 +46,23 @@ class TestSignedLabels:
             signed_label_vector([(0, 2)], 3)
 
 
+class TestPerClassFlips:
+    # The per-class draw that run_moons_trial makes on its labeled set.
+    def test_exactly_one_flip_per_class(self):
+        assignments = [(i, 0) for i in range(5)] + [(i + 10, 1) for i in range(5)]
+        for seed in range(10):
+            flipped = harness.inject_label_noise(assignments, 0.2, 2, seed)
+            changed_by_class = {0: 0, 1: 0}
+            for (_, old), (_, new) in zip(assignments, flipped):
+                if old != new:
+                    changed_by_class[old] += 1
+            assert changed_by_class == {0: 1, 1: 1}
+
+    def test_zero_fraction_is_identity(self):
+        assignments = [(0, 0), (1, 1)]
+        assert harness.inject_label_noise(assignments, 0.0, 2, 0) == assignments
+
+
 class TestMoonsTrial:
     def test_deterministic(self):
         a = run_moons_trial(3, 1)
