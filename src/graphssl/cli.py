@@ -203,15 +203,11 @@ def cmd_moons_demo(args):
     """paired noisy-label benchmark on two moons"""
     params = _graph_params(args, MOONS_GRAPH)
     _check_moons(params, args.labels_per_class)
-    trials = harness.run_moons_benchmark(
-        args.seed, args.runs, labels_per_class=args.labels_per_class,
-        flip_fraction=args.noise_fraction, **params,
-    )
-    l1_acc = [t.l1_accuracy for t in trials]
-    l2_acc = [t.l2_accuracy for t in trials]
-    smoother = sum(
-        1 for t in trials if t.l1_smoothness.l1_smoothness < t.l2_smoothness.l1_smoothness
-    )
+    runs = harness.run_moons_demo(args.seed, args.noise_fraction, args.runs,
+                                  args.labels_per_class, **params)
+    l1_acc, l2_acc = zip(*(trial.accuracies()[0] for trial, _ in runs))
+    l1_reports, l2_reports = zip(*(reports for _, reports in runs))
+    smoother = sum(a.l1_smoothness < b.l1_smoothness for a, b in zip(l1_reports, l2_reports))
     items = [
         ("schema", SCHEMA_VERSION),
         ("command", "moons-demo"),
@@ -223,28 +219,25 @@ def cmd_moons_demo(args):
         *params.items(),
         ("l1_accuracies", l1_acc),
         ("l2_accuracies", l2_acc),
-        ("l1_fitting_errors", [t.l1_smoothness.fitting_error for t in trials]),
-        ("l1_quadratic_smoothness", [t.l1_smoothness.l2_smoothness for t in trials]),
-        ("l1_l1_smoothness", [t.l1_smoothness.l1_smoothness for t in trials]),
-        ("l2_fitting_errors", [t.l2_smoothness.fitting_error for t in trials]),
-        ("l2_quadratic_smoothness", [t.l2_smoothness.l2_smoothness for t in trials]),
-        ("l2_l1_smoothness", [t.l2_smoothness.l1_smoothness for t in trials]),
+    ]
+    for method, reports in (("l1", l1_reports), ("l2", l2_reports)):
+        items += [
+            (f"{method}_fitting_errors", [r.fitting_error for r in reports]),
+            (f"{method}_quadratic_smoothness", [r.l2_smoothness for r in reports]),
+            (f"{method}_l1_smoothness", [r.l1_smoothness for r in reports]),
+        ]
+    items += [
         ("l1_accuracy_median", float(np.median(l1_acc))),
         ("l2_accuracy_median", float(np.median(l2_acc))),
         ("l1_smoother_runs", smoother),
     ]
     documents = [("metrics.txt", fileio.render_metrics(items))]
     if args.output is not None:
-        first = trials[0]
-        labeled = set(first.labeled_indices)
+        first = runs[0][0]
+        columns = (first.x[:, 0], first.x[:, 1], first.truth, *first.predictions(0),
+                   first.labeled)
         lines = ["x0 x1 truth l1_pred l2_pred labeled"]
-        for i, (x0, x1) in enumerate(first.features.tolist()):
-            lines.append(
-                "%r %r %d %d %d %d" % (
-                    x0, x1, first.truth[i], first.l1_predictions[i],
-                    first.l2_predictions[i], int(i in labeled),
-                )
-            )
+        lines += ["%r %r %d %d %d %d" % row for row in zip(*(c.tolist() for c in columns))]
         documents.append(("moons_points.txt", "\n".join(lines) + "\n"))
     _emit(args, documents)
     return 0

@@ -1,4 +1,4 @@
-"""Seeded experiment drivers: the moons benchmark, noise sweeps, classification.
+"""Seeded experiment drivers: the moons runs of moons-demo and noise-sweep, classification.
 
 A master seed fans out to per-run seeds through numpy's SeedSequence spawn
 keys, so adding runs or streams never perturbs the draws of existing ones.
@@ -12,7 +12,6 @@ import numpy as np
 
 from . import parallel
 from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
-from .solver import l1_coefficients
 from .spectral import build_basis, smoothness_report
 from .ssl import (
     encode_labels,
@@ -60,31 +59,6 @@ def confidence_halfwidth(values):
     return float(1.96 * np.std(values, ddof=1) / np.sqrt(values.size))
 
 
-def signed_label_vector(assignments, n):
-    """Two-class signed target: class 0 maps to +1, class 1 to -1, rest 0."""
-    y = np.zeros(n)
-    for index, cls in assignments:
-        if cls not in (0, 1):
-            raise ValueError("signed encoding needs classes 0 and 1")
-        y[index] = 1.0 if cls == 0 else -1.0
-    return y
-
-
-@dataclass
-class MoonsTrial:
-    """Paired two-class run of both methods on one seeded moons instance."""
-
-    l1_accuracy: float
-    l2_accuracy: float
-    l1_smoothness: object
-    l2_smoothness: object
-    features: np.ndarray
-    truth: np.ndarray
-    l1_predictions: np.ndarray
-    l2_predictions: np.ndarray
-    labeled_indices: list
-
-
 def laplacian_basis(x, sigma, k, m, seed):
     """Gaussian k-NN graph of x, its normalized Laplacian, and that Laplacian's m-pair basis.
 
@@ -94,127 +68,114 @@ def laplacian_basis(x, sigma, k, m, seed):
     return lap, build_basis(lap, m, seed=seed)
 
 
-def run_moons_trial(master_seed, run_index, **overrides):
-    """One seeded two-moons instance, both methods at the same lam.
+@dataclass
+class Trial:
+    """One seeded moons run of both methods at every label-noise fraction.
 
-    Run r is noise-sweep's run r on the grid [flip_fraction]: the same
-    seeds give the same instance, labeled set, flips, graph and m-pair
-    basis. The smoothness reports use a full basis of the same Laplacian.
-    overrides replace entries of MOONS_DEFAULTS; an unknown key is a
-    TypeError. Labels use the signed two-class encoding; predictions are the
-    sign of the solution (zero counts as class 0, matching the argmax tie
-    rule). One-hot columns would make the L1 fit threshold a coefficient on
-    which the classes disagree once per column, like the signed fit at 2 lam,
-    and the moons lam is calibrated on the signed target.
+    labeled masks the labeled points. y holds two one-vs-rest columns per
+    fraction, fraction by fraction: +1 in a labeled point's class column,
+    -1 in its other column, 0 on unlabeled rows. scores is the (L1, L2) pair
+    of score blocks, one column per column of y.
     """
-    unknown = sorted(set(overrides) - set(MOONS_DEFAULTS))
-    if unknown:
-        raise TypeError(f"unknown moons parameters: {', '.join(unknown)}")
-    cfg = {**MOONS_DEFAULTS, **overrides}
-    seed = child_seed(master_seed, run_index)
-    x, truth = two_moons(cfg["n"], cfg["noise_sd"], child_seed(seed, _STREAM_DATA))
-    assignments = select_labeled(truth, cfg["labels_per_class"], child_seed(seed, _STREAM_LABELED))
-    noisy = inject_label_noise(assignments, cfg["flip_fraction"], 2,
-                               child_seed(seed, _STREAM_NOISE, 0))
-    lap, basis = laplacian_basis(x, cfg["sigma"], cfg["k"], cfg["m"],
-                                 child_seed(seed, _STREAM_EIGEN))
-    full_basis = build_basis(lap, cfg["n"])
 
-    y = signed_label_vector(noisy, cfg["n"])
-    f_l1 = basis.expand(l1_coefficients(basis, y, cfg["lam"]))
-    f_l2 = l2_ssl_fit(lap, y[:, None], cfg["lam"]).scores[:, 0]
+    x: np.ndarray
+    truth: np.ndarray
+    labeled: np.ndarray
+    lap: object
+    basis: object
+    y: np.ndarray
+    scores: tuple
 
-    labeled = np.zeros(cfg["n"], dtype=bool)
-    for index, _ in assignments:
-        labeled[index] = True
-    mask = ~labeled
-    pred_l1 = (f_l1 < 0).astype(np.int64)
-    pred_l2 = (f_l2 < 0).astype(np.int64)
-    return MoonsTrial(
-        l1_accuracy=evaluate(pred_l1, truth, mask),
-        l2_accuracy=evaluate(pred_l2, truth, mask),
-        l1_smoothness=smoothness_report(full_basis, lap, f_l1, y),
-        l2_smoothness=smoothness_report(full_basis, lap, f_l2, y),
-        features=x,
-        truth=truth,
-        l1_predictions=pred_l1,
-        l2_predictions=pred_l2,
-        labeled_indices=[index for index, _ in assignments],
-    )
+    def predictions(self, fraction_index):
+        """(L1, L2) argmax labels at one fraction; a tie goes to class 0."""
+        block = slice(2 * fraction_index, 2 * fraction_index + 2)
+        return tuple(np.argmax(scores[:, block], axis=1) for scores in self.scores)
+
+    def accuracies(self):
+        """(L1, L2) accuracy on the unlabeled points, one pair per fraction."""
+        return [tuple(evaluate(p, self.truth, ~self.labeled) for p in self.predictions(i))
+                for i in range(self.y.shape[1] // 2)]
+
+    def smoothness(self):
+        """(L1, L2) smoothness reports of the first column, on a full basis of the Laplacian."""
+        full = self.basis if self.basis.full else build_basis(self.lap, self.basis.n)
+        return tuple(smoothness_report(full, self.lap, scores[:, 0], self.y[:, 0])
+                     for scores in self.scores)
 
 
-def run_moons_benchmark(master_seed, runs, **overrides):
-    """Repeat run_moons_trial across derived seeds; returns the trial list."""
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    return [run_moons_trial(master_seed, i, **overrides) for i in range(runs)]
-
-
-def multiclass_trial(x, truth, classes, labels_per_class, noise_fractions, seed,
+def multiclass_trial(master_seed, run_index, noise_fractions, labels_per_class,
                      sigma, k, lam, m):
-    """One multi-class run of both methods at every label-noise fraction.
+    """Run run_index of both moons commands: both methods at every label-noise fraction.
 
-    The labeled set, the graph and the basis are built once from seed; each
+    The run draws its moons instance (of MOONS_DEFAULTS' size), labeled set,
+    graph and basis once from seed = child_seed(master_seed, run_index); each
     fraction only injects its own noise, drawn from child_seed(seed,
-    _STREAM_NOISE, fraction_index). The one-hot label columns of all
-    fractions sit side by side in one block, so each method fits once.
-    Every column is solved on its own, so the scores equal per-fraction fits
-    bit for bit. Returns one (l1_accuracy, l2_accuracy) pair per fraction,
-    measured on the unlabeled points.
+    _STREAM_NOISE, fraction_index). The label columns of all fractions sit
+    side by side in one block, so each method fits once. Every column is
+    solved on its own, so the scores equal per-fraction fits bit for bit,
+    and with two classes the second column of a fraction is the negation of
+    its first: the argmax is the sign of the first column's fit.
     """
+    seed = child_seed(master_seed, run_index)
+    x, truth = two_moons(MOONS_DEFAULTS["n"], MOONS_DEFAULTS["noise_sd"],
+                         child_seed(seed, _STREAM_DATA))
     n = x.shape[0]
     assignments = select_labeled(truth, labels_per_class, child_seed(seed, _STREAM_LABELED))
-    blocks = []
-    for fraction_index, fraction in enumerate(noise_fractions):
-        noisy = inject_label_noise(assignments, fraction, classes,
-                                   child_seed(seed, _STREAM_NOISE, fraction_index))
-        blocks.append(encode_labels(noisy, n, classes))
-    lap, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
     labeled = np.zeros(n, dtype=bool)
-    for index, _ in assignments:
-        labeled[index] = True
-    mask = ~labeled
-    y = np.hstack(blocks)
+    labeled[[index for index, _ in assignments]] = True
+    blocks = [encode_labels(inject_label_noise(assignments, fraction, 2,
+                                               child_seed(seed, _STREAM_NOISE, i)), n, 2)
+              for i, fraction in enumerate(noise_fractions)]
+    y = 2.0 * np.hstack(blocks) - labeled[:, None]
+    lap, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
     names = [f"noise fraction {fraction}, class {cls}"
-             for fraction in noise_fractions for cls in range(classes)]
-    scores_l1 = l1_ssl_fit(basis, y, lam).scores
-    scores_l2 = l2_ssl_fit(lap, y, lam, names=names).scores
+             for fraction in noise_fractions for cls in range(2)]
+    scores = (l1_ssl_fit(basis, y, lam).scores, l2_ssl_fit(lap, y, lam, names=names).scores)
+    return Trial(x, truth, labeled, lap, basis, y, scores)
 
-    def accuracy(scores, fraction_index):
-        block = scores[:, fraction_index * classes:(fraction_index + 1) * classes]
-        return evaluate(np.argmax(block, axis=1), truth, mask)
 
-    return [(accuracy(scores_l1, i), accuracy(scores_l2, i))
-            for i in range(len(noise_fractions))]
+def _map_runs(run, runs, workers):
+    """[run(0), ..., run(runs - 1)], from up to `workers` forked processes.
+
+    The process count is capped by the run count and the usable CPUs. Runs
+    derive their own seeds, so the results do not depend on it.
+    """
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    return list(parallel.fork_map(run, range(runs), min(workers, parallel.usable_cpus())))
+
+
+def run_moons_demo(master_seed, fraction, runs, labels_per_class, sigma, k, lam, m):
+    """moons-demo: noise-sweep's runs on the grid [fraction], on every usable CPU.
+
+    Returns one (trial, smoothness reports) pair per run, in run order.
+    """
+    def run(run_index):
+        trial = multiclass_trial(master_seed, run_index, [fraction], labels_per_class,
+                                 sigma, k, lam, m)
+        return trial, trial.smoothness()
+
+    return _map_runs(run, runs, parallel.usable_cpus())
 
 
 def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, lam, m, workers=1):
-    """Sweep label-noise fractions on seeded moons instances of MOONS_DEFAULTS' size.
+    """Sweep label-noise fractions on seeded moons instances.
 
-    The design is paired: run r draws one moons instance, labeled set, graph
-    and basis from child_seed(master_seed, r), and every fraction is measured
-    on them, so only the injected noise differs along the curve. Runs derive
-    their own seeds, so they are evaluated in up to `workers` forked
-    processes, capped by the run count and the usable CPUs; results are
-    assembled in grid order regardless of completion order. Returns a list of
-    per-fraction dicts.
+    The design is paired: run r is multiclass_trial(master_seed, r, ...), so
+    every fraction is measured on one instance, labeled set, graph and basis,
+    and only the injected noise differs along the curve. Runs are evaluated
+    in up to `workers` forked processes, each returning only its accuracy
+    pairs, and assembled in grid order. Returns a list of per-fraction dicts.
     """
     fractions = list(fractions)
     if not fractions:
         raise ValueError("sweep grid must not be empty")
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
 
     def run(run_index):
-        seed = child_seed(master_seed, run_index)
-        x, truth = two_moons(MOONS_DEFAULTS["n"], MOONS_DEFAULTS["noise_sd"],
-                             child_seed(seed, _STREAM_DATA))
-        return multiclass_trial(
-            x, truth, 2, labels_per_class, fractions, seed,
-            sigma=sigma, k=k, lam=lam, m=m,
-        )
+        return multiclass_trial(master_seed, run_index, fractions, labels_per_class,
+                                sigma, k, lam, m).accuracies()
 
-    outcomes = list(parallel.fork_map(run, range(runs), min(workers, parallel.usable_cpus())))
+    outcomes = _map_runs(run, runs, workers)
 
     results = []
     for fi, fraction in enumerate(fractions):

@@ -167,7 +167,9 @@ class SmoothnessReport:
 def smoothness_report(basis, lap, f, y):
     """Evaluate ||f - y||^2, f' L f, and the L1 smoothness for one solution."""
     _require_full(basis)
-    f = np.asarray(f, dtype=np.float64)
+    # Contiguous, as a column of a score block is not: BLAS may round a
+    # product with a strided vector differently.
+    f = np.ascontiguousarray(f, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if f.shape != y.shape or f.shape != (basis.n,):
         raise ValueError("solution and target must both have the basis dimension")

@@ -18,7 +18,7 @@ from oracle_grid import grid_minimum, random_instance
 from graphssl.bow import RefineConfig, apply_error_sparsity, refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import normalized_laplacian
-from graphssl.harness import l1_classify, run_moons_benchmark
+from graphssl.harness import MOONS_DEFAULTS, l1_classify, run_moons_demo
 from graphssl.solver import kkt_residual, l1_coefficients, objective
 from graphssl.spectral import apply_b, build_basis, l2_smoothness
 from graphssl.ssl import l2_ssl_fit, select_labeled
@@ -139,15 +139,18 @@ def test_quadratic_baseline_exactness():
     assert np.max(np.abs(f - np.array([0.6, 0.4]))) <= 1e-10
 
 
+def moons_demo_runs(fraction):
+    """moons-demo's 25 runs at master seed 0 with its default parameters."""
+    names = ("labels_per_class", "sigma", "k", "lam", "m")
+    return run_moons_demo(0, fraction, 25, **{name: MOONS_DEFAULTS[name] for name in names})
+
+
 @criterion("two-moons noise robustness (25 seeded runs)")
 def test_two_moons_noise_robustness():
     start = time.perf_counter()
-    trials = run_moons_benchmark(0, 25, flip_fraction=0.2)
-    l1_median = float(np.median([t.l1_accuracy for t in trials]))
-    l2_median = float(np.median([t.l2_accuracy for t in trials]))
-    smoother = sum(
-        1 for t in trials if t.l1_smoothness.l1_smoothness < t.l2_smoothness.l1_smoothness
-    )
+    runs = moons_demo_runs(0.2)
+    l1_median, l2_median = np.median([trial.accuracies()[0] for trial, _ in runs], axis=0)
+    smoother = sum(l1.l1_smoothness < l2.l1_smoothness for _, (l1, l2) in runs)
     assert l1_median >= 0.95, f"sparse-method median {l1_median:.3f}"
     assert l1_median >= l2_median, f"{l1_median:.3f} vs {l2_median:.3f}"
     assert smoother >= 20, f"smoother in only {smoother}/25 runs"
@@ -157,9 +160,8 @@ def test_two_moons_noise_robustness():
 
 @criterion("clean-label sanity (both methods)")
 def test_clean_label_sanity():
-    trials = run_moons_benchmark(0, 25, flip_fraction=0.0)
-    l1_median = float(np.median([t.l1_accuracy for t in trials]))
-    l2_median = float(np.median([t.l2_accuracy for t in trials]))
+    runs = moons_demo_runs(0.0)
+    l1_median, l2_median = np.median([trial.accuracies()[0] for trial, _ in runs], axis=0)
     assert l1_median >= 0.98, f"sparse-method median {l1_median:.3f}"
     assert l2_median >= 0.98, f"quadratic-method median {l2_median:.3f}"
 

@@ -108,6 +108,16 @@ class TestMoonsDemo:
         assert points[0].split() == ["x0", "x1", "truth", "l1_pred", "l2_pred", "labeled"]
         assert len(points) == 1 + 200
 
+    @pytest.mark.parametrize("fraction", ["0.2", "0.4"])
+    def test_runs_are_the_sweeps_runs(self, fraction):
+        # One trial and one decision rule: moons-demo is noise-sweep at one fraction.
+        demo = fileio.parse_metrics(run_cli("moons-demo", "--seed", 0, "--runs", 5,
+                                            "--noise-fraction", fraction).stdout)
+        sweep = fileio.parse_metrics(run_cli("noise-sweep", "--seed", 0, "--runs", 5,
+                                             "--noise-fraction", fraction).stdout)
+        assert demo["l1_accuracies"] == sweep["l1_accuracies.0"]
+        assert demo["l2_accuracies"] == sweep["l2_accuracies.0"]
+
 
 class TestClassify:
     def test_writes_predictions_and_metrics(self, tmp_path):

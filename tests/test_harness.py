@@ -12,12 +12,9 @@ from graphssl.harness import (
     confidence_halfwidth,
     l1_classify,
     multiclass_trial,
-    run_moons_benchmark,
-    run_moons_trial,
+    run_moons_demo,
     run_noise_sweep,
-    signed_label_vector,
 )
-from graphssl.ssl import two_moons
 
 
 class TestSeedFanOut:
@@ -36,18 +33,8 @@ class TestSeedFanOut:
         assert child_seed(123, 4, 5) == child_seed(123, 4, 5)
 
 
-class TestSignedLabels:
-    def test_encoding(self):
-        y = signed_label_vector([(0, 0), (3, 1)], 5)
-        assert y.tolist() == [1.0, 0.0, 0.0, -1.0, 0.0]
-
-    def test_rejects_extra_classes(self):
-        with pytest.raises(ValueError):
-            signed_label_vector([(0, 2)], 3)
-
-
 class TestPerClassFlips:
-    # The per-class draw that run_moons_trial makes on its labeled set.
+    # The per-class draw that multiclass_trial makes on its labeled set.
     def test_exactly_one_flip_per_class(self):
         assignments = [(i, 0) for i in range(5)] + [(i + 10, 1) for i in range(5)]
         for seed in range(10):
@@ -63,26 +50,26 @@ class TestPerClassFlips:
         assert harness.inject_label_noise(assignments, 0.0, 2, 0) == assignments
 
 
+GRAPH = {"sigma": 0.1, "k": 10, "lam": 5.0, "m": 20}
+
+
 class TestMoonsTrial:
     def test_deterministic(self):
-        a = run_moons_trial(3, 1)
-        b = run_moons_trial(3, 1)
-        assert a.l1_accuracy == b.l1_accuracy
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.l1_predictions, b.l1_predictions)
+        a = multiclass_trial(3, 1, [0.2], 5, **GRAPH)
+        b = multiclass_trial(3, 1, [0.2], 5, **GRAPH)
+        assert a.accuracies() == b.accuracies()
+        assert np.array_equal(a.x, b.x)
+        assert all(np.array_equal(p, q) for p, q in zip(a.predictions(0), b.predictions(0)))
 
     def test_runs_differ(self):
-        a = run_moons_trial(3, 0)
-        b = run_moons_trial(3, 1)
-        assert not np.array_equal(a.features, b.features)
-
-    def test_rejects_unknown_parameter(self):
-        with pytest.raises(TypeError, match="unknown moons parameters: gamma"):
-            run_moons_trial(3, 1, gamma=0.1)
+        a = multiclass_trial(3, 0, [0.2], 5, **GRAPH)
+        b = multiclass_trial(3, 1, [0.2], 5, **GRAPH)
+        assert not np.array_equal(a.x, b.x)
 
     def test_runs_are_the_sweeps_runs(self, monkeypatch):
         # moons-demo run r and noise-sweep run r on the grid [f] flip the same
-        # labels and fit on the same graph and basis; only the decision differs.
+        # labels and fit on the same graph and basis. Both pin BLAS to one
+        # thread through fork_map, whose runs stay in this process here.
         seen = {}
         draw, build = harness.inject_label_noise, harness.laplacian_basis
 
@@ -96,25 +83,53 @@ class TestMoonsTrial:
             seen[command].append((lap.toarray(), spectral.vectors, spectral.eigenvalues))
             return lap, spectral
 
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         monkeypatch.setattr(harness, "inject_label_noise", noise)
         monkeypatch.setattr(harness, "laplacian_basis", basis)
         runs = {
-            "moons-demo": lambda: run_moons_benchmark(5, 3, flip_fraction=0.2),
-            "noise-sweep": lambda: run_noise_sweep(5, [0.2], 3, 5, sigma=0.1, k=10, lam=5.0,
-                                                   m=20),
+            "moons-demo": lambda: run_moons_demo(5, 0.2, 3, 5, **GRAPH),
+            "noise-sweep": lambda: run_noise_sweep(5, [0.2], 3, 5, **GRAPH),
         }
         for command, run in runs.items():
             seen[command] = []
-            # One BLAS thread, as in the commands and the sweep's pool: the
-            # eigenvectors differ in their last bits between thread counts.
-            with parallel.one_blas_thread():
-                run()
+            run()
         assert len(seen["moons-demo"]) == len(seen["noise-sweep"]) == 6
         for ours, theirs in zip(seen["moons-demo"], seen["noise-sweep"]):
             if isinstance(ours, list):
                 assert ours == theirs
             else:
                 assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+    @pytest.mark.skipif(not parallel._openblas_controls(),
+                        reason="no OpenBLAS library is mapped")
+    def test_smoothness_does_not_depend_on_the_blas_pin(self):
+        # The runs go through fork_map, which pins BLAS to one thread, so a
+        # bare call at two threads equals one under the pin; eigenvectors
+        # differ in their last bits between thread counts.
+        def floats():
+            return [(report.fitting_error, report.l2_smoothness, report.l1_smoothness)
+                    for _, reports in run_moons_demo(0, 0.2, 3, 5, **GRAPH)
+                    for report in reports]
+
+        controls = parallel._openblas_controls()
+        before = [get() for get, _ in controls]
+        try:
+            for _, set_ in controls:
+                set_(2)
+            bare = floats()
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+        with parallel.one_blas_thread():
+            pinned = floats()
+        assert bare == pinned
+
+    def test_full_basis_is_not_solved_again(self, monkeypatch):
+        # At m = n the run's basis is already full: one eigensolve per run.
+        calls = _counting(monkeypatch, harness, "build_basis")
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        run_moons_demo(0, 0.2, 2, 5, **{**GRAPH, "m": 200})
+        assert len(calls) == 2
 
 
 class TestNoiseSweep:
@@ -167,18 +182,16 @@ def _counting(monkeypatch, module, name):
 class TestPairedSweep:
     """Every fraction of one run shares its instance, labeled set, graph and basis."""
 
-    GRAPH = {"sigma": 0.1, "k": 10, "lam": 5.0, "m": 20}
-
     def test_instance_is_built_once_per_run(self, monkeypatch):
         spies = {name: _counting(monkeypatch, harness, name)
                  for name in ("gaussian_knn_graph", "build_basis", "select_labeled",
                               "l1_ssl_fit", "l2_ssl_fit")}
-        run_noise_sweep(1, [0.0, 0.1, 0.2, 0.3, 0.4], 3, 5, **self.GRAPH)
+        run_noise_sweep(1, [0.0, 0.1, 0.2, 0.3, 0.4], 3, 5, **GRAPH)
         assert {name: len(calls) for name, calls in spies.items()} == dict.fromkeys(spies, 3)
 
     def test_first_fraction_does_not_depend_on_the_grid(self):
-        longer = run_noise_sweep(6, [0.0, 0.3], 4, 5, **self.GRAPH)
-        alone = run_noise_sweep(6, [0.0], 4, 5, **self.GRAPH)
+        longer = run_noise_sweep(6, [0.0, 0.3], 4, 5, **GRAPH)
+        alone = run_noise_sweep(6, [0.0], 4, 5, **GRAPH)
         assert longer[0] == alone[0]
 
     def test_stacked_fit_equals_per_fraction_fits(self, monkeypatch):
@@ -192,12 +205,14 @@ class TestPairedSweep:
                 return solution
 
             monkeypatch.setattr(harness, name, spy)
-        x, truth = two_moons(200, 0.1, seed=3)
-        multiclass_trial(x, truth, 2, 5, [0.0, 0.2, 0.4], seed=4, **self.GRAPH)
+        multiclass_trial(3, 4, [0.0, 0.2, 0.4], 5, **GRAPH)
         for name, fit in (("l1_ssl_fit", ssl.l1_ssl_fit), ("l2_ssl_fit", ssl.l2_ssl_fit)):
             operator, y, lam, stacked = fits[name]
             assert y.shape == (200, 6)
-            assert np.count_nonzero(y) == 3 * 10
+            assert np.count_nonzero(y) == 60
+            # Each labeled row holds one +1 and one -1 per fraction block.
+            rows = y[np.any(y != 0, axis=1)].reshape(10, 3, 2)
+            assert np.array_equal(np.sort(rows, axis=2), np.broadcast_to([-1.0, 1.0], rows.shape))
             for i in range(3):
                 alone = fit(operator, y[:, 2 * i:2 * i + 2], lam).scores
                 assert np.array_equal(stacked[:, 2 * i:2 * i + 2], alone), (name, i)
@@ -216,18 +231,16 @@ class TestPairedSweep:
             return SimpleNamespace(solve=solve)
 
         monkeypatch.setattr(ssl, "spd_factor", fail_fourth_solve)
-        x, truth = two_moons(200, 0.1, seed=3)
         with pytest.raises(ConvergenceError, match="^noise fraction 0.3, class 1: relative resid"):
-            multiclass_trial(x, truth, 2, 5, [0.0, 0.3], seed=4, **self.GRAPH)
+            multiclass_trial(3, 4, [0.0, 0.3], 5, **GRAPH)
 
 
 class TestBasisSize:
     """A basis larger than the sample count is an error, not silently clamped."""
 
     def test_multiclass_trial_rejects_m_beyond_n(self):
-        x, truth = gaussian_blobs(40, classes=2, seed=0)
         with pytest.raises(ValueError, match="m must be in"):
-            multiclass_trial(x, truth, 2, 3, [0.0], seed=1, sigma=1.0, k=5, lam=1.0, m=41)
+            multiclass_trial(1, 0, [0.0], 3, sigma=1.0, k=5, lam=1.0, m=201)
 
     def test_l1_classify_rejects_m_beyond_n(self):
         x, _ = gaussian_blobs(40, classes=2, seed=0)

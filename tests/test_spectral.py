@@ -155,6 +155,15 @@ class TestSmoothnessReport:
         assert report.l2_smoothness == 0.0
         assert report.l1_smoothness == 0.0
 
+    def test_column_of_a_block_equals_its_copy(self):
+        # A score block's column is strided; its report must not round differently.
+        _, lap = random_laplacian(200, seed=15, k=10)
+        basis = build_basis(lap, 200)
+        block = np.random.default_rng(15).standard_normal((200, 2))
+        y = np.sign(block[:, 1])
+        assert (smoothness_report(basis, lap, block[:, 0], y)
+                == smoothness_report(basis, lap, block[:, 0].copy(), y))
+
     def test_requires_full_basis(self):
         _, lap = random_laplacian(6, seed=14)
         basis = build_basis(lap, 2)

@@ -10,7 +10,7 @@ from graphssl import ssl
 from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
 from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
-from graphssl.harness import run_moons_benchmark, run_moons_trial
+from graphssl.harness import run_moons_demo
 from graphssl.solver import soft_threshold
 from graphssl.spectral import build_basis
 from graphssl.ssl import (
@@ -23,6 +23,7 @@ from graphssl.ssl import (
     two_moons,
 )
 
+MOONS_GRAPH = {"sigma": 0.1, "k": 10, "lam": 5.0, "m": 20}
 PATH_GRAPH_2 = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
@@ -149,8 +150,9 @@ class TestL2Fit:
 
     def test_noisy_labels_hurt_quadratic_more(self):
         # Paired run on one noisy instance: the sparse solver wins.
-        trial = run_moons_trial(0, 0, flip_fraction=0.2)
-        assert trial.l2_accuracy < trial.l1_accuracy
+        (trial, _), = run_moons_demo(0, 0.2, 1, 5, **MOONS_GRAPH)
+        l1, l2 = trial.accuracies()[0]
+        assert l2 < l1
 
     def test_reports_carry_residuals(self):
         # Each score column meets the CG residual contract of its class solve.
@@ -346,12 +348,11 @@ class TestTwoMoons:
 
 class TestNoiseRobustness:
     def test_sparse_solver_resists_flipped_labels(self):
-        trials = run_moons_benchmark(0, 5, flip_fraction=0.2)
-        l1 = np.median([t.l1_accuracy for t in trials])
-        l2 = np.median([t.l2_accuracy for t in trials])
+        runs = run_moons_demo(0, 0.2, 5, 5, **MOONS_GRAPH)
+        l1, l2 = np.median([trial.accuracies()[0] for trial, _ in runs], axis=0)
         assert l1 >= 0.95
         assert l1 >= l2
 
     def test_sparse_solution_is_smoother_in_l1_measure(self):
-        trial = run_moons_trial(0, 0, flip_fraction=0.2)
-        assert trial.l1_smoothness.l1_smoothness < trial.l2_smoothness.l1_smoothness
+        (_, (l1, l2)), = run_moons_demo(0, 0.2, 1, 5, **MOONS_GRAPH)
+        assert l1.l1_smoothness < l2.l1_smoothness
