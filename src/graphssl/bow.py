@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio, parallel
 from .errors import IsolatedVertexError
-from .graph import GraphConfig, linear_knn_graph, normalized_laplacian
+from .graph import linear_knn_graph, normalized_laplacian
 from .solver import kkt_residual, l1_coefficients, objective, soft_threshold
 from .spectral import SpectralBasis, build_basis
 
@@ -144,7 +144,7 @@ def _refinement(y, other, cfg, seed):
         # minimizer is Y itself; skip the graph machinery so the identity is
         # bit-exact.
         return Refinement(y, None, None, cfg.gamma, RefineReports(0.0, 0.0))
-    graph = linear_knn_graph(other, GraphConfig(k=cfg.k))
+    graph = linear_knn_graph(other, cfg.k)
     basis = build_basis(normalized_laplacian(graph), cfg.m, seed=seed)
     alpha = np.asfortranarray(l1_coefficients(basis, y, cfg.lam))  # expanded column by column
     reports = RefineReports(total_objective=objective(basis, y, cfg.lam, alpha),

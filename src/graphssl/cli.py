@@ -1,7 +1,8 @@
 """Command-line entry point with reproducible seeded runs and file I/O.
 
 Commands: moons-demo, classify, noise-sweep, refine-bow, eigen-dump. Exit
-codes: 0 success, 1 usage or configuration error, 2 numerical failure.
+codes: 0 success, 1 usage, configuration or I/O error (a worker process
+that died included), 2 numerical failure.
 Each command accepts only the flags it reads, and every flag's range is
 checked while parsing. Every command validates its configuration up front
 and writes output files only after all computation has finished, so
@@ -101,11 +102,11 @@ FLAGS = {
     "--truth": {"help": "optional ground truth, one class per line"},
 }
 
-_GRAPH = ("--preset", "--k", "--sigma", "--lambda", "--m")
+_GRAPH = ("--k", "--sigma", "--lambda", "--m")
 
 COMMAND_FLAGS = {
     "moons-demo": _GRAPH + ("--runs", "--labels-per-class", "--noise-fraction"),
-    "classify": _GRAPH + ("--input", "--labels", "--truth"),
+    "classify": ("--preset",) + _GRAPH + ("--input", "--labels", "--truth"),
     "noise-sweep": _GRAPH + (
         "--runs", "--labels-per-class", "--workers",
         ("--noise-fraction", {"type": _fraction_list, "default": (0.0, 0.1, 0.2, 0.3, 0.4)}),
@@ -138,9 +139,13 @@ def _given(args, names):
 
 
 def _graph_params(args, defaults=MNIST_STYLE):
-    """Explicit flags over --preset mnist-style over the command's defaults."""
-    base = MNIST_STYLE if args.preset else defaults
-    return {**base, **_given(args, base)}
+    """Explicit flags over the command's defaults."""
+    return {**defaults, **_given(args, defaults)}
+
+
+def _header(args):
+    """The metrics items every command writes first: schema, command and seed."""
+    return [("schema", SCHEMA_VERSION), ("command", args.command), ("seed", args.seed)]
 
 
 def _check_sizes(k, m, n, count="the sample count", prefix=""):
@@ -209,9 +214,7 @@ def cmd_moons_demo(args):
     l1_reports, l2_reports = zip(*(reports for _, reports in runs))
     smoother = sum(a.l1_smoothness < b.l1_smoothness for a, b in zip(l1_reports, l2_reports))
     items = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "moons-demo"),
-        ("seed", args.seed),
+        *_header(args),
         ("runs", args.runs),
         ("n", MOONS_DEFAULTS["n"]),
         ("labels_per_class", args.labels_per_class),
@@ -267,9 +270,7 @@ def cmd_classify(args):
 
     solution = harness.l1_classify(x, assignments, classes, **params, seed=args.seed)
     items = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "classify"),
-        ("seed", args.seed),
+        *_header(args),
         ("n", n),
         ("classes", classes),
         ("labeled", len(assignments)),
@@ -293,26 +294,24 @@ def cmd_noise_sweep(args):
     """accuracy vs label-noise fraction grid"""
     params = _graph_params(args, MOONS_GRAPH)
     _check_moons(params, args.labels_per_class)
-    cells = harness.run_noise_sweep(
+    runs = harness.run_noise_sweep(
         args.seed, args.noise_fraction, args.runs, args.labels_per_class, **params,
         workers=args.workers,
     )
+    # One (L1 accuracies, L2 accuracies) pair per fraction, over the runs.
+    accuracies = [tuple(zip(*pairs)) for pairs in zip(*runs)]
     items = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "noise-sweep"),
-        ("seed", args.seed),
+        *_header(args),
         ("runs", args.runs),
         ("labels_per_class", args.labels_per_class),
         *params.items(),
         ("fractions", args.noise_fraction),
-        ("l1_mean", [c["l1_mean"] for c in cells]),
-        ("l1_ci95", [c["l1_ci95"] for c in cells]),
-        ("l2_mean", [c["l2_mean"] for c in cells]),
-        ("l2_ci95", [c["l2_ci95"] for c in cells]),
     ]
-    for i, cell in enumerate(cells):
-        items.append((f"l1_accuracies.{i}", cell["l1_accuracies"]))
-        items.append((f"l2_accuracies.{i}", cell["l2_accuracies"]))
+    for j, method in enumerate(("l1", "l2")):
+        items.append((f"{method}_mean", [float(np.mean(a[j])) for a in accuracies]))
+        items.append((f"{method}_ci95", [harness.confidence_halfwidth(a[j]) for a in accuracies]))
+    for i, (l1, l2) in enumerate(accuracies):
+        items += [(f"l1_accuracies.{i}", l1), (f"l2_accuracies.{i}", l2)]
     _emit(args, [("metrics.txt", fileio.render_metrics(items))])
     return 0
 
@@ -340,9 +339,7 @@ def cmd_refine_bow(args):
     refinements = bow.co_refine(visual, textual, cfg_visual, cfg_textual, seed=args.seed)
 
     items = [
-        ("schema", SCHEMA_VERSION),
-        ("command", "refine-bow"),
-        ("seed", args.seed),
+        *_header(args),
         ("documents", n),
     ]
     for prefix, cfg, refinement in zip(("visual", "textual"), (cfg_visual, cfg_textual),

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.spatial import cKDTree
@@ -14,24 +12,6 @@ from .linalg import _row_sums, check_symmetric
 
 # Rows of the linear kernel that linear_knn_graph holds at once.
 LINEAR_BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class GraphConfig:
-    """Neighborhood-graph parameters.
-
-    sigma is the Gaussian kernel bandwidth and k the neighbor count; an
-    edge survives when either endpoint selects the other.
-    """
-
-    sigma: float = 1.0
-    k: int = 4
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
 
 
 def _check_weights(w):
@@ -97,7 +77,7 @@ def _symmetrize(n, src, dst, vals):
     return lo_idx[pick], hi_idx[pick], vals[pick]
 
 
-def linear_knn_graph(x, config):
+def linear_knn_graph(x, k):
     """k-NN linear-kernel graph of nonnegative features, built from row blocks.
 
     Each block of LINEAR_BLOCK_ROWS rows is multiplied by x.T, its self
@@ -107,15 +87,17 @@ def linear_knn_graph(x, config):
     O(block * n), and the result does not depend on the block size.
     tests/oracle_graph.py holds the dense n x n reference.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     x = _as_features(x)
     if np.any(x < 0.0):
         raise ValueError("linear kernel requires nonnegative features")
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least two samples")
-    if config.k >= n:
-        raise ValueError(f"k={config.k} must be smaller than the number of vertices {n}")
-    cut = n - config.k
+    if k >= n:
+        raise ValueError(f"k={k} must be smaller than the number of vertices {n}")
+    cut = n - k
     src_parts, dst_parts, val_parts = [], [], []
     for start in range(0, n, LINEAR_BLOCK_ROWS):
         block = x[start:start + LINEAR_BLOCK_ROWS] @ x.T
@@ -127,7 +109,7 @@ def linear_knn_graph(x, config):
         flat = np.flatnonzero(block >= np.maximum(kth, np.nextafter(0.0, 1.0)))
         rows, cols = np.divmod(flat, n)
         vals = block.ravel()[flat]
-        keep = _top_k_per_row(rows, cols, vals, config.k)
+        keep = _top_k_per_row(rows, cols, vals, k)
         src_parts.append(rows[keep] + start)
         dst_parts.append(cols[keep])
         val_parts.append(vals[keep])
@@ -138,36 +120,41 @@ def linear_knn_graph(x, config):
     return _mirror(n, *_symmetrize(n, src, dst, vals))
 
 
-def gaussian_knn_graph(x, config):
-    """k-NN Gaussian affinity graph built directly from features.
+def gaussian_knn_graph(x, sigma, k):
+    """k-NN Gaussian affinity graph of bandwidth sigma built directly from features.
 
-    Neighbors come from a KD-tree, which keeps the construction close to
-    n log n instead of forming the dense kernel of tests/oracle_graph.py.
-    Selecting neighbors by distance equals selecting by kernel value because
-    the kernel is monotone. The query runs on usable_cpus() threads, joined on return.
+    An edge survives when either endpoint picks the other. Neighbors come
+    from a KD-tree, which keeps the construction close to n log n instead of
+    forming the dense kernel of tests/oracle_graph.py. Selecting neighbors by
+    distance equals selecting by kernel value because the kernel is
+    monotone. The query runs on usable_cpus() threads, joined on return.
     """
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     x = _as_features(x)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least two samples")
-    if config.k >= n:
-        raise ValueError(f"k={config.k} must be smaller than the number of samples {n}")
+    if k >= n:
+        raise ValueError(f"k={k} must be smaller than the number of samples {n}")
     tree = cKDTree(x)
-    dist, idx = tree.query(x, k=config.k + 1, workers=parallel.usable_cpus())
+    dist, idx = tree.query(x, k=k + 1, workers=parallel.usable_cpus())
     # Drop exactly one slot per row: the self match when present, else the
     # farthest hit (self can be crowded out by duplicate points).
     drop = idx == np.arange(n)[:, None]
     missing = ~drop.any(axis=1)
     drop[missing, -1] = True
     keep = ~drop
-    src = np.repeat(np.arange(n, dtype=np.int64), config.k)
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = idx[keep].astype(np.int64, copy=False)
     # A bandwidth small enough to under- or overflow the exponent gives
     # weight 0; such edges are dropped below, as any underflowed weight is.
     # Duplicate points keep weight exactly 1, even where 0/0 would be NaN.
     dd = dist[keep]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        wvals = np.where(dd == 0.0, 1.0, np.exp(-(dd ** 2) / (2.0 * config.sigma * config.sigma)))
+        wvals = np.where(dd == 0.0, 1.0, np.exp(-(dd ** 2) / (2.0 * sigma * sigma)))
     nz = wvals > 0.0
     src, dst, wvals = src[nz], dst[nz], wvals[nz]
     del dist, idx, drop, keep, dd, nz  # the edge kernels set the peak memory; free these first

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import parallel
-from .graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
+from .graph import gaussian_knn_graph, normalized_laplacian
 from .spectral import build_basis, smoothness_report
 from .ssl import (
     encode_labels,
@@ -62,10 +62,11 @@ def confidence_halfwidth(values):
 def laplacian_basis(x, sigma, k, m, seed):
     """Gaussian k-NN graph of x, its normalized Laplacian, and that Laplacian's m-pair basis.
 
-    Returns (lap, basis); seed seeds the eigensolver.
+    Returns (lap, basis). The eigensolver is seeded with child_seed(seed,
+    _STREAM_EIGEN), so every command given one seed solves for one basis.
     """
-    lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k)))
-    return lap, build_basis(lap, m, seed=seed)
+    lap = normalized_laplacian(gaussian_knn_graph(x, sigma, k))
+    return lap, build_basis(lap, m, seed=child_seed(seed, _STREAM_EIGEN))
 
 
 @dataclass
@@ -127,7 +128,7 @@ def multiclass_trial(master_seed, run_index, noise_fractions, labels_per_class,
                                                child_seed(seed, _STREAM_NOISE, i)), n, 2)
               for i, fraction in enumerate(noise_fractions)]
     y = 2.0 * np.hstack(blocks) - labeled[:, None]
-    lap, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
+    lap, basis = laplacian_basis(x, sigma, k, m, seed)
     names = [f"noise fraction {fraction}, class {cls}"
              for fraction in noise_fractions for cls in range(2)]
     scores = (l1_ssl_fit(basis, y, lam).scores, l2_ssl_fit(lap, y, lam, names=names).scores)
@@ -164,8 +165,8 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
     The design is paired: run r is multiclass_trial(master_seed, r, ...), so
     every fraction is measured on one instance, labeled set, graph and basis,
     and only the injected noise differs along the curve. Runs are evaluated
-    in up to `workers` forked processes, each returning only its accuracy
-    pairs, and assembled in grid order. Returns a list of per-fraction dicts.
+    in up to `workers` forked processes. Returns each run's (L1, L2)
+    accuracy pairs, one per fraction, in run order.
     """
     fractions = list(fractions)
     if not fractions:
@@ -175,24 +176,7 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
         return multiclass_trial(master_seed, run_index, fractions, labels_per_class,
                                 sigma, k, lam, m).accuracies()
 
-    outcomes = _map_runs(run, runs, workers)
-
-    results = []
-    for fi, fraction in enumerate(fractions):
-        l1 = [outcomes[ri][fi][0] for ri in range(runs)]
-        l2 = [outcomes[ri][fi][1] for ri in range(runs)]
-        results.append(
-            {
-                "fraction": fraction,
-                "l1_accuracies": l1,
-                "l2_accuracies": l2,
-                "l1_mean": float(np.mean(l1)),
-                "l2_mean": float(np.mean(l2)),
-                "l1_ci95": confidence_halfwidth(l1),
-                "l2_ci95": confidence_halfwidth(l2),
-            }
-        )
-    return results
+    return _map_runs(run, runs, workers)
 
 
 def l1_classify(x, assignments, classes, sigma, k, lam, m, seed=0):
@@ -201,5 +185,5 @@ def l1_classify(x, assignments, classes, sigma, k, lam, m, seed=0):
     The labels are encoded first, so a bad label fails before the eigensolve.
     """
     y = encode_labels(assignments, x.shape[0], classes)
-    _, basis = laplacian_basis(x, sigma, k, m, child_seed(seed, _STREAM_EIGEN))
+    _, basis = laplacian_basis(x, sigma, k, m, seed)
     return l1_ssl_fit(basis, y, lam)

@@ -149,6 +149,9 @@ def _pool_map(fn, items, workers):
                 if pids[-1] == 0:
                     try:
                         _serve(fn, items, queue, spool)
+                    except BaseException as exc:  # such as a full disk under the spool
+                        print(f"error: worker process {os.getpid()}: {type(exc).__name__}: "
+                              f"{exc}", file=sys.stderr, flush=True)
                     finally:
                         os._exit(1)
             codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]

@@ -87,11 +87,11 @@ class TestRefine:
         _, corrupted, _, other = small_corpus()
         out, _ = refine(corrupted, other, RefineConfig(lam=0.05, gamma=0.0, k=19, m=4))
         # Manually run the smoothing stage on the same graph and basis.
-        from graphssl.graph import GraphConfig, linear_knn_graph, normalized_laplacian
+        from graphssl.graph import linear_knn_graph, normalized_laplacian
         from graphssl.spectral import build_basis
         from graphssl.ssl import fit_scores
 
-        lap = normalized_laplacian(linear_knn_graph(other, GraphConfig(k=19)))
+        lap = normalized_laplacian(linear_knn_graph(other, k=19))
         basis = build_basis(lap, 4, seed=0)
         smoothed, _ = fit_scores(basis, corrupted, 0.05)
         assert np.array_equal(out, smoothed)

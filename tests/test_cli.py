@@ -12,8 +12,8 @@ import pytest
 from graphssl import bow, cli, fileio, harness, linalg, parallel, spectral
 from graphssl.bow import RefineConfig, refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
-from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
-from graphssl.harness import confidence_halfwidth
+from graphssl.graph import gaussian_knn_graph, normalized_laplacian
+from graphssl.harness import _STREAM_EIGEN, child_seed, confidence_halfwidth
 from graphssl.spectral import build_basis
 
 
@@ -206,11 +206,17 @@ class TestNoiseSweep:
         values = [0.9, 0.8, 1.0, 0.7]
         sd = np.std(values, ddof=1)
         assert confidence_halfwidth(values) == pytest.approx(1.96 * sd / 2.0)
-        result = run_cli("noise-sweep", "--noise-fraction", "0.2", "--runs", 4, "--seed", 8)
+        result = run_cli("noise-sweep", "--noise-fraction", "0.2,0.4", "--runs", 4,
+                         "--seed", 8)
         parsed = fileio.parse_metrics(result.stdout)
-        accs = parsed["l1_accuracies.0"]
-        expected = 1.96 * np.std(accs, ddof=1) / np.sqrt(len(accs))
-        assert parsed["l1_ci95"][0] == pytest.approx(expected, abs=1e-12)
+        for method in ("l1", "l2"):
+            assert len(parsed[f"{method}_mean"]) == len(parsed[f"{method}_ci95"]) == 2
+            for i in range(2):
+                accs = parsed[f"{method}_accuracies.{i}"]
+                assert len(accs) == 4
+                expected = 1.96 * np.std(accs, ddof=1) / np.sqrt(len(accs))
+                assert parsed[f"{method}_mean"][i] == pytest.approx(np.mean(accs), abs=1e-12)
+                assert parsed[f"{method}_ci95"][i] == pytest.approx(expected, abs=1e-12)
 
     def test_workers_do_not_change_results(self):
         one = run_cli("noise-sweep", "--noise-fraction", "0,0.2", "--runs", 4,
@@ -360,11 +366,32 @@ class TestEigenDump:
         assert cli.main(["eigen-dump", "--input", str(features), "--k", "10", "--m", "5",
                          "--sigma", "1.0", "--seed", "4", "--output", str(out)]) == 0
         lap = normalized_laplacian(gaussian_knn_graph(fileio.read_features(features),
-                                                      GraphConfig(sigma=1.0, k=10)))
-        basis = build_basis(lap, 5, seed=4)
+                                                      sigma=1.0, k=10))
+        basis = build_basis(lap, 5, seed=child_seed(4, _STREAM_EIGEN))
         lines = ["1800 5", " ".join(json.dumps(float(v)) for v in basis.eigenvalues)]
         lines += [" ".join(json.dumps(float(v)) for v in row) for row in basis.vectors]
         assert (out / "eigen.txt").read_text() == "\n".join(lines) + "\n"
+
+    def test_writes_the_basis_that_classify_fits(self, tmp_path, monkeypatch):
+        # On the Lanczos path the eigenvectors depend on the eigensolver's
+        # seed, and both commands derive it from --seed by one rule.
+        features, labels, _, _ = write_blob_dataset(tmp_path, n=1800, labeled_per_class=5)
+        bases = []
+
+        def spy(*args, **kwargs):
+            bases.append(build_basis(*args, **kwargs))
+            return bases[-1]
+
+        monkeypatch.setattr(harness, "build_basis", spy)
+        flags = ["--k", "10", "--seed", "4", "--input", str(features)]
+        assert cli.main(["classify", *flags, "--labels", str(labels),
+                         "--output", str(tmp_path / "classify")]) == 0
+        assert len(bases) == 1
+        assert cli.main(["eigen-dump", *flags, "--output", str(tmp_path / "dump")]) == 0
+        lines = (tmp_path / "dump" / "eigen.txt").read_text().splitlines()
+        assert [float(v) for v in lines[1].split()] == bases[0].eigenvalues.tolist()
+        assert [[float(v) for v in line.split()] for line in lines[2:]] == \
+            bases[0].vectors.tolist()
 
 
 class TestComponents:
@@ -914,7 +941,9 @@ UNREAD_FLAGS = [
     ("classify", "--noise-fraction", "0.1"),
     ("classify", "--labels-per-class", "2"),
     ("classify", "--runs", "2"),
+    ("moons-demo", "--preset", "mnist-style"),
     ("noise-sweep", "--gamma", "0.1"),
+    ("noise-sweep", "--preset", "mnist-style"),
     ("refine-bow", "--workers", "2"),
     ("refine-bow", "--sigma", "1.0"),
     ("refine-bow", "--noise-fraction", "0.1"),
@@ -929,7 +958,7 @@ UNREAD_FLAGS = [
 ]
 UNREAD_PRESETS = [
     (command, preset)
-    for command in ("moons-demo", "classify", "noise-sweep", "eigen-dump")
+    for command in ("classify", "eigen-dump")
     for preset in ("table2-visual", "table2-textual")
 ] + [("refine-bow", "mnist-style")]
 

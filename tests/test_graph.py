@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 import oracle_graph
 from graphssl import graph, parallel
 from graphssl.errors import IsolatedVertexError
-from graphssl.graph import GraphConfig, gaussian_knn_graph, linear_knn_graph, normalized_laplacian
+from graphssl.graph import gaussian_knn_graph, linear_knn_graph, normalized_laplacian
 
 
 def same_graph(a, b):
@@ -56,8 +56,14 @@ def degrees(w):
 
 class TestGraphConfig:
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            GraphConfig(sigma=0.0)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            gaussian_knn_graph(np.eye(3), sigma=0, k=1)
+
+    @pytest.mark.parametrize("build", [lambda x, k: gaussian_knn_graph(x, 1.0, k),
+                                       linear_knn_graph], ids=["gaussian", "linear"])
+    def test_rejects_k_below_one(self, build):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            build(np.eye(3), 0)
 
 
 class TestWeightMatrixInvariants:
@@ -81,7 +87,7 @@ class TestGaussianWeights:
 
     def test_identical_points_weight_one(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0]])
-        w = gaussian_knn_graph(x, GraphConfig(sigma=0.7, k=2)).toarray()
+        w = gaussian_knn_graph(x, sigma=0.7, k=2).toarray()
         assert w[0, 1] == pytest.approx(1.0)
 
     def test_identical_points_keep_weight_one_when_the_bandwidth_underflows(self):
@@ -89,26 +95,26 @@ class TestGaussianWeights:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             w = gaussian_knn_graph([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-                                   GraphConfig(sigma=1e-200, k=2))
+                                   sigma=1e-200, k=2)
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = 1.0
         assert np.array_equal(w.toarray(), expected) and w.nnz == 2
 
     def test_scalar_value(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])  # distance sqrt(2)
-        w = gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=1)).toarray()
+        w = gaussian_knn_graph(x, sigma=1.0, k=1).toarray()
         assert w[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-12)
 
     def test_wide_bandwidth_limit(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 3))
-        w = gaussian_knn_graph(x, GraphConfig(sigma=1e8, k=5)).toarray()
+        w = gaussian_knn_graph(x, sigma=1e8, k=5).toarray()
         off = w[~np.eye(6, dtype=bool)]
         assert np.allclose(off, 1.0, atol=1e-12)
 
     def test_zero_diagonal(self):
         rng = np.random.default_rng(1)
-        w = gaussian_knn_graph(rng.standard_normal((5, 2)), GraphConfig(sigma=1.0, k=4))
+        w = gaussian_knn_graph(rng.standard_normal((5, 2)), sigma=1.0, k=4)
         assert np.all(w.diagonal() == 0.0) and w.nnz == 5 * 4
 
 
@@ -117,19 +123,19 @@ class TestLinearKernel:
 
     def test_orthogonal_rows_not_stored(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        w = linear_knn_graph(x, GraphConfig(k=2))
+        w = linear_knn_graph(x, k=2)
         dense = w.toarray()
         assert dense[0, 1] == 0.0
         assert w.nnz == 4  # (0,2) and (1,2), each stored in both triangles
 
     def test_dot_product_value(self):
         x = np.array([[1.0, 2.0], [3.0, 1.0]])
-        assert linear_knn_graph(x, GraphConfig(k=1)).toarray()[0, 1] == pytest.approx(5.0)
+        assert linear_knn_graph(x, k=1).toarray()[0, 1] == pytest.approx(5.0)
 
     def test_matches_gram_oracle(self):
         rng = np.random.default_rng(2)
         x = rng.random((6, 4))
-        w = linear_knn_graph(x, GraphConfig(k=5)).toarray()
+        w = linear_knn_graph(x, k=5).toarray()
         gram = x @ x.T
         np.fill_diagonal(gram, 0.0)
         assert np.allclose(w, gram, atol=1e-12)
@@ -140,23 +146,23 @@ class TestKnnSparsify:
 
     def test_full_k_is_identity(self):
         x = np.random.default_rng(3).integers(0, 3, size=(7, 3)).astype(np.float64)
-        assert same_graph(linear_knn_graph(x, GraphConfig(k=6)), oracle_graph.linear_kernel(x))
+        assert same_graph(linear_knn_graph(x, k=6), oracle_graph.linear_kernel(x))
 
     def test_three_node_chain_union(self):
         # 0 and 2 both pick 1; 1 picks only 0, and keeps (1, 2) through 2's pick.
-        out = gaussian_knn_graph(np.array([[0.0], [1.0], [2.2]]), GraphConfig(k=1))
+        out = gaussian_knn_graph(np.array([[0.0], [1.0], [2.2]]), sigma=1.0, k=1)
         assert edges(out) == {(0, 1), (1, 2)}
 
     def test_weights_unchanged(self):
         x = np.random.default_rng(4).standard_normal((20, 3))
-        sparse = gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=4)).toarray()
+        sparse = gaussian_knn_graph(x, sigma=1.0, k=4).toarray()
         full = oracle_graph.gaussian_kernel(x, 1.0).toarray()
         mask = sparse != 0.0
         assert np.allclose(sparse[mask], full[mask], atol=1e-12, rtol=0.0)
 
     def test_matches_row_loop_on_heavy_ties(self):
         x = tied_counts()
-        out = linear_knn_graph(x, GraphConfig(k=4))
+        out = linear_knn_graph(x, k=4)
         dense = oracle_graph.linear_kernel(x).toarray()
         kth = -np.sort(-dense, axis=1)[:, 3]
         assert np.sum(np.sum(dense == kth[:, None], axis=1) > 1) > 10  # ties at the k-th place
@@ -167,7 +173,7 @@ class TestKnnSparsify:
         # 1-3 pick vertex 4 (2), and 4 weighs them equally, keeping column 1.
         x = np.array([[1, 1, 1, 0, 0, 0], [1, 0, 0, 2, 0, 0], [0, 1, 0, 0, 2, 0],
                       [0, 0, 1, 0, 0, 2], [0, 0, 0, 1, 1, 1]], dtype=np.float64)
-        out = linear_knn_graph(x, GraphConfig(k=1))
+        out = linear_knn_graph(x, k=1)
         assert edges(out) == {(0, 1), (1, 4), (2, 4), (3, 4)}
         assert same_graph(out, linear_reference(x, 1))
 
@@ -175,7 +181,7 @@ class TestKnnSparsify:
         # Vertex 0 keeps 3, its heaviest edge (2); 1-3 pick vertex 4 (3) instead of 0.
         x = np.array([[1, 1, 2, 0, 0, 0], [1, 0, 0, 3, 0, 0], [0, 1, 0, 0, 3, 0],
                       [0, 0, 1, 0, 0, 3], [0, 0, 0, 1, 1, 1]], dtype=np.float64)
-        out = linear_knn_graph(x, GraphConfig(k=1))
+        out = linear_knn_graph(x, k=1)
         assert edges(out) == {(0, 3), (1, 4), (2, 4), (3, 4)}
         assert same_graph(out, linear_reference(x, 1))
 
@@ -187,15 +193,14 @@ class TestLinearKnnGraph:
             n = int(rng.integers(3, 71))
             x = rng.integers(0, 3, size=(n, int(rng.integers(2, 7)))).astype(np.float64)
             k = int(rng.integers(1, n))
-            assert same_graph(linear_knn_graph(x, GraphConfig(k=k)), linear_reference(x, k))
+            assert same_graph(linear_knn_graph(x, k=k), linear_reference(x, k))
 
     @pytest.mark.parametrize("block_rows", [1, 7, 59, 1000])
     def test_block_size_does_not_change_graph(self, monkeypatch, block_rows):
         x = tied_counts()
-        cfg = GraphConfig(k=4)
-        reference = linear_knn_graph(x, cfg)
+        reference = linear_knn_graph(x, k=4)
         monkeypatch.setattr(graph, "LINEAR_BLOCK_ROWS", block_rows)
-        assert same_graph(linear_knn_graph(x, cfg), reference)
+        assert same_graph(linear_knn_graph(x, k=4), reference)
 
     @pytest.mark.parametrize("block_rows", [1, 7, 256])
     @pytest.mark.parametrize("kind", ["tied counts", "few positive products", "subnormal"])
@@ -227,7 +232,7 @@ class TestLinearKnnGraph:
 
         monkeypatch.setattr(graph, "_symmetrize", recording)
         monkeypatch.setattr(graph, "LINEAR_BLOCK_ROWS", block_rows)
-        out = linear_knn_graph(x, GraphConfig(k=k))
+        out = linear_knn_graph(x, k=k)
         src, dst, vals = oracle_graph.linear_picks(x, k, block_rows)
         (got_src, got_dst, got_vals), = picks
         assert np.array_equal(got_src, src) and np.array_equal(got_dst, dst)
@@ -242,25 +247,25 @@ class TestLinearKnnGraph:
 
     def test_ties_go_to_lowest_column(self):
         x = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert edges(linear_knn_graph(x, GraphConfig(k=1))) == {(0, 1), (0, 2), (0, 3)}
+        assert edges(linear_knn_graph(x, k=1)) == {(0, 1), (0, 2), (0, 3)}
         # Row 0 ties 1, 2 and 3 at 1; each of 1-3 ties the other two at 25.
         x = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 5.0],
                       [0.0, 1.0, 0.0, 5.0], [0.0, 0.0, 1.0, 5.0]])
-        assert edges(linear_knn_graph(x, GraphConfig(k=1))) == {(0, 1), (1, 2), (1, 3)}
+        assert edges(linear_knn_graph(x, k=1)) == {(0, 1), (1, 2), (1, 3)}
 
     def test_orthogonal_rows_are_not_neighbors(self):
         x = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0], [0.0, 5.0]])
-        out = linear_knn_graph(x, GraphConfig(k=3))
+        out = linear_knn_graph(x, k=3)
         assert edges(out) == {(0, 1), (0, 2), (1, 2), (3, 4)}
         assert same_graph(out, linear_reference(x, 3))
 
     def test_rejects_negative_features(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            linear_knn_graph(np.array([[1.0, -0.1], [0.5, 0.2]]), GraphConfig(k=1))
+            linear_knn_graph(np.array([[1.0, -0.1], [0.5, 0.2]]), k=1)
 
     def test_rejects_k_too_large(self):
         with pytest.raises(ValueError, match="smaller"):
-            linear_knn_graph(np.ones((3, 2)), GraphConfig(k=3))
+            linear_knn_graph(np.ones((3, 2)), k=3)
 
 
 class TestGaussianKnnGraph:
@@ -270,16 +275,16 @@ class TestGaussianKnnGraph:
         for _ in range(120):
             n = int(rng.integers(3, 71))
             x = rng.standard_normal((n, int(rng.integers(1, 5))))
-            cfg = GraphConfig(sigma=float(rng.uniform(0.3, 2.0)), k=int(rng.integers(1, n)))
-            fast = gaussian_knn_graph(x, cfg)
-            slow = oracle_graph.knn(oracle_graph.gaussian_kernel(x, cfg.sigma), cfg.k)
+            sigma, k = float(rng.uniform(0.3, 2.0)), int(rng.integers(1, n))
+            fast = gaussian_knn_graph(x, sigma, k)
+            slow = oracle_graph.knn(oracle_graph.gaussian_kernel(x, sigma), k)
             assert np.array_equal(fast.indptr, slow.indptr)
             assert np.array_equal(fast.indices, slow.indices)
             assert np.allclose(fast.data, slow.data, atol=1e-12, rtol=0.0)
 
     def test_duplicate_points(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        g = gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=2))
+        g = gaussian_knn_graph(x, sigma=1.0, k=2)
         dense = g.toarray()
         assert dense[0, 1] == pytest.approx(1.0)
         assert np.all(np.diag(dense) == 0.0)
@@ -289,14 +294,14 @@ class TestGaussianKnnGraph:
         x = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            g = gaussian_knn_graph(x, GraphConfig(sigma=1e-200, k=1))
+            g = gaussian_knn_graph(x, sigma=1e-200, k=1)
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 1.0
         assert np.array_equal(g.toarray(), expected)
 
     def test_rejects_k_too_large(self):
         with pytest.raises(ValueError, match="smaller"):
-            gaussian_knn_graph(np.zeros((3, 2)), GraphConfig(k=3))
+            gaussian_knn_graph(np.zeros((3, 2)), sigma=1.0, k=3)
 
 
 def directed_picks(rng, n, count):
@@ -374,7 +379,7 @@ class TestThreadedQuery:
 
         def build(_):
             calls.clear()
-            gaussian_knn_graph(x, GraphConfig(k=3))
+            gaussian_knn_graph(x, sigma=1.0, k=3)
             return list(calls)
 
         assert build(None) == [parallel.usable_cpus()]
@@ -386,7 +391,7 @@ class TestThreadedQuery:
         graphs = []
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
-            graphs.append(gaussian_knn_graph(x, GraphConfig(sigma=0.5, k=10)))
+            graphs.append(gaussian_knn_graph(x, sigma=0.5, k=10))
         assert same_csr_arrays(*graphs)
 
 
@@ -446,7 +451,7 @@ class TestNormalizedLaplacian:
         rng = np.random.default_rng(12)
         x = np.vstack([rng.normal(scale=s, size=(100, 2)) + 4.0 * i
                        for i, s in enumerate((0.2, 0.7, 1.5))])
-        w = gaussian_knn_graph(x, GraphConfig(sigma=0.6, k=6))
+        w = gaussian_knn_graph(x, sigma=0.6, k=6)
         assert np.ptp(degrees(w)) > 1.0
         return w
 

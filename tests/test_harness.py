@@ -138,8 +138,7 @@ class TestNoiseSweep:
         serial = run_noise_sweep(2, [0.0, 0.3], 3, 5, sigma=0.1, k=10, lam=5.0, m=20)
         forked = run_noise_sweep(2, [0.0, 0.3], 3, 5, sigma=0.1, k=10, lam=5.0, m=20,
                                  workers=3)
-        for a, b in zip(serial, forked):
-            assert a == b
+        assert serial == forked
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
@@ -192,7 +191,7 @@ class TestPairedSweep:
     def test_first_fraction_does_not_depend_on_the_grid(self):
         longer = run_noise_sweep(6, [0.0, 0.3], 4, 5, **GRAPH)
         alone = run_noise_sweep(6, [0.0], 4, 5, **GRAPH)
-        assert longer[0] == alone[0]
+        assert [run[0] for run in longer] == [run[0] for run in alone]
 
     def test_stacked_fit_equals_per_fraction_fits(self, monkeypatch):
         fits = {}

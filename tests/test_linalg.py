@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from graphssl import cli, linalg, parallel, ssl
 from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
-from graphssl.graph import GraphConfig, _mirror, gaussian_knn_graph, normalized_laplacian
+from graphssl.graph import _mirror, gaussian_knn_graph, normalized_laplacian
 from graphssl.linalg import (
     DENSE_EIGEN_CUTOFF,
     _row_sums,
@@ -32,7 +32,7 @@ def sym_csr(a):
 def disconnected_laplacian():
     """Normalized Laplacian of three blobs: three components, three zero eigenvalues."""
     x, _ = gaussian_blobs(600, classes=3, seed=0)
-    return normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+    return normalized_laplacian(gaussian_knn_graph(x, sigma=1.0, k=10))
 
 
 def subspace_overlap(a, b):
@@ -155,7 +155,7 @@ class TestRowSums:
 
     def test_graph_degrees_match_reference(self):
         x, _ = gaussian_blobs(500, classes=4, seed=3)
-        w = gaussian_knn_graph(x, GraphConfig(sigma=0.7, k=7))
+        w = gaussian_knn_graph(x, sigma=0.7, k=7)
         assert np.array_equal(_row_sums(w, w.data), upper_triangle_row_sums(w, lambda v: v))
         lap = normalized_laplacian(w)
         assert np.array_equal(_row_sums(lap, np.abs(lap.data)),
@@ -472,7 +472,7 @@ class TestShiftInvertFactor:
         # spectrum has a twelve-fold largest eigenvalue 1 / shift, and m=20
         # runs eight pairs past it, to a gap.
         x, _ = gaussian_blobs(720, classes=12, spread=0.05, seed=1)
-        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+        lap = normalized_laplacian(gaussian_knn_graph(x, sigma=1.0, k=10))
         m = 20
         spectrum = np.linalg.eigvalsh(lap.toarray())
         assert np.allclose(spectrum[:12], 0.0, atol=1e-12) and spectrum[12] > 1e-2
@@ -508,7 +508,7 @@ class TestShiftInvertFactor:
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
         monkeypatch.setattr(spla, "splu", lambda *args, **kw: Counting(original(*args, **kw)))
         x, _ = gaussian_blobs(10000, classes=5, seed=seed)
-        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=1.0, k=10)))
+        lap = normalized_laplacian(gaussian_knn_graph(x, sigma=1.0, k=10))
         smallest_eigenpairs(lap, 20, method="lanczos", seed=seed)
         assert len(factors) == 5
         assert max(factor.solves for factor in factors) <= 42
@@ -661,7 +661,7 @@ class TestByComponent:
 
     def test_blobs_match_the_whole_solve_on_any_cpu_count(self, monkeypatch):
         lap = normalized_laplacian(gaussian_knn_graph(gaussian_blobs(1800, classes=3, seed=0)[0],
-                                                      GraphConfig(sigma=1.0, k=10)))
+                                                      sigma=1.0, k=10))
         count, labels = connected_components(lap)
         assert count == 3 and np.bincount(labels).min() > DENSE_EIGEN_CUTOFF
         (values, vectors), (forked_values, forked_vectors) = per_cpu_count(monkeypatch, lap, 20)
@@ -705,7 +705,7 @@ def hub_features(n=600, hubs=5, seed=0):
 
 
 def hub_laplacian():
-    return normalized_laplacian(gaussian_knn_graph(hub_features(), GraphConfig(sigma=1.0, k=10)))
+    return normalized_laplacian(gaussian_knn_graph(hub_features(), sigma=1.0, k=10))
 
 
 def recording_splu(monkeypatch, fail_on=None):

@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import os
@@ -176,6 +177,20 @@ class TestPoolContract:
             for value in parallel.fork_map(kill_on_three, range(8), 2):
                 arrived.append(value)
         assert arrived == [0, 1, 2]
+        assert_no_child_is_left()
+
+    def test_a_worker_that_cannot_spool_says_why(self, monkeypatch, capfd):
+        def full_disk(fd, buffers):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "writev", full_disk)
+        with pytest.raises(ChildProcessError, match=r"worker exit codes \[1, 1\]"):
+            list(parallel.fork_map(abs, [-1, -2, -3], 2))
+        reason = f": OSError: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}"
+        messages = capfd.readouterr().err.splitlines()
+        assert len(messages) == 2
+        assert all(line.startswith("error: worker process ") and line.endswith(reason)
+                   for line in messages)
         assert_no_child_is_left()
 
     def test_an_unpicklable_result_raises_the_pickling_error_at_its_item(self):

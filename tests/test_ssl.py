@@ -9,7 +9,7 @@ from oracle_graph import gaussian_kernel
 from graphssl import ssl
 from graphssl.datasets import gaussian_blobs
 from graphssl.errors import ConvergenceError
-from graphssl.graph import GraphConfig, gaussian_knn_graph, normalized_laplacian
+from graphssl.graph import gaussian_knn_graph, normalized_laplacian
 from graphssl.harness import run_moons_demo
 from graphssl.solver import soft_threshold
 from graphssl.spectral import build_basis
@@ -34,7 +34,7 @@ def zero_solve_factor(system):
 
 def moons_setup(seed, n=200, m=20, sigma=0.1, k=10):
     x, truth = two_moons(n, 0.1, seed)
-    lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=sigma, k=k)))
+    lap = normalized_laplacian(gaussian_knn_graph(x, sigma=sigma, k=k))
     basis = build_basis(lap, m, seed=seed)
     return x, truth, lap, basis
 
@@ -167,7 +167,7 @@ class TestL2Fit:
 
     def test_columns_equal_single_class_solves(self):
         x, truth = gaussian_blobs(90, classes=3, spread=0.1, seed=14)
-        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=0.5, k=6)))
+        lap = normalized_laplacian(gaussian_knn_graph(x, sigma=0.5, k=6))
         y = encode_labels(select_labeled(truth, 3, seed=15), 90, 3)
         lam = 3.0
         solution = l2_ssl_fit(lap, y, lam)
@@ -185,7 +185,7 @@ class TestL2Fit:
 
         monkeypatch.setattr(spla, "splu", counting)
         x, truth = gaussian_blobs(90, classes=10, spread=0.1, seed=14)
-        lap = normalized_laplacian(gaussian_knn_graph(x, GraphConfig(sigma=0.5, k=6)))
+        lap = normalized_laplacian(gaussian_knn_graph(x, sigma=0.5, k=6))
         y = encode_labels(select_labeled(truth, 3, seed=15), 90, 10)
         l2_ssl_fit(lap, y, 3.0)
         assert len(calls) == 1
