@@ -956,11 +956,17 @@ UNREAD_FLAGS = [
     ("eigen-dump", "--labels-per-class", "2"),
     ("eigen-dump", "--runs", "2"),
 ]
+# A preset the command does not offer is an invalid choice where the command
+# takes --preset, and an unrecognized argument where it takes none.
 UNREAD_PRESETS = [
-    (command, preset)
-    for command in ("classify", "eigen-dump")
+    pytest.param(command, preset, error, id=f"{command}-{preset}")
+    for command, error in (("moons-demo", "unrecognized arguments"),
+                           ("classify", "invalid choice"),
+                           ("noise-sweep", "unrecognized arguments"),
+                           ("eigen-dump", "invalid choice"))
     for preset in ("table2-visual", "table2-textual")
-] + [("refine-bow", "mnist-style")]
+] + [pytest.param("refine-bow", "mnist-style", "invalid choice",
+                  id="refine-bow-mnist-style")]
 
 
 @pytest.fixture
@@ -992,11 +998,12 @@ class TestParserContract:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, preset", UNREAD_PRESETS)
-    def test_unread_preset_is_usage_error(self, valid_argv, tmp_path, capsys, command, preset):
+    @pytest.mark.parametrize("command, preset, error", UNREAD_PRESETS)
+    def test_unread_preset_is_usage_error(self, valid_argv, tmp_path, capsys,
+                                          command, preset, error):
         out = tmp_path / "out"
         assert cli.main(valid_argv[command] + ["--preset", preset, "--output", str(out)]) == 1
-        assert "invalid choice" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
