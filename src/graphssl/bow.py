@@ -112,18 +112,14 @@ class Refinement:
         smoothed = y if self.basis is None else self.basis.expand_rows(self.alpha, start, stop)
         return apply_error_sparsity(smoothed, y, self.gamma)
 
-    def kept(self, threshold):
-        """Entries with |value| > threshold; a NaN or infinite one raises ValueError."""
-        return self.nnz if threshold == fileio.THRESHOLD else self.walk(threshold)[1]
-
-    def walk(self, threshold):
+    def walk(self):
         """(changed entries, kept entries), over the rows in fileio.FORMAT_BLOCK_ROWS blocks."""
         changed = kept = 0
         for start in range(0, self.shape[0], fileio.FORMAT_BLOCK_ROWS):
             stop = start + fileio.FORMAT_BLOCK_ROWS
             block = self.rows(start, stop)
             changed += int(np.count_nonzero(block != self.y[start:stop]))
-            kept += int(np.count_nonzero(fileio.kept_mask(block, threshold)))
+            kept += int(np.count_nonzero(fileio.kept_mask(block)))
         return changed, kept
 
 
@@ -178,7 +174,7 @@ def co_refine(y_visual, y_textual, cfg_visual, cfg_textual, seed=0):
 
     def half(i):
         refinement = _refinement(*halves[i], seed)
-        changed, nnz = refinement.walk(fileio.THRESHOLD)
+        changed, nnz = refinement.walk()
         return replace(refinement, y=None, changed_entries=changed, nnz=nnz)
 
     parts = parallel.fork_map(half, (0, 1), parallel.usable_cpus())

@@ -36,13 +36,6 @@ MNIST_STYLE = {"sigma": 1.0, "k": 4, "lam": 0.01, "m": 20}
 # Graph defaults of the two moons commands, in the same keys.
 MOONS_GRAPH = {name: MOONS_DEFAULTS[name] for name in MNIST_STYLE}
 
-# refine-bow's (visual, textual) configurations for each --preset value.
-REFINE_PRESETS = {
-    None: (TABLE2_VISUAL, TABLE2_TEXTUAL),
-    "table2-visual": (TABLE2_VISUAL, TABLE2_VISUAL),
-    "table2-textual": (TABLE2_TEXTUAL, TABLE2_TEXTUAL),
-}
-
 
 class UsageError(Exception):
     pass
@@ -112,7 +105,6 @@ COMMAND_FLAGS = {
         ("--noise-fraction", {"type": _fraction_list, "default": (0.0, 0.1, 0.2, 0.3, 0.4)}),
     ),
     "refine-bow": (
-        ("--preset", {"choices": tuple(name for name in REFINE_PRESETS if name)}),
         "--k", "--lambda", "--gamma", "--m",
         ("--input", {"nargs": 2, "metavar": ("VISUAL", "TEXTUAL"),
                      "help": "two sparse triplet files"}),
@@ -264,8 +256,6 @@ def cmd_classify(args):
                 f"truth has {truth.size} rows but features have {n}"
             )
     classes = max(cls for _, cls in assignments) + 1
-    if truth is not None:
-        classes = max(classes, int(truth.max()) + 1)
     _check_sizes(params["k"], params["m"], n)
 
     solution = harness.l1_classify(x, assignments, classes, **params, seed=args.seed)
@@ -322,7 +312,7 @@ def cmd_refine_bow(args):
         raise ValueError("refine-bow writes matrix files; pass --output DIR")
     overrides = _given(args, ("lam", "gamma", "k", "m"))
     cfg_visual, cfg_textual = (
-        dataclasses.replace(base, **overrides) for base in REFINE_PRESETS[args.preset]
+        dataclasses.replace(base, **overrides) for base in (TABLE2_VISUAL, TABLE2_TEXTUAL)
     )
 
     # Read on forked workers, one file each; results arrive in order, so a

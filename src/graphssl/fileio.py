@@ -215,12 +215,12 @@ def _raise_first_bad_line(path, body, n, m):
     raise ValueError(f"{path}: malformed triplet body")
 
 
-def kept_mask(block, threshold=THRESHOLD):
-    """Mask of the entries with |value| > threshold, which a triplet file keeps.
+def kept_mask(block):
+    """Mask of the entries with |value| > THRESHOLD, which a triplet file keeps.
 
     A NaN is kept, so that a NaN or infinite kept entry raises ValueError.
     """
-    keep = ~(np.abs(block) <= threshold)
+    keep = ~(np.abs(block) <= THRESHOLD)
     if not np.all(np.isfinite(block[keep])):
         raise ValueError("matrix entries must be finite")
     return keep
@@ -232,11 +232,11 @@ def _matrix_rows(matrix):
     if matrix.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     return SimpleNamespace(shape=matrix.shape, rows=lambda start, stop: matrix[start:stop],
-                           kept=lambda threshold: np.count_nonzero(kept_mask(matrix, threshold)))
+                           nnz=np.count_nonzero(kept_mask(matrix)))
 
 
-def bow_chunks(source, threshold=THRESHOLD):
-    """A matrix as sparse triplet text, dropping |value| <= threshold.
+def bow_chunks(source):
+    """A matrix as sparse triplet text, dropping |value| <= THRESHOLD.
 
     The text comes as an iterator of encoded chunks, in order: the header
     `n M nnz`, then one chunk per FORMAT_BLOCK_ROWS rows, so the whole text
@@ -245,26 +245,26 @@ def bow_chunks(source, threshold=THRESHOLD):
     float. The source (see bow_documents) is checked here, before the first
     chunk exists: a NaN or infinite entry raises ValueError.
     """
-    return bow_documents([source], threshold)[0]
+    return bow_documents([source])[0]
 
 
-def bow_documents(sources, threshold=THRESHOLD):
+def bow_documents(sources):
     """bow_chunks of each source, with the blocks of all of them formatted on one pool.
 
     A source is a 2-d matrix or a row-block source: an object with a shape
     (n, M), rows(start, stop), which returns those rows as a 2-d array, and
-    kept(threshold), which counts the entries that kept_mask keeps. Every
-    source is checked before this returns. The pool's forked workers
-    inherit the sources and return encoded blocks; the iterators share the
-    pool, so they must be read in order.
+    nnz, the count of the entries that kept_mask keeps. Every source is
+    checked before this returns. The pool's forked workers inherit the
+    sources and return encoded blocks; the iterators share the pool, so they
+    must be read in order.
     """
     sources = [source if hasattr(source, "rows") else _matrix_rows(source)
                for source in sources]
-    headers = [f"{source.shape[0]} {source.shape[1]} {source.kept(threshold)}\n".encode()
+    headers = [f"{source.shape[0]} {source.shape[1]} {source.nnz}\n".encode()
                for source in sources]
     items = [(index, start) for index, source in enumerate(sources)
              for start in range(0, source.shape[0], FORMAT_BLOCK_ROWS)]
-    texts = parallel.fork_map(functools.partial(_format_block, sources, threshold), items,
+    texts = parallel.fork_map(functools.partial(_format_block, sources), items,
                               parallel.usable_cpus())
     counts = [-(-source.shape[0] // FORMAT_BLOCK_ROWS) for source in sources]
     counts[-1] = None  # the last document runs the pool to its end, which closes it
@@ -272,11 +272,11 @@ def bow_documents(sources, threshold=THRESHOLD):
             for header, count in zip(headers, counts)]
 
 
-def _format_block(sources, threshold, item):
+def _format_block(sources, item):
     """Encoded triplet lines of the FORMAT_BLOCK_ROWS rows from item = (source, first row)."""
     index, start = item
     block = sources[index].rows(start, start + FORMAT_BLOCK_ROWS)
-    flat = np.flatnonzero(kept_mask(block, threshold))
+    flat = np.flatnonzero(kept_mask(block))
     rows, cols = np.divmod(flat, block.shape[1])
     vals = block.ravel()[flat]
     row_text = [f"{i} " for i in range(start, start + block.shape[0])]

@@ -25,6 +25,10 @@ from .errors import ConvergenceError
 # full decomposition when all n are asked for.
 DENSE_EIGEN_CUTOFF = 512
 
+# Each returned eigenpair must meet ||A v - lambda v||_2 <= EIGEN_RESIDUAL_TOL
+# ||A||_inf, checked on the whole matrix.
+EIGEN_RESIDUAL_TOL = 1e-6
+
 
 def check_symmetric(a):
     """Return a as a canonical float64 CSR matrix, checked to be symmetric.
@@ -124,7 +128,7 @@ class _PermutedFactor:
         return x
 
 
-def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
+def smallest_eigenpairs(a, m, seed=0, method="auto", max_steps=None):
     """Return (values, vectors), the m algebraically smallest eigenpairs of a.
 
     values ascend; column j of vectors pairs with values[j]. The values are
@@ -145,9 +149,6 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
         (caller guarantee).
     m : int
         Number of eigenpairs, 1 <= m <= n.
-    tol : float
-        Acceptance threshold: each pair must satisfy
-        ||A v - lambda v||_2 <= tol * ||A||_inf, checked on the whole matrix.
     seed : int
         Seeds the iterative solver's starting vector; results are
         deterministic for a fixed seed. Component c of a disconnected matrix
@@ -163,17 +164,15 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
     Raises
     ------
     ConvergenceError
-        If the budget is exhausted or a returned pair misses the residual
-        bound; carries the achieved residual. A failure while solving one
-        component of several names it.
+        If the budget is exhausted or a returned pair misses the
+        EIGEN_RESIDUAL_TOL bound; carries the achieved residual. A failure
+        while solving one component of several names it.
     """
     a = check_symmetric(a)
     n = a.shape[0]
     m = int(m)
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown eigensolver method {method!r}")
 
@@ -199,7 +198,7 @@ def smallest_eigenpairs(a, m, tol=1e-6, seed=0, method="auto", max_steps=None):
     av = av[:, order]
 
     residuals = np.linalg.norm(av - vectors * rayleigh, axis=0)
-    bound = tol * norm
+    bound = EIGEN_RESIDUAL_TOL * norm
     worst = float(residuals.max())
     if worst > max(bound, 1e-300):
         raise ConvergenceError(

@@ -162,17 +162,15 @@ class TestCoRefine:
 
     @pytest.mark.parametrize("lam, gamma", [(0.05, 0.02), (0.0, 0.02), (0.05, 0.0)])
     def test_counts_and_triplets_equal_refine(self, lam, gamma):
-        # The counts come from the walk in the worker; another threshold than
-        # fileio's walks the rows again.
+        # The counts come from the walk in the worker.
         _, corrupted, _, other = small_corpus(seed=7)
         cfg = RefineConfig(lam=lam, gamma=gamma, k=9, m=4)
         refinement, _ = co_refine(corrupted, other, cfg, cfg)
         refined, reports = refine(corrupted, other, cfg)
         assert refinement.reports == reports
         assert refinement.changed_entries == np.count_nonzero(refined != corrupted)
-        for threshold in (fileio.THRESHOLD, 0.05):
-            assert (b"".join(fileio.bow_chunks(refinement, threshold))
-                    == b"".join(fileio.bow_chunks(refined, threshold)))
+        assert (b"".join(fileio.bow_chunks(refinement))
+                == b"".join(fileio.bow_chunks(refined)))
 
     def test_all_zero_matrix_stays_zero(self):
         _, _, _, other = small_corpus(seed=6)

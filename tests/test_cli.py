@@ -161,6 +161,29 @@ class TestClassify:
         assert "accuracy_all" not in metrics
         assert "accuracy_unlabeled" not in metrics
 
+    def test_truth_naming_an_unlabeled_class_does_not_change_predictions(self, tmp_path):
+        # Class 3 has no label. When --truth added its all-zero score column,
+        # 23 of the 400 points went to it.
+        x, truth = gaussian_blobs(400, classes=4, spread=0.8, seed=0)
+        features = tmp_path / "features.csv"
+        features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        rng = np.random.default_rng(0)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(
+            f"{i},{cls}\n" for cls in range(3)
+            for i in rng.choice(np.flatnonzero(truth == cls), 5, replace=False)))
+        truth_path = tmp_path / "truth.txt"
+        truth_path.write_text("".join(f"{t}\n" for t in truth.tolist()))
+        outputs = []
+        for extra in ([], ["--truth", str(truth_path)]):
+            out = tmp_path / f"out-{len(extra)}"
+            assert cli.main(["classify", "--input", str(features), "--labels", str(labels),
+                             "--output", str(out), *extra]) == 0
+            outputs.append(out)
+        assert ((outputs[0] / "predictions.txt").read_bytes()
+                == (outputs[1] / "predictions.txt").read_bytes())
+        assert fileio.parse_metrics((outputs[1] / "metrics.txt").read_text())["classes"] == 3
+
     def test_malformed_feature_row_is_usage_error(self, tmp_path):
         features = tmp_path / "f.csv"
         features.write_text("1,2\nbad,row\n")
@@ -653,7 +676,7 @@ class TestRowBlockOutput:
         expected = {"schema": cli.SCHEMA_VERSION, "command": "refine-bow", "seed": 3,
                     "documents": 202}
         halves = (("visual", visual, textual), ("textual", textual, visual))
-        for (prefix, y, other), preset in zip(halves, cli.REFINE_PRESETS[None]):
+        for (prefix, y, other), preset in zip(halves, (bow.TABLE2_VISUAL, bow.TABLE2_TEXTUAL)):
             cfg = dataclasses.replace(preset, **given)
             refined, reports = refine(y, other, cfg, seed=3)
             assert ((out / f"refined_{prefix}.txt").read_bytes()
@@ -844,8 +867,8 @@ def outputs_per_blas_thread_count(tmp_path, *args):
 class TestBlasThreadCount:
     """Outputs do not depend on the BLAS thread count of the environment.
 
-    Both inputs gave different outputs under 1 and 2 OpenBLAS threads before
-    every command ran with BLAS on one thread.
+    The classify and refine-bow inputs gave different outputs under 1 and 2
+    OpenBLAS threads before every command ran with BLAS on one thread.
     """
 
     def test_classify_on_the_lanczos_path(self, tmp_path):
@@ -876,6 +899,25 @@ class TestBlasThreadCount:
             tmp_path, "refine-bow", "--input", tmp_path / "visual.txt",
             tmp_path / "textual.txt")
         assert "metrics.txt" in outputs["1"]
+        assert outputs["1"] == outputs["2"]
+
+    @pytest.mark.parametrize("args, files", [
+        (("noise-sweep", "--runs", 3, "--workers", 2), ["metrics.txt"]),
+        (("moons-demo", "--runs", 3), ["metrics.txt", "moons_points.txt"]),
+    ], ids=["noise-sweep", "moons-demo"])
+    def test_moons_commands(self, tmp_path, args, files):
+        outputs = outputs_per_blas_thread_count(tmp_path, *args)
+        assert list(outputs["1"]) == files
+        assert outputs["1"] == outputs["2"]
+
+    def test_eigen_dump_on_three_lanczos_components(self, tmp_path):
+        # eigen-dump writes the vectors at full precision.
+        x, _ = gaussian_blobs(1800, classes=3, seed=0)
+        features = tmp_path / "features.csv"
+        features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        outputs = outputs_per_blas_thread_count(tmp_path, "eigen-dump", "--k", 10,
+                                                "--input", features)
+        assert list(outputs["1"]) == ["eigen.txt"]
         assert outputs["1"] == outputs["2"]
 
 
@@ -963,9 +1005,10 @@ UNREAD_PRESETS = [
     for command, error in (("moons-demo", "unrecognized arguments"),
                            ("classify", "invalid choice"),
                            ("noise-sweep", "unrecognized arguments"),
-                           ("eigen-dump", "invalid choice"))
+                           ("eigen-dump", "invalid choice"),
+                           ("refine-bow", "unrecognized arguments"))
     for preset in ("table2-visual", "table2-textual")
-] + [pytest.param("refine-bow", "mnist-style", "invalid choice",
+] + [pytest.param("refine-bow", "mnist-style", "unrecognized arguments",
                   id="refine-bow-mnist-style")]
 
 
@@ -1055,7 +1098,7 @@ class TestParserContract:
         assert (args.preset, args.k, args.truth, args.seed) == ("mnist-style", 10, "t.txt", 7)
         args = parser.parse_args(["refine-bow", "--input", "v.txt", "t.txt", "--seed", "7",
                                   "--output", "out"])
-        assert (args.input, args.preset, args.seed) == (["v.txt", "t.txt"], None, 7)
+        assert (args.input, args.seed) == (["v.txt", "t.txt"], 7)
         args = parser.parse_args(["noise-sweep", "--workers", "2", "--seed", "7",
                                   "--output", "out"])
         assert (args.workers, args.noise_fraction, args.runs) == (2, (0.0, 0.1, 0.2, 0.3, 0.4), 25)

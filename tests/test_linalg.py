@@ -13,6 +13,7 @@ from graphssl.errors import ConvergenceError
 from graphssl.graph import _mirror, gaussian_knn_graph, normalized_laplacian
 from graphssl.linalg import (
     DENSE_EIGEN_CUTOFF,
+    EIGEN_RESIDUAL_TOL,
     _row_sums,
     check_symmetric,
     smallest_eigenpairs,
@@ -341,11 +342,6 @@ class TestSmallestEigenpairs:
         with pytest.raises(ValueError, match="m must be"):
             smallest_eigenpairs(PATH_GRAPH_2, 3)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
-    def test_rejects_nonpositive_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            smallest_eigenpairs(PATH_GRAPH_2, 1, tol=tol)
-
     def test_rejects_asymmetric_input(self):
         with pytest.raises(ValueError, match="not symmetric"):
             smallest_eigenpairs(sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]])), 1)
@@ -369,6 +365,44 @@ class TestSmallestEigenpairs:
         a = sym_csr(0.5 * (dense + dense.T))
         with pytest.raises(ConvergenceError):
             smallest_eigenpairs(a, 5, method="lanczos", max_steps=1)
+
+
+class TestResidualMiss:
+    """A returned pair that misses the EIGEN_RESIDUAL_TOL bound raises ConvergenceError."""
+
+    @pytest.fixture(autouse=True)
+    def perturbed_solves(self, monkeypatch):
+        # Every solve returns its vectors shifted by 1e-4, far off the eigenvectors.
+        solve = linalg._solve
+
+        def perturbed(*args):
+            values, vectors = solve(*args)
+            return values, vectors + 1e-4
+
+        monkeypatch.setattr(linalg, "_solve", perturbed)
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_error_carries_the_residual(self, components):
+        rng = np.random.default_rng(13)
+        a = components_matrix([sym_csr(random_psd(30 // components, rng))
+                               for _ in range(components)], seed=0)[0]
+        assert connected_components(a, directed=False)[0] == components
+        bound = EIGEN_RESIDUAL_TOL * float(_row_sums(a, np.abs(a.data)).max())
+        with pytest.raises(ConvergenceError) as info:
+            smallest_eigenpairs(a, 3)
+        residual = info.value.residual
+        assert residual > 10 * bound
+        assert str(info.value) == f"eigenpair residual {residual:.3e} exceeds bound {bound:.3e}"
+
+    def test_eigen_dump_exits_two(self, tmp_path, capsys):
+        x, _ = gaussian_blobs(60, classes=3, spread=0.1, seed=0)
+        features = tmp_path / "f.csv"
+        features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        out = tmp_path / "out"
+        assert cli.main(["eigen-dump", "--input", str(features), "--k", "6", "--m", "10",
+                         "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: eigenpair residual ")
+        assert not out.exists()
 
 
 class TestDenseSubset:
