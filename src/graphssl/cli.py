@@ -256,6 +256,11 @@ def cmd_classify(args):
                 f"truth has {truth.size} rows but features have {n}"
             )
     classes = max(cls for _, cls in assignments) + 1
+    present = sorted({cls for _, cls in assignments})
+    if present[0] >= 0 and len(present) < classes:  # encode_labels rejects a negative class
+        missing = next(c for c, cls in enumerate(present) if c != cls)
+        raise ValueError(f"{args.labels}: class {missing} has no label; "
+                         f"each class from 0 to {classes - 1} needs one")
     _check_sizes(params["k"], params["m"], n)
 
     solution = harness.l1_classify(x, assignments, classes, **params, seed=args.seed)

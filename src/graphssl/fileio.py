@@ -123,6 +123,8 @@ def _read_truth_by_line(path):
                 labels.append(int(line))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: expected an integer class") from None
+            if not -2**63 <= labels[-1] < 2**63:
+                raise ValueError(f"{path}: line {lineno}: class {line} does not fit in 64 bits")
     if not labels:
         raise ValueError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)
@@ -160,7 +162,10 @@ def read_bow(path):
     rows, cols, vals = triplets
     if rows.size != nnz:
         raise ValueError(f"{path}: header declares {nnz} entries, found {rows.size}")
-    matrix = np.zeros((n, m))
+    try:
+        matrix = np.zeros((n, m))
+    except (MemoryError, ValueError):  # numpy raises ValueError past its largest size
+        raise ValueError(f"{path}: line 1: a {n} x {m} matrix is too large to allocate") from None
     matrix[rows, cols] = vals
     return matrix
 
@@ -285,24 +290,10 @@ def _format_block(sources, item):
                     in zip(rows.tolist(), cols.tolist(), vals.tolist())]).encode()
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
 def render_metrics(items):
-    """Render ordered (key, value) pairs as `key = <json>` lines."""
-    return "\n".join(f"{key} = {json.dumps(_plain(value))}" for key, value in items) + "\n"
+    """Render ordered (key, value) pairs as `key = <json>` lines; numpy values are listed."""
+    return "\n".join(f"{key} = {json.dumps(value, default=lambda v: v.tolist())}"
+                     for key, value in items) + "\n"
 
 
 def parse_metrics(text):

@@ -128,7 +128,7 @@ class _PermutedFactor:
         return x
 
 
-def smallest_eigenpairs(a, m, seed=0, method="auto", max_steps=None):
+def smallest_eigenpairs(a, m, seed=0, method="auto"):
     """Return (values, vectors), the m algebraically smallest eigenpairs of a.
 
     values ascend; column j of vectors pairs with values[j]. The values are
@@ -157,16 +157,14 @@ def smallest_eigenpairs(a, m, seed=0, method="auto", max_steps=None):
         Applies to each component: "auto" uses a dense decomposition up to
         DENSE_EIGEN_CUTOFF points and a shift-invert Lanczos iteration
         (ARPACK) beyond it.
-    max_steps : int, optional
-        Iteration budget for each Lanczos solve (default 10 m + 200, with m
-        the pairs that solve computes).
 
     Raises
     ------
     ConvergenceError
-        If the budget is exhausted or a returned pair misses the
-        EIGEN_RESIDUAL_TOL bound; carries the achieved residual. A failure
-        while solving one component of several names it.
+        If a Lanczos solve exhausts its budget (_lanczos_budget) or a
+        returned pair misses the EIGEN_RESIDUAL_TOL bound; carries the
+        achieved residual. A failure while solving one component of
+        several names it.
     """
     a = check_symmetric(a)
     n = a.shape[0]
@@ -184,10 +182,9 @@ def smallest_eigenpairs(a, m, seed=0, method="auto", max_steps=None):
     norm = float(row_norms.max())  # ||A||_inf bounds the spectral norm
     count, labels = connected_components(a, directed=False)
     if count == 1:
-        values, vectors = _solve(a, m, seed, method, max_steps, norm)
+        values, vectors = _solve(a, m, seed, method, norm)
     else:
-        values, vectors = _by_component(a, m, seed, method, max_steps, row_norms,
-                                        count, labels)
+        values, vectors = _by_component(a, m, seed, method, row_norms, count, labels)
 
     # Rayleigh quotients tie the reported values to the returned vectors.
     av = a @ vectors
@@ -216,17 +213,17 @@ def _route(n, m, method):
     return "dense" if m > n - 1 else method
 
 
-def _solve(a, m, seed, method, max_steps, norm):
+def _solve(a, m, seed, method, norm):
     """The m smallest eigenpairs of the canonical CSR matrix a, unsorted and unchecked."""
     if _route(a.shape[0], m, method) == "lanczos":
-        return _shift_invert_lanczos(a, m, seed, max_steps, norm)
+        return _shift_invert_lanczos(a, m, seed, norm)
     if m == a.shape[0]:
         # The evr driver would move moons-demo's full-basis metrics in the low bits.
         return np.linalg.eigh(a.toarray())
     return scipy.linalg.eigh(a.toarray(), subset_by_index=[0, m - 1])
 
 
-def _by_component(a, m, seed, method, max_steps, row_norms, count, labels):
+def _by_component(a, m, seed, method, row_norms, count, labels):
     """The m smallest eigenpairs of a, solved one connected component at a time.
 
     Component c of n_c points is first asked for
@@ -259,7 +256,7 @@ def _by_component(a, m, seed, method, max_steps, row_norms, count, labels):
 
     def solve(c):
         try:
-            return _solve(blocks[c], wanted[c], (seed, c), method, max_steps,
+            return _solve(blocks[c], wanted[c], (seed, c), method,
                           float(row_norms[members[c]].max()))
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -295,7 +292,12 @@ def _by_component(a, m, seed, method, max_steps, row_norms, count, labels):
     return values[keep], vectors
 
 
-def _shift_invert_lanczos(a, m, seed, max_steps, norm):
+def _lanczos_budget(m):
+    """The iteration budget of a Lanczos solve for m pairs."""
+    return 10 * m + 200
+
+
+def _shift_invert_lanczos(a, m, seed, norm):
     """Smallest eigenpairs via ARPACK Lanczos on (A + shift I)^-1.
 
     A plain shift leaves the Krylov space unchanged, so the spectrum is
@@ -320,7 +322,7 @@ def _shift_invert_lanczos(a, m, seed, max_steps, norm):
     A is PSD, so A + shift I is SPD, and spd_factor factors it once for
     every Lanczos step.
     """
-    budget = (10 * m + 200) if max_steps is None else int(max_steps)
+    budget = _lanczos_budget(m)
     n = a.shape[0]
     shift = max(1e-5 * norm, 1e-8)
     lu = spd_factor(a, shift)

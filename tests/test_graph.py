@@ -385,15 +385,6 @@ class TestThreadedQuery:
         assert build(None) == [parallel.usable_cpus()]
         assert list(parallel.fork_map(build, range(2), 2)) == [[1], [1]]
 
-    def test_graph_does_not_depend_on_the_thread_count(self, monkeypatch):
-        rng = np.random.default_rng(25)
-        x = np.vstack([rng.standard_normal((4000, 3)), np.zeros((5, 3))])  # with duplicates
-        graphs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
-            graphs.append(gaussian_knn_graph(x, sigma=0.5, k=10))
-        assert same_csr_arrays(*graphs)
-
 
 class TestNormalizedLaplacian:
     def test_two_node_graph(self):
