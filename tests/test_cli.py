@@ -240,6 +240,14 @@ class TestNoiseSweep:
                 assert parsed[f"{method}_mean"][i] == pytest.approx(np.mean(accs), abs=1e-12)
                 assert parsed[f"{method}_ci95"][i] == pytest.approx(expected, abs=1e-12)
 
+    def test_workers_do_not_change_results(self):
+        one = run_cli("noise-sweep", "--noise-fraction", "0,0.2", "--runs", 4,
+                      "--seed", 5, "--workers", 1)
+        four = run_cli("noise-sweep", "--noise-fraction", "0,0.2", "--runs", 4,
+                       "--seed", 5, "--workers", 4)
+        assert one.stdout == four.stdout
+
+
 class TestMoonsSizes:
     """moons-demo and noise-sweep check k and m against the n=200 moons up front."""
 

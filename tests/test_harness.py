@@ -133,6 +133,13 @@ class TestMoonsTrial:
 
 
 class TestNoiseSweep:
+    def test_worker_count_is_immaterial(self, monkeypatch):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+        serial = run_noise_sweep(2, [0.0, 0.3], 3, 5, sigma=0.1, k=10, lam=5.0, m=20)
+        forked = run_noise_sweep(2, [0.0, 0.3], 3, 5, sigma=0.1, k=10, lam=5.0, m=20,
+                                 workers=3)
+        assert serial == forked
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="empty"):
             run_noise_sweep(0, [], 2, 5, sigma=0.1, k=10, lam=5.0, m=20)
