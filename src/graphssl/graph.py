@@ -29,8 +29,9 @@ def _mirror(n, lo, hi, vals):
     if not np.all(np.isfinite(vals) & (vals != 0.0)):
         raise ValueError("edge weights must be finite and nonzero")
     # Mirrored entries first: edges sorted by (lo, hi) then leave tocsr with sorted rows.
-    rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
-    w = sp.coo_matrix((np.concatenate([vals, vals]), (rows, cols)), shape=(n, n)).tocsr()
+    # The int64 coordinates are freed once COO holds them in its index dtype.
+    w = sp.coo_matrix((np.concatenate([vals, vals]),
+                       (np.concatenate([hi, lo]), np.concatenate([lo, hi]))), shape=(n, n)).tocsr()
     w.sum_duplicates()  # sorts any unsorted row; a repeated edge would merge into one entry
     if w.nnz != 2 * vals.size:
         raise ValueError("duplicate matrix entries")
@@ -67,14 +68,17 @@ def _symmetrize(n, src, dst, vals):
     first pick in input order (its equal keys' earliest position, as a stable
     sort would pick). Each (src, dst) pair must occur at most once.
     """
-    lo_idx = np.minimum(src, dst)
-    hi_idx = np.maximum(src, dst)
-    keys = lo_idx * n + hi_idx
+    keys = np.minimum(src, dst)
+    keys *= n
+    keys += np.maximum(src, dst)
     order = np.argsort(keys)
     keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    pick = np.minimum.reduceat(order, first)
-    return lo_idx[pick], hi_idx[pick], vals[pick]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    pick = np.minimum.reduceat(order, np.flatnonzero(first))
+    del order
+    lo, hi = np.divmod(keys[first], n)
+    return lo, hi, vals[pick]
 
 
 def linear_knn_graph(x, k):
@@ -139,26 +143,30 @@ def gaussian_knn_graph(x, sigma, k):
         raise ValueError("need at least two samples")
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the number of samples {n}")
-    tree = cKDTree(x)
-    dist, idx = tree.query(x, k=k + 1, workers=parallel.usable_cpus())
+    dist, idx = cKDTree(x).query(x, k=k + 1, workers=parallel.usable_cpus())
     # Drop exactly one slot per row: the self match when present, else the
     # farthest hit (self can be crowded out by duplicate points).
-    drop = idx == np.arange(n)[:, None]
-    missing = ~drop.any(axis=1)
-    drop[missing, -1] = True
-    keep = ~drop
-    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    keep = idx != np.arange(n)[:, None]
+    keep[keep.all(axis=1), -1] = False
     dst = idx[keep].astype(np.int64, copy=False)
-    # A bandwidth small enough to under- or overflow the exponent gives
-    # weight 0; such edges are dropped below, as any underflowed weight is.
-    # Duplicate points keep weight exactly 1, even where 0/0 would be NaN.
-    dd = dist[keep]
+    w = dist[keep]
+    del dist, idx, keep
+    # exp(-d^2 / (2 sigma^2)) in place. A bandwidth that under- or overflows the
+    # exponent gives weight 0, dropped as any underflowed weight is. Duplicate
+    # points keep weight exactly 1, even where 0/0 would be NaN.
+    same = w == 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        wvals = np.where(dd == 0.0, 1.0, np.exp(-(dd ** 2) / (2.0 * sigma * sigma)))
-    nz = wvals > 0.0
-    src, dst, wvals = src[nz], dst[nz], wvals[nz]
-    del dist, idx, drop, keep, dd, nz  # the edge kernels set the peak memory; free these first
-    return _mirror(n, *_symmetrize(n, src, dst, wvals))
+        np.multiply(w, w, out=w)
+        w /= -(2.0 * sigma * sigma)
+        np.exp(w, out=w)
+    w[same] = 1.0
+    src = np.repeat(np.arange(n, dtype=np.int64), k)
+    nz = w > 0.0
+    if not nz.all():
+        src, dst, w = src[nz], dst[nz], w[nz]
+    lo, hi, w = _symmetrize(n, src, dst, w)
+    del src, dst  # _mirror copies the edges twice over; free the picks first
+    return _mirror(n, lo, hi, w)
 
 
 def normalized_laplacian(w):
@@ -175,10 +183,13 @@ def normalized_laplacian(w):
     if zero.size:
         raise IsolatedVertexError(int(zero[0]))
     inv_sqrt = 1.0 / np.sqrt(deg)
-    # Scale entry (i, j) and its mirror (j, i) in one order, lower index
-    # first, so that the Laplacian stays exactly symmetric.
-    rows = np.repeat(np.arange(n), np.diff(w.indptr))
-    lo, hi = np.minimum(rows, w.indices), np.maximum(rows, w.indices)
-    off = sp.csr_matrix((-w.data * inv_sqrt[lo] * inv_sqrt[hi], w.indices, w.indptr), shape=(n, n))
+    # Scale entry (i, j) and its mirror (j, i) alike, in place, as -w * inv_sqrt[lo] *
+    # inv_sqrt[hi] with lo the lower index, so that the Laplacian stays exactly symmetric.
+    rows = np.repeat(np.arange(n, dtype=w.indices.dtype), np.diff(w.indptr))
+    data = -w.data
+    data *= inv_sqrt[np.minimum(rows, w.indices)]
+    data *= inv_sqrt[np.maximum(rows, w.indices)]
+    del rows
+    off = sp.csr_matrix((data, w.indices, w.indptr), shape=(n, n))
     # The sum drops entries that the normalization underflowed to zero.
     return sp.identity(n, format="csr") + off

@@ -66,7 +66,7 @@ def _row_sums(a, values):
     bound.
     """
     n = a.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    rows = np.repeat(np.arange(n, dtype=a.indices.dtype), np.diff(a.indptr))
     upper = a.indices >= rows
     sums = np.zeros(n)
     np.add.at(sums, rows[upper], values[upper])
@@ -180,29 +180,32 @@ def smallest_eigenpairs(a, m, seed=0, method="auto"):
 
     row_norms = _row_sums(a, np.abs(a.data))
     norm = float(row_norms.max())  # ||A||_inf bounds the spectral norm
+    if not np.isfinite(norm):
+        raise ValueError("matrix row sums overflow: ||A||_inf is not finite")
     count, labels = connected_components(a, directed=False)
     if count == 1:
         values, vectors = _solve(a, m, seed, method, norm)
     else:
         values, vectors = _by_component(a, m, seed, method, row_norms, count, labels)
 
-    # Rayleigh quotients tie the reported values to the returned vectors.
+    # Rayleigh quotients tie the reported values to the returned vectors. Residuals go
+    # column by column, and A V is freed before the sort, so no n x m block but V and
+    # A V is held. Over ||A||_inf a unit vector's residual entries are at most 2.
     av = a @ vectors
     rayleigh = np.einsum("ij,ij->j", vectors, av)
-    order = np.argsort(rayleigh, kind="stable")
-    rayleigh = rayleigh[order]
-    vectors = vectors[:, order]
-    av = av[:, order]
-
-    residuals = np.linalg.norm(av - vectors * rayleigh, axis=0)
+    scale = max(norm, 1e-300)
+    residuals = scale * np.array([np.linalg.norm((av[:, j] - vectors[:, j] * rayleigh[j]) / scale)
+                                  for j in range(m)])
+    del av
     bound = EIGEN_RESIDUAL_TOL * norm
     worst = float(residuals.max())
-    if worst > max(bound, 1e-300):
+    if not worst <= max(bound, 1e-300):  # a NaN residual fails too
         raise ConvergenceError(
             f"eigenpair residual {worst:.3e} exceeds bound {bound:.3e}",
             residual=worst,
         )
-    return rayleigh, vectors
+    order = np.argsort(rayleigh, kind="stable")
+    return rayleigh[order], vectors[:, order]
 
 
 def _route(n, m, method):
@@ -249,8 +252,7 @@ def _by_component(a, m, seed, method, row_norms, count, labels):
     order = np.argsort(labels, kind="stable")
     ends = np.cumsum(np.bincount(labels, minlength=count))
     members = np.split(order, ends[:-1])
-    permuted = a[order][:, order]
-    blocks = [permuted[e - rows.size:e, e - rows.size:e] for rows, e in zip(members, ends)]
+    blocks = _component_blocks(a, order, ends)
     wanted = [min(rows.size, m, -(-m * rows.size // n) + 2) for rows in members]
     solved = {}
 
@@ -290,6 +292,23 @@ def _by_component(a, m, seed, method, row_norms, count, labels):
     for j, (c, i) in enumerate(zip(component[keep], index[keep])):
         vectors[members[c], j] = solved[c][1][:, i]
     return values[keep], vectors
+
+
+def _component_blocks(a, order, ends):
+    """The diagonal blocks of a whose rows, listed in order, end at positions ends.
+
+    A row's entries all lie in its component, so the blocks are runs of one
+    row-permuted copy of a, columns renumbered within their component, cut
+    as views in one O(nnz) pass.
+    """
+    rows = a[order]
+    starts = np.r_[0, ends[:-1]]
+    local = np.empty(a.shape[0], dtype=rows.indices.dtype)
+    local[order] = np.arange(a.shape[0]) - np.repeat(starts, ends - starts)
+    indices = local[rows.indices]
+    return [sp.csr_matrix((rows.data[p:q], indices[p:q], rows.indptr[s:e + 1] - p),
+                          shape=(e - s, e - s))
+            for s, e, p, q in zip(starts, ends, rows.indptr[starts], rows.indptr[ends])]
 
 
 def _lanczos_budget(m):

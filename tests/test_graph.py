@@ -282,6 +282,33 @@ class TestGaussianKnnGraph:
             assert np.array_equal(fast.indices, slow.indices)
             assert np.allclose(fast.data, slow.data, atol=1e-12, rtol=0.0)
 
+    def test_weights_are_the_kernel_of_the_tree_distances_bit_for_bit(self):
+        # Each edge weighs np.exp(-(d ** 2) / (2 sigma^2)) of its first pick's
+        # KD-tree distance, exactly 1 at d = 0; an underflowed weight leaves no
+        # edge. Steps of 1e-3 to 3 over sigma = 0.05 give weights near 1,
+        # subnormal ones (the far pair at 1.9) and underflows.
+        rng = np.random.default_rng(31)
+        sigma, k = 0.05, 4
+        walk = np.cumsum(rng.standard_normal((300, 2))
+                         * 10.0 ** rng.uniform(-3.0, 0.5, size=(300, 1)), axis=0)
+        walk[::25] = walk[1::25]
+        x = np.vstack([walk, [[1e3, 1e3], [1e3 + 1.9, 1e3]]])
+        dist, idx = cKDTree(x).query(x, k=k + 1)
+        with np.errstate(under="ignore"):
+            kernel = np.exp(-(dist ** 2) / (2.0 * sigma * sigma))
+        kernel[dist == 0.0] = 1.0
+        assert np.any(kernel == 0.0) and np.any((kernel > 0.0) & (kernel < 2.0 ** -1022))
+        expected = {}
+        for i, (row_idx, row_kernel) in enumerate(zip(idx.tolist(), kernel)):
+            picks = [(j, weight) for j, weight in zip(row_idx, row_kernel) if j != i][:k]
+            for j, weight in picks:
+                expected.setdefault((min(i, j), max(i, j)), weight)
+        rows, cols, vals = upper(gaussian_knn_graph(x, sigma, k))
+        assert list(zip(rows.tolist(), cols.tolist())) == sorted(
+            edge for edge, weight in expected.items() if weight > 0.0)
+        want = np.array([expected[edge] for edge in zip(rows.tolist(), cols.tolist())])
+        assert np.array_equal(vals.view(np.int64), want.view(np.int64))
+
     def test_duplicate_points(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         g = gaussian_knn_graph(x, sigma=1.0, k=2)

@@ -406,6 +406,30 @@ class TestResidualMiss:
         assert not out.exists()
 
 
+class TestResidualRange:
+    """The residual check near the top of the float64 range, and on non-finite pairs."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+    def test_rejects_a_matrix_whose_norm_overflows(self):
+        # ||A||_inf = 2e308 is inf: the bound would pass any residual.
+        with pytest.raises(ValueError, match="not finite"):
+            smallest_eigenpairs(sp.csr_matrix([[1e308, 1e308], [1e308, 1e308]]), 2)
+
+    def test_correct_pairs_of_huge_entries_pass(self):
+        # Squaring residuals near 1e184 would overflow the norm to inf.
+        values, vectors = smallest_eigenpairs(sp.csr_matrix([[1e200, 1e200], [1e200, 1e200]]), 2)
+        assert np.allclose(values / 1e200, [0.0, 2.0], rtol=0.0, atol=1e-12)
+        assert np.allclose(np.abs(vectors), np.sqrt(0.5), rtol=0.0, atol=1e-12)
+
+    def test_a_nan_pair_fails(self, monkeypatch):
+        def nan_pairs(a, m, *rest):
+            return np.zeros(m), np.full((a.shape[0], m), np.nan)
+
+        monkeypatch.setattr(linalg, "_solve", nan_pairs)
+        with pytest.raises(ConvergenceError, match="^eigenpair residual nan exceeds bound"):
+            smallest_eigenpairs(PATH_GRAPH_2, 2)
+
+
 class TestDenseSubset:
     """The dense path computes only the m requested pairs when m < n."""
 
