@@ -1,15 +1,18 @@
 """Command-line entry point with reproducible seeded runs and file I/O.
 
-Commands: moons-demo, classify, noise-sweep, refine-bow, eigen-dump. Exit
-codes: 0 success, 1 usage, configuration or I/O error (a worker process
-that died included), 2 numerical failure.
-Each command accepts only the flags it reads, and every flag's range is
-checked while parsing. Every command validates its configuration up front
-and writes output files only after all computation has finished, so
-failures never leave partial files behind. Metrics are byte-identical
-across invocations for a fixed seed (timing is deliberately excluded from
-all documents). Every command runs with OpenBLAS on one thread, so its
-output does not depend on the BLAS thread count of the environment.
+Commands: moons-demo, classify, noise-sweep, refine-bow, eigen-dump. Each
+command accepts only the flags it reads. A run fails in one of three ways:
+`usage error:` (exit 1) from the parser, before any file is read, for all
+that the command line alone decides, every flag's range included; `error:`
+(exit 1) for an input fault, which names its file and line, a size the
+input cannot hold, or an I/O error, a dead worker process included; and
+`numerical failure:` (exit 2). Output files are renamed into place only
+after all computation and every write succeeded, so a failed run leaves no
+output file, no output directory that it created and no temporary file;
+tests/test_failures.py is the reference. Metrics are byte-identical across
+invocations for a fixed seed (timing is deliberately excluded from all
+documents). Every command runs with OpenBLAS on one thread, so its output
+does not depend on the BLAS thread count of the environment.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ SCHEMA_VERSION = 2
 MNIST_STYLE = {"sigma": 1.0, "k": 4, "lam": 0.01, "m": 20}
 # Graph defaults of the two moons commands, in the same keys.
 MOONS_GRAPH = {name: MOONS_DEFAULTS[name] for name in MNIST_STYLE}
+# The moons instance's size: k < n, m <= n, and a point of each class unlabeled.
+_MOONS_N = MOONS_DEFAULTS["n"]
 
 
 class UsageError(Exception):
@@ -63,6 +68,10 @@ _nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "nonnegative and fin
 _fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
+def _int_in(low, high):
+    return _checked(int, lambda v: low <= v <= high, f"in [{low}, {high}]")
+
+
 def _fraction_list(text):
     """Comma-separated fractions; empty items are skipped."""
     try:
@@ -77,8 +86,8 @@ def _fraction_list(text):
 # Every flag, with its range check and default. Commands name the flags
 # they read; a (flag, overrides) pair changes one flag for one command.
 FLAGS = {
-    "--seed": {"type": int, "default": 0},
-    "--output": {"help": "output directory (metrics go to stdout if omitted)"},
+    "--seed": {"type": _checked(int, lambda v: v >= 0, "nonnegative"), "default": 0},
+    "--output": {"help": "output directory (the one document goes to stdout if omitted)"},
     "--preset": {"choices": ("mnist-style",)},
     "--k": {"type": _count},
     "--sigma": {"type": _positive},
@@ -86,7 +95,8 @@ FLAGS = {
     "--gamma": {"type": _nonnegative},
     "--m": {"type": _count},
     "--runs": {"type": _count, "default": 25},
-    "--labels-per-class": {"type": _count, "default": MOONS_DEFAULTS["labels_per_class"]},
+    "--labels-per-class": {"type": _int_in(1, _MOONS_N // 2 - 1),
+                           "default": MOONS_DEFAULTS["labels_per_class"]},
     "--noise-fraction": {"type": _fraction, "default": MOONS_DEFAULTS["flip_fraction"]},
     "--workers": {"type": _count, "default": 1,
                   "help": "worker processes, capped by --runs and the usable CPUs"},
@@ -96,20 +106,23 @@ FLAGS = {
 }
 
 _GRAPH = ("--k", "--sigma", "--lambda", "--m")
+_MOONS = ("--output", ("--k", {"type": _int_in(1, _MOONS_N - 1)}), "--sigma", "--lambda",
+          ("--m", {"type": _int_in(1, _MOONS_N)}), "--runs", "--labels-per-class")
+_OUTPUT_REQUIRED = ("--output", {"required": True, "help": "output directory"})
 
 COMMAND_FLAGS = {
-    "moons-demo": _GRAPH + ("--runs", "--labels-per-class", "--noise-fraction"),
-    "classify": ("--preset",) + _GRAPH + ("--input", "--labels", "--truth"),
-    "noise-sweep": _GRAPH + (
-        "--runs", "--labels-per-class", "--workers",
+    "moons-demo": _MOONS + ("--noise-fraction",),
+    "classify": (_OUTPUT_REQUIRED, "--preset") + _GRAPH + ("--input", "--labels", "--truth"),
+    "noise-sweep": _MOONS + (
+        "--workers",
         ("--noise-fraction", {"type": _fraction_list, "default": (0.0, 0.1, 0.2, 0.3, 0.4)}),
     ),
     "refine-bow": (
-        "--k", "--lambda", "--gamma", "--m",
+        _OUTPUT_REQUIRED, "--k", "--lambda", "--gamma", "--m",
         ("--input", {"nargs": 2, "metavar": ("VISUAL", "TEXTUAL"),
                      "help": "two sparse triplet files"}),
     ),
-    "eigen-dump": ("--preset", "--k", "--sigma", "--m", "--input"),
+    "eigen-dump": ("--output", "--preset", "--k", "--sigma", "--m", "--input"),
 }
 
 
@@ -119,7 +132,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for command, flags in COMMAND_FLAGS.items():
         p = sub.add_parser(command, help=COMMANDS[command].__doc__, allow_abbrev=False)
-        for flag in ("--seed", "--output") + flags:
+        for flag in ("--seed",) + flags:
             flag, overrides = (flag, {}) if isinstance(flag, str) else flag
             p.add_argument(flag, **{**FLAGS[flag], **overrides})
     return parser
@@ -148,32 +161,21 @@ def _check_sizes(k, m, n, count="the sample count", prefix=""):
         raise ValueError(f"{prefix}m={m} exceeds {count} {n}")
 
 
-def _check_moons(params, labels_per_class):
-    """Reject a k, m or labeled count that the moons instance cannot hold."""
-    _check_sizes(params["k"], params["m"], MOONS_DEFAULTS["n"])
-    per_class = MOONS_DEFAULTS["n"] // 2
-    if labels_per_class >= per_class:
-        raise ValueError(
-            f"--labels-per-class={labels_per_class} must be smaller than the "
-            f"{per_class} moons points per class, so that some point is unlabeled"
-        )
-
-
 def _emit(args, documents):
     """Write named documents into the output directory, or print to stdout.
 
     documents is an ordered list of (filename, document), where a document
     is a str or an iterator of encoded chunks, written as they arrive.
-    Without --output only a single str document may be emitted. Every
-    document is first written to a temporary name in the output directory
-    and renamed into place only after all writes succeeded; on failure the
-    temporaries are removed, so no partial set of files is left behind.
+    Without --output there is one str document. Each document is written to
+    a temporary name in the output directory and renamed into place once all
+    writes succeeded; on failure the temporaries are removed, and so is the
+    directory if this run created it.
     """
     if args.output is None:
-        if len(documents) != 1:
-            raise ValueError("this command writes multiple files; pass --output DIR")
-        sys.stdout.write(documents[0][1])
+        [(_, text)] = documents
+        sys.stdout.write(text)
         return
+    created = not os.path.isdir(args.output)
     os.makedirs(args.output, exist_ok=True)
     staged = []  # (temporary, final) paths not yet renamed into place
     try:
@@ -194,12 +196,14 @@ def _emit(args, documents):
         for temporary, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(temporary)
+        if staged and created:
+            with contextlib.suppress(OSError):  # not empty once a file was renamed into place
+                os.rmdir(args.output)
 
 
 def cmd_moons_demo(args):
     """paired noisy-label benchmark on two moons"""
     params = _graph_params(args, MOONS_GRAPH)
-    _check_moons(params, args.labels_per_class)
     runs = harness.run_moons_demo(args.seed, args.noise_fraction, args.runs,
                                   args.labels_per_class, **params)
     l1_acc, l2_acc = zip(*(trial.accuracies()[0] for trial, _ in runs))
@@ -240,8 +244,6 @@ def cmd_moons_demo(args):
 
 def cmd_classify(args):
     """label a feature file from partial labels"""
-    if args.output is None:
-        raise ValueError("classify writes a predictions file; pass --output DIR")
     params = _graph_params(args)
     x = fileio.read_features(args.input)
     assignments = fileio.read_label_assignments(args.labels)
@@ -252,9 +254,7 @@ def cmd_classify(args):
     if args.truth is not None:
         truth = fileio.read_truth(args.truth)
         if truth.size != n:
-            raise ValueError(
-                f"truth has {truth.size} rows but features have {n}"
-            )
+            raise ValueError(f"truth has {truth.size} rows but features have {n}")
     classes = max(cls for _, cls in assignments) + 1
     present = sorted({cls for _, cls in assignments})
     if present[0] >= 0 and len(present) < classes:  # encode_labels rejects a negative class
@@ -288,7 +288,6 @@ def cmd_classify(args):
 def cmd_noise_sweep(args):
     """accuracy vs label-noise fraction grid"""
     params = _graph_params(args, MOONS_GRAPH)
-    _check_moons(params, args.labels_per_class)
     runs = harness.run_noise_sweep(
         args.seed, args.noise_fraction, args.runs, args.labels_per_class, **params,
         workers=args.workers,
@@ -313,8 +312,6 @@ def cmd_noise_sweep(args):
 
 def cmd_refine_bow(args):
     """co-refine two bag-of-words matrices"""
-    if args.output is None:
-        raise ValueError("refine-bow writes matrix files; pass --output DIR")
     overrides = _given(args, ("lam", "gamma", "k", "m"))
     cfg_visual, cfg_textual = (
         dataclasses.replace(base, **overrides) for base in (TABLE2_VISUAL, TABLE2_TEXTUAL)
@@ -324,9 +321,7 @@ def cmd_refine_bow(args):
     # bad visual file is reported before a bad textual one.
     visual, textual = parallel.fork_map(fileio.read_bow, args.input, parallel.usable_cpus())
     if visual.shape[0] != textual.shape[0]:
-        raise ValueError(
-            f"document counts differ: {visual.shape[0]} vs {textual.shape[0]}"
-        )
+        raise ValueError(f"document counts differ: {visual.shape[0]} vs {textual.shape[0]}")
     n = visual.shape[0]
     for name, cfg in (("visual", cfg_visual), ("textual", cfg_textual)):
         _check_sizes(cfg.k, cfg.m, n, "document count", prefix=f"{name} ")

@@ -27,6 +27,17 @@ FORMAT_BLOCK_ROWS = 256
 THRESHOLD = 1e-12
 
 
+def _open_text(path):
+    """open(path, "r") of a UTF-8 file, but a byte that is not UTF-8 names its line."""
+    with open(path, "rb") as fh:
+        body = fh.read()
+    try:
+        return io.StringIO(body.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = len((body[:exc.start] + b".").splitlines())  # \n, \r\n and \r end a line
+        raise ValueError(f"{path}: line {line}: byte {exc.start} is not UTF-8") from None
+
+
 def read_features(path):
     """CSV features, one sample per row, no header; all values finite reals.
 
@@ -35,15 +46,13 @@ def read_features(path):
     returns the rows of a file it accepts and the bulk parser does not, such
     as one with a whitespace-only line.
     """
+    with _open_text(path) as fh:
+        text = fh.read()
     x = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if text.strip():  # on an empty body loadtxt warns; the line reader raises
+    if text.strip():  # on an empty body loadtxt warns; the line reader raises
+        with contextlib.suppress(ValueError):
             x = np.loadtxt(io.StringIO(text), delimiter=",", dtype=np.float64,
                            ndmin=2, comments=None)
-    except ValueError:
-        pass
     if x is not None and np.all(np.isfinite(x)):
         return x
     return _read_features_by_line(path)
@@ -53,7 +62,7 @@ def _read_features_by_line(path):
     """read_features one line at a time, raising on the first bad line."""
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -80,7 +89,7 @@ def _read_features_by_line(path):
 def read_label_assignments(path):
     """Label CSV of `index,class` lines; returns a list of (index, class)."""
     assignments = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -114,7 +123,7 @@ def read_truth(path):
 def _read_truth_by_line(path):
     """read_truth one line at a time, raising on the first bad line."""
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

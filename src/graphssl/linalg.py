@@ -128,7 +128,7 @@ class _PermutedFactor:
         return x
 
 
-def smallest_eigenpairs(a, m, seed=0, method="auto"):
+def smallest_eigenpairs(a, m, seed=0):
     """Return (values, vectors), the m algebraically smallest eigenpairs of a.
 
     values ascend; column j of vectors pairs with values[j]. The values are
@@ -140,7 +140,9 @@ def smallest_eigenpairs(a, m, seed=0, method="auto"):
     Luxburg 2007). So a matrix whose graph has several connected components
     is solved one component at a time (see _by_component), and every
     returned vector is zero outside its component. A connected matrix is
-    solved whole.
+    solved whole. A component of up to DENSE_EIGEN_CUTOFF points is solved
+    by a dense decomposition, a larger one by a shift-invert Lanczos
+    iteration (ARPACK).
 
     Parameters
     ----------
@@ -153,10 +155,6 @@ def smallest_eigenpairs(a, m, seed=0, method="auto"):
         Seeds the iterative solver's starting vector; results are
         deterministic for a fixed seed. Component c of a disconnected matrix
         is seeded from (seed, c).
-    method : {"auto", "dense", "lanczos"}
-        Applies to each component: "auto" uses a dense decomposition up to
-        DENSE_EIGEN_CUTOFF points and a shift-invert Lanczos iteration
-        (ARPACK) beyond it.
 
     Raises
     ------
@@ -171,8 +169,6 @@ def smallest_eigenpairs(a, m, seed=0, method="auto"):
     m = int(m)
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
 
     # Imported here, so that a process that never solves (the noise-sweep
     # parent, say) does not map csgraph's libraries.
@@ -184,9 +180,9 @@ def smallest_eigenpairs(a, m, seed=0, method="auto"):
         raise ValueError("matrix row sums overflow: ||A||_inf is not finite")
     count, labels = connected_components(a, directed=False)
     if count == 1:
-        values, vectors = _solve(a, m, seed, method, norm)
+        values, vectors = _solve(a, m, seed, norm)
     else:
-        values, vectors = _by_component(a, m, seed, method, row_norms, count, labels)
+        values, vectors = _by_component(a, m, seed, row_norms, count, labels)
 
     # Rayleigh quotients tie the reported values to the returned vectors. Residuals go
     # column by column, and A V is freed before the sort, so no n x m block but V and
@@ -208,17 +204,15 @@ def smallest_eigenpairs(a, m, seed=0, method="auto"):
     return rayleigh[order], vectors[:, order]
 
 
-def _route(n, m, method):
-    """The solver that method picks for m pairs of an n x n matrix: "dense" or "lanczos"."""
-    if method == "auto":
-        method = "dense" if n <= DENSE_EIGEN_CUTOFF else "lanczos"
+def _lanczos(n, m):
+    """Whether m pairs of an n x n matrix are solved by Lanczos rather than densely."""
     # ARPACK needs m < n; the full decomposition is dense territory anyway.
-    return "dense" if m > n - 1 else method
+    return DENSE_EIGEN_CUTOFF < n and m < n
 
 
-def _solve(a, m, seed, method, norm):
+def _solve(a, m, seed, norm):
     """The m smallest eigenpairs of the canonical CSR matrix a, unsorted and unchecked."""
-    if _route(a.shape[0], m, method) == "lanczos":
+    if _lanczos(a.shape[0], m):
         return _shift_invert_lanczos(a, m, seed, norm)
     if m == a.shape[0]:
         # The evr driver would move moons-demo's full-basis metrics in the low bits.
@@ -226,7 +220,7 @@ def _solve(a, m, seed, method, norm):
     return scipy.linalg.eigh(a.toarray(), subset_by_index=[0, m - 1])
 
 
-def _by_component(a, m, seed, method, row_norms, count, labels):
+def _by_component(a, m, seed, row_norms, count, labels):
     """The m smallest eigenpairs of a, solved one connected component at a time.
 
     Component c of n_c points is first asked for
@@ -258,8 +252,7 @@ def _by_component(a, m, seed, method, row_norms, count, labels):
 
     def solve(c):
         try:
-            return _solve(blocks[c], wanted[c], (seed, c), method,
-                          float(row_norms[members[c]].max()))
+            return _solve(blocks[c], wanted[c], (seed, c), float(row_norms[members[c]].max()))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"component {c} of {count} ({members[c].size} points): {exc}",
@@ -270,7 +263,7 @@ def _by_component(a, m, seed, method, row_norms, count, labels):
     while pending:
         lanczos = []
         for c in pending:
-            if _route(members[c].size, wanted[c], method) == "lanczos":
+            if _lanczos(members[c].size, wanted[c]):
                 lanczos.append(c)
             else:
                 solved[c] = solve(c)

@@ -41,6 +41,14 @@ class TestFeatures:
         with pytest.raises(ValueError, match="non-finite"):
             fileio.read_features(path)
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_bad_byte_names_its_line_and_its_offset_in_the_file(self, tmp_path, newline):
+        path = tmp_path / "x.csv"
+        path.write_bytes((b"1,2" + newline) * 10000 + b"1,\xff2" + newline)
+        offset = 10000 * (3 + len(newline)) + 2
+        with pytest.raises(ValueError, match=f": line 10001: byte {offset} is not UTF-8$"):
+            fileio.read_features(path)
+
 
 def random_feature_text():
     x = np.random.default_rng(3).standard_normal((50, 3)) * 10.0 ** np.arange(-5, 10, 5)

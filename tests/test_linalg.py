@@ -30,6 +30,17 @@ def sym_csr(a):
     return sp.csr_matrix(0.5 * (a + a.T))
 
 
+def on_route(route, a, m, seed=0):
+    """smallest_eigenpairs(a, m, seed), each component forced onto the "dense" or "lanczos" route.
+
+    A DENSE_EIGEN_CUTOFF of n sends every component to the dense solver, and
+    one of 0 sends each that can take it (fewer pairs than points) to Lanczos.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "DENSE_EIGEN_CUTOFF", a.shape[0] if route == "dense" else 0)
+        return smallest_eigenpairs(a, m, seed=seed)
+
+
 def disconnected_laplacian():
     """Normalized Laplacian of three blobs: three components, three zero eigenvalues."""
     x, _ = gaussian_blobs(600, classes=3, seed=0)
@@ -292,16 +303,16 @@ class TestSmallestEigenpairs:
 
     def test_zero_matrix_spectrum(self):
         zero = sp.csr_matrix((5, 5))
-        for method in ("dense", "lanczos"):
-            values, vectors = smallest_eigenpairs(zero, 3, method=method)
+        for route in ("dense", "lanczos"):
+            values, vectors = on_route(route, zero, 3)
             assert np.allclose(values, 0.0, atol=1e-12)
             assert np.allclose(vectors.T @ vectors, np.eye(3), atol=1e-8)
 
-    @pytest.mark.parametrize("method", ["dense", "lanczos"])
-    def test_matches_dense_oracle(self, method):
+    @pytest.mark.parametrize("route", ["dense", "lanczos"])
+    def test_matches_dense_oracle(self, route):
         rng = np.random.default_rng(8)
         a = random_psd(20, rng)
-        values, _ = smallest_eigenpairs(sym_csr(a), 5, method=method)
+        values, _ = on_route(route, sym_csr(a), 5)
         assert np.allclose(values, np.linalg.eigvalsh(a)[:5], atol=1e-8)
 
     def test_lanczos_recovers_multiplicities(self):
@@ -313,7 +324,7 @@ class TestSmallestEigenpairs:
         for b in range(3):
             dense[b * 10:(b + 1) * 10, b * 10:(b + 1) * 10] = base
         a = sym_csr(dense)
-        values, _ = smallest_eigenpairs(a, 6, method="lanczos", seed=0)
+        values, _ = on_route("lanczos", a, 6, seed=0)
         oracle = np.linalg.eigvalsh(dense)[:6]
         assert np.allclose(values, oracle, atol=1e-8)
 
@@ -333,8 +344,8 @@ class TestSmallestEigenpairs:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(11)
         a = sym_csr(random_psd(40, rng))
-        first = smallest_eigenpairs(a, 4, method="lanczos", seed=7)
-        second = smallest_eigenpairs(a, 4, method="lanczos", seed=7)
+        first = on_route("lanczos", a, 4, seed=7)
+        second = on_route("lanczos", a, 4, seed=7)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
@@ -352,8 +363,7 @@ class TestSmallestEigenpairs:
 
         monkeypatch.setattr(spla, "eigsh", no_shifts)
         with pytest.raises(ConvergenceError, match="^eigensolver failed: ARPACK error 3: "):
-            smallest_eigenpairs(sym_csr(random_psd(30, np.random.default_rng(13))), 3,
-                                method="lanczos")
+            on_route("lanczos", sym_csr(random_psd(30, np.random.default_rng(13))), 3)
 
     def test_budget_exhaustion(self, monkeypatch):
         # Eigenvalues packed far from zero stay clustered after the
@@ -365,7 +375,7 @@ class TestSmallestEigenpairs:
         a = sym_csr(0.5 * (dense + dense.T))
         monkeypatch.setattr(linalg, "_lanczos_budget", lambda m: 1)
         with pytest.raises(ConvergenceError):
-            smallest_eigenpairs(a, 5, method="lanczos")
+            on_route("lanczos", a, 5)
 
 
 class TestResidualMiss:
@@ -441,7 +451,7 @@ class TestDenseSubset:
         a = sym_csr((q * np.linspace(0.0, 1.5, 30)) @ q.T)
         w, v = np.linalg.eigh(a.toarray())
         assert np.all(np.diff(w) > 0.05)
-        values, vectors = smallest_eigenpairs(a, m, method="dense")
+        values, vectors = on_route("dense", a, m)
         assert np.allclose(values, np.linalg.eigvalsh(a.toarray())[:m], rtol=0.0, atol=1e-12)
         assert subspace_overlap(v[:, :m], vectors) >= 1.0 - 1e-10
 
@@ -452,7 +462,7 @@ class TestDenseSubset:
         w, v = np.linalg.eigh(lap.toarray())
         assert np.allclose(w[:3], 0.0, atol=1e-12) and w[3] > 1e-2
         assert w[m] > 2.0 * w[m - 1]
-        values, vectors = smallest_eigenpairs(lap, m, method="dense")
+        values, vectors = on_route("dense", lap, m)
         assert np.allclose(values, w[:m], rtol=0.0, atol=1e-12)
         assert subspace_overlap(v[:, :3], vectors[:, :3]) >= 1.0 - 1e-10
         assert subspace_overlap(v[:, :m], vectors) >= 1.0 - 1e-10
@@ -473,7 +483,7 @@ class TestDenseSubset:
         numpy_calls = self.spy(monkeypatch, np.linalg)
         scipy_calls = self.spy(monkeypatch, scipy.linalg)
         a = sym_csr(random_psd(20, np.random.default_rng(15)))
-        smallest_eigenpairs(a, 6, method="dense")
+        on_route("dense", a, 6)
         assert numpy_calls == []
         assert len(scipy_calls) == 1
         assert list(scipy_calls[0]["subset_by_index"]) == [0, 5]
@@ -498,7 +508,7 @@ class TestShiftInvertFactor:
         rng = np.random.default_rng(13)
         a = sym_csr(random_psd(30, rng))
         with pytest.raises(ConvergenceError, match="shifted by"):
-            smallest_eigenpairs(a, 3, method="lanczos")
+            on_route("lanczos", a, 3)
 
     def test_failed_factorization_exits_with_code_two(self, tmp_path, monkeypatch, capsys):
         # Three components of more than DENSE_EIGEN_CUTOFF points each, so
@@ -520,9 +530,9 @@ class TestShiftInvertFactor:
         spectrum = np.linalg.eigvalsh(lap.toarray())
         assert np.allclose(spectrum[:3], 0.0, atol=1e-12) and spectrum[3] > 1e-2
         assert spectrum[m] > 2.0 * spectrum[m - 1]
-        dense_values, dense_vectors = smallest_eigenpairs(lap, m, method="dense")
+        dense_values, dense_vectors = on_route("dense", lap, m)
         for seed in (0, 1):
-            values, vectors = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
+            values, vectors = on_route("lanczos", lap, m, seed=seed)
             assert np.allclose(values, dense_values, rtol=0.0, atol=1e-10)
             assert subspace_overlap(dense_vectors, vectors) >= 1.0 - 1e-8
 
@@ -536,9 +546,9 @@ class TestShiftInvertFactor:
         spectrum = np.linalg.eigvalsh(lap.toarray())
         assert np.allclose(spectrum[:12], 0.0, atol=1e-12) and spectrum[12] > 1e-2
         assert spectrum[m] > 1.02 * spectrum[m - 1]
-        dense_values, dense_vectors = smallest_eigenpairs(lap, m, method="dense")
+        dense_values, dense_vectors = on_route("dense", lap, m)
         for seed in (0, 1):
-            values, vectors = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
+            values, vectors = on_route("lanczos", lap, m, seed=seed)
             assert np.allclose(values, dense_values, rtol=0.0, atol=1e-10)
             assert subspace_overlap(dense_vectors, vectors) >= 1.0 - 1e-8
 
@@ -568,7 +578,7 @@ class TestShiftInvertFactor:
         monkeypatch.setattr(spla, "splu", lambda *args, **kw: Counting(original(*args, **kw)))
         x, _ = gaussian_blobs(10000, classes=5, seed=seed)
         lap = normalized_laplacian(gaussian_knn_graph(x, sigma=1.0, k=10))
-        smallest_eigenpairs(lap, 20, method="lanczos", seed=seed)
+        on_route("lanczos", lap, 20, seed=seed)
         assert len(factors) == 5
         assert max(factor.solves for factor in factors) <= 42
 
@@ -740,7 +750,7 @@ class TestByComponent:
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
             with pytest.raises(ConvergenceError) as caught:
-                smallest_eigenpairs(a, 5, method="lanczos")
+                on_route("lanczos", a, 5)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
         assert messages[0].startswith(
@@ -817,9 +827,9 @@ class TestDenseRowFactor:
         m = 3
         spectrum = np.linalg.eigvalsh(lap.toarray())
         assert spectrum[m] > 1.01 * spectrum[m - 1]
-        dense_values, dense_vectors = smallest_eigenpairs(lap, m, method="dense")
+        dense_values, dense_vectors = on_route("dense", lap, m)
         for seed in (0, 1):
-            values, vectors = smallest_eigenpairs(lap, m, method="lanczos", seed=seed)
+            values, vectors = on_route("lanczos", lap, m, seed=seed)
             assert np.allclose(values, dense_values, rtol=0.0, atol=1e-10)
             assert subspace_overlap(dense_vectors, vectors) >= 1.0 - 1e-8
 
@@ -828,7 +838,7 @@ class TestDenseRowFactor:
                                                               capsys, fail_on):
         recording_splu(monkeypatch, fail_on)
         with pytest.raises(ConvergenceError, match="shifted by"):
-            smallest_eigenpairs(hub_laplacian(), 5, method="lanczos")
+            on_route("lanczos", hub_laplacian(), 5)
         features = tmp_path / "hubs.csv"
         features.write_text("".join(",".join(map(repr, row)) + "\n"
                                     for row in hub_features().tolist()))
