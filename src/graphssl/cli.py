@@ -8,7 +8,7 @@ that the command line alone decides, every flag's range included; `error:`
 input cannot hold, or an I/O error, a dead worker process included; and
 `numerical failure:` (exit 2). Output files are renamed into place only
 after all computation and every write succeeded, so a failed run leaves no
-output file, no output directory that it created and no temporary file;
+output file, no directory that it created and no temporary file;
 tests/test_failures.py is the reference. Metrics are byte-identical across
 invocations for a fixed seed (timing is deliberately excluded from all
 documents). Every command runs with OpenBLAS on one thread, so its output
@@ -20,13 +20,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
+import pathlib
 import sys
 
 import numpy as np
 
-from . import bow, fileio, harness, parallel
+from . import bow, fileio, floattext, harness, parallel
 from .bow import TABLE2_TEXTUAL, TABLE2_VISUAL
 from .errors import ComputationError
 from .harness import MOONS_DEFAULTS
@@ -166,16 +168,17 @@ def _emit(args, documents):
 
     documents is an ordered list of (filename, document), where a document
     is a str or an iterator of encoded chunks, written as they arrive.
-    Without --output there is one str document. Each document is written to
+    Without --output there is one document. Each document is written to
     a temporary name in the output directory and renamed into place once all
-    writes succeeded; on failure the temporaries are removed, and so is the
-    directory if this run created it.
+    writes succeeded; on failure the temporaries are removed, and so are the
+    output directory and each parent of it that this run created.
     """
     if args.output is None:
-        [(_, text)] = documents
-        sys.stdout.write(text)
+        [(_, document)] = documents
+        sys.stdout.write(document if isinstance(document, str) else b"".join(document).decode())
         return
-    created = not os.path.isdir(args.output)
+    path = pathlib.Path(args.output).absolute()  # makedirs creates these, deepest first:
+    created = [directory for directory in [path, *path.parents] if not directory.exists()]
     os.makedirs(args.output, exist_ok=True)
     staged = []  # (temporary, final) paths not yet renamed into place
     try:
@@ -196,9 +199,9 @@ def _emit(args, documents):
         for temporary, _ in staged:
             with contextlib.suppress(OSError):
                 os.remove(temporary)
-        if staged and created:
+        for directory in created if staged else []:
             with contextlib.suppress(OSError):  # not empty once a file was renamed into place
-                os.rmdir(args.output)
+                os.rmdir(directory)
 
 
 def cmd_moons_demo(args):
@@ -359,10 +362,10 @@ def cmd_eigen_dump(args):
     n = x.shape[0]
     _check_sizes(params["k"], params["m"], n)
     _, basis = harness.laplacian_basis(x, params["sigma"], params["k"], params["m"], args.seed)
-    lines = [f"{basis.n} {basis.m}"]
-    lines.append(" ".join(map(repr, basis.eigenvalues.tolist())))
-    lines += [" ".join(map(repr, row)) for row in basis.vectors.tolist()]
-    _emit(args, [("eigen.txt", "\n".join(lines) + "\n")])
+    rows = max(1, 2**16 // basis.m)  # formatted per block of about 2**16 values
+    _emit(args, [("eigen.txt", itertools.chain(
+        [f"{basis.n} {basis.m}\n".encode(), floattext.lines(basis.eigenvalues[None])],
+        (floattext.lines(basis.vectors[i:i + rows]) for i in range(0, basis.n, rows))))])
     return 0
 
 

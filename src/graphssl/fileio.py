@@ -3,6 +3,8 @@
 All writers produce byte-stable output for identical inputs: floats are
 rendered in their shortest round-trip form (repr, which is also what json
 emits for a finite float) and key order is the insertion order of the caller.
+The triplet writer gets repr's text of a whole block of values at once from
+floattext's array kernel (Schubfach's digits), not from one repr per value.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import parallel
+from . import floattext, parallel
 
 # Rows of a count matrix rendered per block by bow_chunks.
 FORMAT_BLOCK_ROWS = 256
@@ -255,7 +257,7 @@ def bow_chunks(source):
     The text comes as an iterator of encoded chunks, in order: the header
     `n M nnz`, then one chunk per FORMAT_BLOCK_ROWS rows, so the whole text
     is never held at once. Entries are in row-major order and values are
-    rendered by repr, which gives the same text as json for every finite
+    rendered as by repr, which gives the same text as json for every finite
     float. The source (see bow_documents) is checked here, before the first
     chunk exists: a NaN or infinite entry raises ValueError.
     """
@@ -291,12 +293,18 @@ def _format_block(sources, item):
     index, start = item
     block = sources[index].rows(start, start + FORMAT_BLOCK_ROWS)
     flat = np.flatnonzero(kept_mask(block))
-    rows, cols = np.divmod(flat, block.shape[1])
-    vals = block.ravel()[flat]
-    row_text = [f"{i} " for i in range(start, start + block.shape[0])]
-    col_text = [f"{j} " for j in range(block.shape[1])]
-    return "".join([f"{row_text[i]}{col_text[j]}{v!r}\n" for i, j, v
-                    in zip(rows.tolist(), cols.tolist(), vals.tolist())]).encode()
+    rows = flat // block.shape[1]
+    newline = np.full((flat.size, 1), ord("\n"), np.uint8)
+    return floattext.compress(np.hstack([
+        np.take(_labels(start, start + block.shape[0]), rows, axis=0),
+        np.take(_labels(0, block.shape[1]), flat - rows * block.shape[1], axis=0),
+        floattext.slots(block.ravel()[flat]), newline]))
+
+
+def _labels(start, stop):
+    """(stop - start, width) uint8: `i ` for each i from start to stop, padded with FILL."""
+    text = np.char.add(np.arange(start, stop).astype(bytes), b" ")[:, None].view(np.uint8)
+    return np.where(text == 0, floattext.FILL, text)[:, :len(f"{stop} ")]  # astype pads with NUL
 
 
 def render_metrics(items):

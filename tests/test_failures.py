@@ -202,11 +202,13 @@ ROWS = [
       for fault, formatter, message, cpus in (
           ("raises", raise_in_worker, "block formatter failed", (1, 2)),
           ("exits", exit_worker, "a worker process ended without a result: item 0", (2,)))],
-    *[row(f"{command}-disk-full", VALID[command][0], 1,
-          f"error: writing {{out}}/{name}: [Errno 28] No space left on device",
+    # A nested --output: the run removes every directory it created, {out} included.
+    *[row(f"{command}-disk-full{suffix}", VALID[command][0].replace("{out}", output), 1,
+          f"error: writing {output}/{name}: [Errno 28] No space left on device",
           patches=((cli, "open", full_disk_at(name)),))
       for command, name in (("moons-demo", "moons_points.txt"), ("classify", "metrics.txt"),
-                            ("refine-bow", "refined_textual.txt"))],
+                            ("refine-bow", "refined_textual.txt"))
+      for suffix, output in (("", "{out}"), ("-nested-output", "{out}/a/b"))],
 ]
 
 
@@ -260,6 +262,13 @@ def test_failure(inputs, tmp_path, monkeypatch, capsys, argv, files, patches, co
     got, err = outcomes[0]
     assert (got, err.count("\n")) == (code, 1)
     assert err.startswith(line.format(**paths)), err
+
+
+def test_a_failed_write_keeps_an_empty_parent_that_was_there(tmp_path, monkeypatch):
+    (tmp_path / "kept").mkdir()
+    monkeypatch.setattr(cli, "open", full_disk_at("moons_points.txt"), raising=False)
+    assert cli.main(["moons-demo", "--runs", "1", "--output", str(tmp_path / "kept/a/b")]) == 1
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_a_row_in_a_process_of_its_own(inputs, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ class TestBowFormat:
         path = tmp_path / "m.txt"
         path.write_text(json_triplets(matrix, threshold=0.0))
         assert np.array_equal(fileio.read_bow(path), matrix)
+
+    def test_writer_round_trips_bits_over_magnitudes(self, tmp_path):
+        # The program's own triplet text reads back bit for bit, small entries as 0.
+        rng = np.random.default_rng(7)
+        scale = 10.0 ** rng.integers(-12, 301, (300, 40))
+        matrix = np.where(rng.random((300, 40)) < 0.7, rng.standard_normal((300, 40)) * scale, 0.0)
+        matrix[0, :8] = [1e-12, -1e-12, 2e-12, -123.0, 5e15, 0.5, -1e300, 1e-5]
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"".join(fileio.bow_chunks(matrix)))
+        expected = np.where(np.abs(matrix) <= fileio.THRESHOLD, 0.0, matrix)
+        assert np.array_equal(fileio.read_bow(path).view(np.uint64), expected.view(np.uint64))
+        values = [line.split()[2] for line in path.read_text().splitlines()[1:]]
+        for form in (r"-?0\.\d+", r"-?[1-9]\d*\.\d+", r"-?\d+\.0", r"-?\d(\.\d+)?e[+-]\d\d+"):
+            assert any(re.fullmatch(form, value) for value in values), form
+        assert {value[0] == "-" for value in values} == {True, False}
 
 
 def json_triplets(matrix, threshold=1e-12):
