@@ -40,6 +40,12 @@ def _open_text(path):
         raise ValueError(f"{path}: line {line}: byte {exc.start} is not UTF-8") from None
 
 
+def _numbered_lines(path):
+    """(line number, stripped text) of each nonblank line of a UTF-8 file."""
+    with _open_text(path) as fh:
+        yield from ((i, text) for i, line in enumerate(fh, start=1) if (text := line.strip()))
+
+
 def read_features(path):
     """CSV features, one sample per row, no header; all values finite reals.
 
@@ -64,25 +70,21 @@ def _read_features_by_line(path):
     """read_features one line at a time, raising on the first bad line."""
     rows = []
     width = None
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a numeric row") from None
-            if any(not math.isfinite(v) for v in values):
-                raise ValueError(f"{path}: line {lineno}: non-finite value")
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, found {len(values)}"
-                )
-            rows.append(values)
+    for lineno, line in _numbered_lines(path):
+        parts = line.split(",")
+        try:
+            values = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: not a numeric row") from None
+        if any(not math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: line {lineno}: non-finite value")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {width} columns, found {len(values)}"
+            )
+        rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
@@ -91,18 +93,14 @@ def _read_features_by_line(path):
 def read_label_assignments(path):
     """Label CSV of `index,class` lines; returns a list of (index, class)."""
     assignments = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected `index,class`")
-            try:
-                assignments.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: indices must be integers") from None
+    for lineno, line in _numbered_lines(path):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected `index,class`")
+        try:
+            assignments.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: indices must be integers") from None
     return assignments
 
 
@@ -125,17 +123,13 @@ def read_truth(path):
 def _read_truth_by_line(path):
     """read_truth one line at a time, raising on the first bad line."""
     labels = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: expected an integer class") from None
-            if not -2**63 <= labels[-1] < 2**63:
-                raise ValueError(f"{path}: line {lineno}: class {line} does not fit in 64 bits")
+    for lineno, line in _numbered_lines(path):
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: expected an integer class") from None
+        if not -2**63 <= labels[-1] < 2**63:
+            raise ValueError(f"{path}: line {lineno}: class {line} does not fit in 64 bits")
     if not labels:
         raise ValueError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)

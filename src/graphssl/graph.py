@@ -1,4 +1,4 @@
-"""Affinity graphs and the normalized Laplacian, as checked symmetric scipy CSR matrices."""
+"""Affinity graphs as symmetric scipy CSR matrices, and their normalized Laplacian."""
 
 from __future__ import annotations
 
@@ -8,20 +8,10 @@ from scipy.spatial import cKDTree
 
 from . import parallel
 from .errors import IsolatedVertexError
-from .linalg import _row_sums, check_symmetric
+from .linalg import _row_sums, check_symmetric, symmetric_csr
 
 # Rows of the linear kernel that linear_knn_graph holds at once.
 LINEAR_BLOCK_ROWS = 256
-
-
-def _check_weights(w):
-    """check_symmetric, plus strictly positive weights and an empty diagonal."""
-    w = check_symmetric(w)
-    if np.any(w.data <= 0.0):
-        raise ValueError("affinity weights must be strictly positive")
-    if np.any(w.diagonal() != 0.0):
-        raise ValueError("affinity diagonal must be empty")
-    return w
 
 
 def _mirror(n, lo, hi, vals):
@@ -38,12 +28,19 @@ def _mirror(n, lo, hi, vals):
     return w
 
 
-def _as_features(x):
+def _as_features(x, k):
+    """x as a float64 array of finite features, of more samples than the neighbor count k."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be a 2-d array of shape (samples, dims)")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
+    if x.shape[0] < 2:
+        raise ValueError("need at least two samples")
+    if k >= x.shape[0]:
+        raise ValueError(f"k={k} must be smaller than the number of samples {x.shape[0]}")
     return x
 
 
@@ -91,16 +88,10 @@ def linear_knn_graph(x, k):
     O(block * n), and the result does not depend on the block size.
     tests/oracle_graph.py holds the dense n x n reference.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    x = _as_features(x)
+    x = _as_features(x, k)
     if np.any(x < 0.0):
         raise ValueError("linear kernel requires nonnegative features")
     n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than the number of vertices {n}")
     cut = n - k
     src_parts, dst_parts, val_parts = [], [], []
     for start in range(0, n, LINEAR_BLOCK_ROWS):
@@ -135,14 +126,8 @@ def gaussian_knn_graph(x, sigma, k):
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    x = _as_features(x)
+    x = _as_features(x, k)
     n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than the number of samples {n}")
     dist, idx = cKDTree(x).query(x, k=k + 1, workers=parallel.usable_cpus())
     # Drop exactly one slot per row: the self match when present, else the
     # farthest hit (self can be crowded out by duplicate points).
@@ -170,13 +155,18 @@ def gaussian_knn_graph(x, sigma, k):
 
 
 def normalized_laplacian(w):
-    """I - D^-1/2 W D^-1/2 with D_ii the sum of row i of W.
+    """I - D^-1/2 W D^-1/2 with D_ii the sum of row i of W, as a linalg.SymmetricCSR.
 
-    Symmetric positive semidefinite with spectrum inside [0, 2]. w must be
-    symmetric with strictly positive weights and an empty diagonal. An
-    isolated vertex (zero row sum) raises IsolatedVertexError naming it.
+    Symmetric positive semidefinite with spectrum inside [0, 2], and carries
+    D's diagonal as its degrees. w must be symmetric with strictly positive
+    weights and an empty diagonal. An isolated vertex (zero row sum) raises
+    IsolatedVertexError naming it.
     """
-    w = _check_weights(w)
+    w = check_symmetric(w)
+    if np.any(w.data <= 0.0):
+        raise ValueError("affinity weights must be strictly positive")
+    if np.any(w.diagonal() != 0.0):
+        raise ValueError("affinity diagonal must be empty")
     n = w.shape[0]
     deg = _row_sums(w, w.data)
     zero = np.flatnonzero(deg == 0.0)
@@ -190,6 +180,7 @@ def normalized_laplacian(w):
     data *= inv_sqrt[np.minimum(rows, w.indices)]
     data *= inv_sqrt[np.maximum(rows, w.indices)]
     del rows
-    off = sp.csr_matrix((data, w.indices, w.indptr), shape=(n, n))
     # The sum drops entries that the normalization underflowed to zero.
-    return sp.identity(n, format="csr") + off
+    lap = sp.identity(n, format="csr") + sp.csr_matrix((data, w.indices, w.indptr), shape=(n, n))
+    del data  # freed before the facts are derived; the caller still holds W
+    return symmetric_csr(lap, degrees=deg)

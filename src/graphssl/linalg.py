@@ -2,7 +2,8 @@
 
 Matrices are scipy CSR in canonical form (float64, sorted column indices, no
 duplicates) with both triangles stored and no stored zeros; check_symmetric
-enforces that where a matrix enters the library.
+enforces that where a matrix enters the library. A SymmetricCSR (such as
+graph.normalized_laplacian's) also carries its row norms and components.
 
 smallest_eigenpairs splits a matrix into its connected components and
 solves each one on its own, dense or by shift-invert Lanczos; the Lanczos
@@ -10,6 +11,8 @@ solves of several components run on forked worker processes.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -74,6 +77,38 @@ def _row_sums(a, values):
     return sums
 
 
+class SymmetricCSR(sp.csr_matrix):
+    """A symmetric CSR matrix, frozen, with the facts symmetric_csr derived once.
+
+    row_norms are the row sums of |A| (_row_sums) and norm, their maximum, is
+    ||A||_inf; components and labels are those of A's graph; degrees are the
+    affinity row sums of a normalized Laplacian, else None. scipy builds each
+    matrix derived from one (a sum, a product, a slice) as self.__class__(...),
+    which gives a plain CSR matrix without the facts.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        # Unpickling calls cls.__new__(cls), then restores the attributes.
+        return sp.csr_matrix(*args, **kwargs) if args or kwargs else super().__new__(cls)
+
+
+def symmetric_csr(a, degrees=None):
+    """The canonical symmetric CSR matrix a, its values not copied, as a SymmetricCSR."""
+    # Imported here: a process that builds no graph (the noise-sweep parent) maps no csgraph.
+    from scipy.sparse.csgraph import connected_components
+
+    value = SymmetricCSR.__new__(SymmetricCSR)
+    sp.csr_matrix.__init__(value, (a.data, a.indices, a.indptr), shape=a.shape)
+    value.row_norms, value.degrees = _row_sums(a, np.abs(a.data)), degrees
+    value.norm = float(value.row_norms.max())  # ||A||_inf bounds the spectral norm
+    if not np.isfinite(value.norm):
+        raise ValueError("matrix row sums overflow: ||A||_inf is not finite")
+    value.components, value.labels = connected_components(a, directed=False)
+    for array in (v for v in vars(value).values() if isinstance(v, np.ndarray)):
+        array.flags.writeable = False
+    return value
+
+
 def spd_factor(a, shift=0.0):
     """SuperLU factor of the SPD matrix a + shift I; its solve(b) returns x.
 
@@ -106,26 +141,14 @@ def spd_factor(a, shift=0.0):
         block = spla.splu(a[sparse][:, sparse], permc_spec="MMD_AT_PLUS_A", **options)
         # perm_c[i] is the place of column i, so argsort lists the columns in order.
         perm = np.concatenate([sparse[np.argsort(block.perm_c)], np.flatnonzero(dense)])
-        return _PermutedFactor(
-            spla.splu(a[perm][:, perm], permc_spec="NATURAL", **options), perm)
+        lu = spla.splu(a[perm][:, perm], permc_spec="NATURAL", **options)
+        inverse = np.argsort(perm)  # so that a solve comes back in a's own order
+        return SimpleNamespace(solve=lambda b: lu.solve(b[perm])[inverse])
     except RuntimeError as exc:
         raise ConvergenceError(
             f"factorization of the matrix shifted by {shift:.3e} failed: {exc}; "
             "the matrix is not positive definite",
         ) from exc
-
-
-class _PermutedFactor:
-    """Factor lu of a[perm][:, perm], solving systems in a's own order."""
-
-    def __init__(self, lu, perm):
-        self.lu = lu
-        self.perm = perm
-
-    def solve(self, b):
-        x = np.empty(b.shape)
-        x[self.perm] = self.lu.solve(b[self.perm])
-        return x
 
 
 def smallest_eigenpairs(a, m, seed=0):
@@ -147,8 +170,9 @@ def smallest_eigenpairs(a, m, seed=0):
     Parameters
     ----------
     a : scipy sparse matrix
-        Symmetric (checked by check_symmetric) and positive semidefinite
-        (caller guarantee).
+        Symmetric and positive semidefinite (caller guarantee). A
+        SymmetricCSR is used as it is; any other matrix is checked by
+        check_symmetric and frozen by symmetric_csr.
     m : int
         Number of eigenpairs, 1 <= m <= n.
     seed : int
@@ -164,36 +188,27 @@ def smallest_eigenpairs(a, m, seed=0):
         achieved residual. A failure while solving one component of
         several names it.
     """
-    a = check_symmetric(a)
+    if not isinstance(a, SymmetricCSR):
+        a = symmetric_csr(check_symmetric(a))
     n = a.shape[0]
     m = int(m)
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-
-    # Imported here, so that a process that never solves (the noise-sweep
-    # parent, say) does not map csgraph's libraries.
-    from scipy.sparse.csgraph import connected_components
-
-    row_norms = _row_sums(a, np.abs(a.data))
-    norm = float(row_norms.max())  # ||A||_inf bounds the spectral norm
-    if not np.isfinite(norm):
-        raise ValueError("matrix row sums overflow: ||A||_inf is not finite")
-    count, labels = connected_components(a, directed=False)
-    if count == 1:
-        values, vectors = _solve(a, m, seed, norm)
+    if a.components == 1:
+        values, vectors = _solve(a, m, seed, a.norm)
     else:
-        values, vectors = _by_component(a, m, seed, row_norms, count, labels)
+        values, vectors = _by_component(a, m, seed)
 
     # Rayleigh quotients tie the reported values to the returned vectors. Residuals go
     # column by column, and A V is freed before the sort, so no n x m block but V and
     # A V is held. Over ||A||_inf a unit vector's residual entries are at most 2.
     av = a @ vectors
     rayleigh = np.einsum("ij,ij->j", vectors, av)
-    scale = max(norm, 1e-300)
+    scale = max(a.norm, 1e-300)
     residuals = scale * np.array([np.linalg.norm((av[:, j] - vectors[:, j] * rayleigh[j]) / scale)
                                   for j in range(m)])
     del av
-    bound = EIGEN_RESIDUAL_TOL * norm
+    bound = EIGEN_RESIDUAL_TOL * a.norm
     worst = float(residuals.max())
     if not worst <= max(bound, 1e-300):  # a NaN residual fails too
         raise ConvergenceError(
@@ -220,8 +235,8 @@ def _solve(a, m, seed, norm):
     return scipy.linalg.eigh(a.toarray(), subset_by_index=[0, m - 1])
 
 
-def _by_component(a, m, seed, row_norms, count, labels):
-    """The m smallest eigenpairs of a, solved one connected component at a time.
+def _by_component(a, m, seed):
+    """The m smallest eigenpairs of the SymmetricCSR a, one connected component at a time.
 
     Component c of n_c points is first asked for
     k_c = min(n_c, m, ceil(m n_c / n) + 2) pairs, its share of the m plus
@@ -241,10 +256,10 @@ def _by_component(a, m, seed, row_norms, count, labels):
     pickled. Each component's solve is the same wherever it runs, so the
     result does not depend on the worker count.
     """
-    n = a.shape[0]
+    n, count = a.shape[0], a.components
     # Permuted so that each component's rows are contiguous, ascending within it.
-    order = np.argsort(labels, kind="stable")
-    ends = np.cumsum(np.bincount(labels, minlength=count))
+    order = np.argsort(a.labels, kind="stable")
+    ends = np.cumsum(np.bincount(a.labels, minlength=count))
     members = np.split(order, ends[:-1])
     blocks = _component_blocks(a, order, ends)
     wanted = [min(rows.size, m, -(-m * rows.size // n) + 2) for rows in members]
@@ -252,7 +267,7 @@ def _by_component(a, m, seed, row_norms, count, labels):
 
     def solve(c):
         try:
-            return _solve(blocks[c], wanted[c], (seed, c), float(row_norms[members[c]].max()))
+            return _solve(blocks[c], wanted[c], (seed, c), float(a.row_norms[members[c]].max()))
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"component {c} of {count} ({members[c].size} points): {exc}",

@@ -596,17 +596,19 @@ class TestStreamedBowOutput:
         # Nor does a sweep on two forked workers: fork_map calls os.fork
         # itself. concurrent.futures may be loaded by the import already
         # (numpy.testing, which some scipy releases import, loads it), so
-        # the sweep is checked for the modules of either that it adds.
+        # the sweep is checked for the modules of either that it adds. Only
+        # a graph maps scipy.sparse.csgraph, which the import leaves out.
         script = ("import sys\n"
                   "from graphssl import cli\n"
                   "imported = set(sys.modules)\n"
                   "code = cli.main(['noise-sweep', '--runs', '2', '--workers', '2'])\n"
                   "added = [name for name in set(sys.modules) - imported\n"
                   "         if name.partition('.')[0] in ('multiprocessing', 'concurrent')]\n"
-                  "print(code, 'multiprocessing' in imported, sorted(added), file=sys.stderr)\n")
+                  "print(code, 'multiprocessing' in imported, 'scipy.sparse.csgraph' in imported,\n"
+                  "      sorted(added), file=sys.stderr)\n")
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stderr.strip() == "0 False []"
+        assert result.stderr.strip() == "0 False False []"
         assert "l1_mean" in result.stdout
 
 
@@ -696,90 +698,6 @@ class TestRowBlockOutput:
         monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         assert self.run(corpus, tmp_path / "out") == 0
         assert len(forks) == 6
-
-
-def refine_bow_per_cpu_count(tmp_path, monkeypatch, capsys, visual, textual):
-    """[(exit code, stderr, {file: bytes} or None)] of refine-bow on 1 and on 2 usable CPUs.
-
-    The output map is None when the run left no output directory.
-    """
-    outcomes = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
-        out = tmp_path / f"out-{cpus}"
-        code = cli.main(["refine-bow", "--input", str(visual), str(textual),
-                         "--output", str(out), "--seed", "4"])
-        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
-        outcomes.append((code, capsys.readouterr().err, files))
-    return outcomes
-
-
-def write_duplicate_line(path, matrix):
-    """A triplet file of matrix whose last line repeats the first entry's coordinate."""
-    text = b"".join(fileio.bow_chunks(matrix))
-    path.write_bytes(text + text.split(b"\n")[1] + b"\n")
-
-
-class TestParallelRefineBow:
-    """refine-bow reads its two files and refines its two halves on forked workers.
-
-    With one usable CPU every stage runs in this process, with two on
-    workers; the failure must be the same.
-    """
-
-    def failure(self, tmp_path, monkeypatch, capsys, visual, textual):
-        """The one outcome of a failing refine-bow on both CPU counts, without output."""
-        outcomes = refine_bow_per_cpu_count(tmp_path, monkeypatch, capsys, visual, textual)
-        assert outcomes[0] == outcomes[1]
-        code, err, files = outcomes[0]
-        assert files is None
-        return code, err
-
-    def test_missing_input_file(self, tmp_path, monkeypatch, capsys):
-        _, textual = write_corpus(tmp_path)
-        missing = tmp_path / "missing.txt"
-        code, err = self.failure(tmp_path, monkeypatch, capsys, missing, textual)
-        assert code == 1
-        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-
-    def test_duplicate_coordinate(self, tmp_path, monkeypatch, capsys):
-        visual, _ = write_corpus(tmp_path)
-        _, _, _, other = two_block_corpus(seed=0)
-        textual = tmp_path / "duplicate.txt"
-        write_duplicate_line(textual, other)
-        code, err = self.failure(tmp_path, monkeypatch, capsys, visual, textual)
-        assert code == 1
-        lines = textual.read_bytes().count(b"\n")
-        assert err == f"error: {textual}: line {lines}: duplicate coordinate (0, 0)\n"
-
-    def test_zero_counterpart_row_names_the_document(self, tmp_path, monkeypatch, capsys):
-        # Both halves fail: the visual one on textual document 5, the textual
-        # one on visual document 7. The visual half's failure is reported.
-        _, corrupted, _, other = two_block_corpus(seed=0)
-        corrupted[7] = 0.0
-        other[5] = 0.0
-        write_bow(tmp_path / "visual.txt", corrupted)
-        write_bow(tmp_path / "textual.txt", other)
-        code, err = self.failure(tmp_path, monkeypatch, capsys,
-                                 tmp_path / "visual.txt", tmp_path / "textual.txt")
-        assert code == 2
-        assert err.startswith("numerical failure: vertex 5 is isolated")
-
-    @pytest.mark.parametrize("visual_fault", ["missing", "duplicate"])
-    def test_bad_visual_file_is_reported_before_a_bad_textual_one(
-            self, tmp_path, monkeypatch, capsys, visual_fault):
-        _, corrupted, _, other = two_block_corpus(seed=0)
-        missing = tmp_path / "missing.txt"
-        duplicate = tmp_path / "duplicate.txt"
-        visual, textual = (missing, duplicate) if visual_fault == "missing" else (duplicate, missing)
-        write_duplicate_line(duplicate, corrupted if visual == duplicate else other)
-        code, err = self.failure(tmp_path, monkeypatch, capsys, visual, textual)
-        assert code == 1
-        if visual_fault == "missing":
-            assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-        else:
-            assert err.startswith(f"error: {duplicate}: line ")
-            assert err.endswith(": duplicate coordinate (0, 0)\n")
 
 
 class TestDeterminism:

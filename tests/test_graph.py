@@ -1,14 +1,19 @@
+import pickle
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 from scipy.spatial import cKDTree
 
 import oracle_graph
-from graphssl import graph, parallel
+from graphssl import cli, graph, linalg, parallel
+from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.errors import IsolatedVertexError
 from graphssl.graph import gaussian_knn_graph, linear_knn_graph, normalized_laplacian
+from graphssl.linalg import SymmetricCSR, _row_sums
 
 
 def same_graph(a, b):
@@ -492,3 +497,76 @@ class TestNormalizedLaplacian:
         assert np.array_equal(lap_vals, -vals * inv_sqrt[rows] * inv_sqrt[cols])
         assert np.array_equal(lap.diagonal(), np.ones(w.shape[0]))
         assert lap.nnz == w.nnz + w.shape[0]
+
+
+def duplicated_points():
+    # Each point twice: the pairs' weights are exactly 1.
+    return np.repeat(np.random.default_rng(13).standard_normal((100, 2)), 2, axis=0)
+
+
+# Affinity matrices, by name, with the component counts of their graphs.
+AFFINITIES = {
+    "connected": (lambda: gaussian_knn_graph(gaussian_blobs(300, classes=1, seed=1)[0], 1.0, 8),
+                  1),
+    "three-components": (lambda: gaussian_knn_graph(
+        gaussian_blobs(600, classes=3, spread=0.1, seed=0)[0], 1.0, 10), 3),
+    "duplicate-points": (lambda: gaussian_knn_graph(duplicated_points(), 0.5, 4), 5),
+    "linear-kernel": (lambda: linear_knn_graph(two_block_corpus(n=200, jitter=0.5, seed=2)[3], 9),
+                      2),
+}
+
+
+class TestLaplacianValue:
+    """normalized_laplacian's value carries its degrees, components and norm."""
+
+    @pytest.mark.parametrize("name", list(AFFINITIES))
+    def test_carries_the_facts_of_its_matrices(self, name):
+        build, components = AFFINITIES[name]
+        w = build()
+        lap = normalized_laplacian(w)
+        assert isinstance(lap, SymmetricCSR) and sp.issparse(lap)
+        assert np.array_equal(lap.degrees, _row_sums(w, w.data))
+        count, labels = csgraph.connected_components(lap, directed=False)
+        assert (lap.components, lap.labels.tolist()) == (count, labels.tolist())
+        assert count == components
+        assert np.array_equal(lap.row_norms, _row_sums(lap, np.abs(lap.data)))
+        assert lap.norm == _row_sums(lap, np.abs(lap.data)).max()
+        # L is not checked again: it must be exactly symmetric by construction.
+        mirror = lap.T.tocsr()
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lap, part), getattr(mirror, part))
+        for part in ("indptr", "indices", "data", "degrees", "labels", "row_norms"):
+            assert not getattr(lap, part).flags.writeable
+        if name == "duplicate-points":
+            assert np.count_nonzero(w.data == 1.0) >= 200
+
+    def test_derived_matrices_are_plain_and_pickles_keep_the_facts(self):
+        lap = normalized_laplacian(AFFINITIES["three-components"][0]())
+        for derived in (2.0 * lap, lap + lap, lap[:10], lap.copy()):
+            assert type(derived) is sp.csr_matrix
+        copy = pickle.loads(pickle.dumps(lap))
+        assert type(copy) is SymmetricCSR and (copy != lap).nnz == 0
+        assert (copy.components, copy.norm) == (lap.components, lap.norm)
+        assert np.array_equal(copy.labels, lap.labels)
+
+    @pytest.mark.parametrize("command", ["classify", "eigen-dump", "moons-demo"])
+    def test_each_fact_is_derived_once_per_run(self, tmp_path, monkeypatch, command):
+        # Three 600-point components for classify and eigen-dump; one moons run.
+        x, truth = gaussian_blobs(1800, classes=3, seed=0)
+        (tmp_path / "x.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
+        (tmp_path / "labels.csv").write_text(
+            "".join(f"{np.flatnonzero(truth == c)[0]},{c}\n" for c in range(3)))
+        argv = {"classify": ["--input", str(tmp_path / "x.csv"), "--k", "10",
+                             "--labels", str(tmp_path / "labels.csv")],
+                "eigen-dump": ["--input", str(tmp_path / "x.csv"), "--k", "10"],
+                "moons-demo": ["--runs", "1"]}[command]
+        spies = {name: mock.Mock(wraps=getattr(module, name)) for module, name in (
+            (linalg, "check_symmetric"), (linalg, "_row_sums"), (csgraph, "connected_components"))}
+        for module, name in ((graph, "check_symmetric"), (linalg, "check_symmetric"),
+                             (graph, "_row_sums"), (linalg, "_row_sums"),
+                             (csgraph, "connected_components")):
+            monkeypatch.setattr(module, name, spies[name])
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # every solve in this process
+        assert cli.main([command, *argv, "--output", str(tmp_path / "out")]) == 0
+        assert {name: spy.call_count for name, spy in spies.items()} == {
+            "check_symmetric": 1, "_row_sums": 2, "connected_components": 1}
