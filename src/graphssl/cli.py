@@ -258,7 +258,8 @@ def cmd_classify(args):
         truth = fileio.read_truth(args.truth)
         if truth.size != n:
             raise ValueError(f"truth has {truth.size} rows but features have {n}")
-    classes = max(cls for _, cls in assignments) + 1
+    # At least one class, so that a file of negative classes fails as out of range.
+    classes = max(1, max(cls for _, cls in assignments) + 1)
     present = sorted({cls for _, cls in assignments})
     if present[0] >= 0 and len(present) < classes:  # encode_labels rejects a negative class
         missing = next(c for c, cls in enumerate(present) if c != cls)

@@ -6,7 +6,7 @@ keys, so adding runs or streams never perturbs the draws of existing ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,12 +149,14 @@ def _map_runs(run, runs, workers):
 def run_moons_demo(master_seed, fraction, runs, labels_per_class, sigma, k, lam, m):
     """moons-demo: noise-sweep's runs on the grid [fraction], on every usable CPU.
 
-    Returns one (trial, smoothness reports) pair per run, in run order.
+    Returns one (trial, smoothness reports) pair per run, in run order. The
+    reports are computed in the worker, so each trial leaves it without its
+    Laplacian and basis, which the caller does not read.
     """
     def run(run_index):
         trial = multiclass_trial(master_seed, run_index, [fraction], labels_per_class,
                                  sigma, k, lam, m)
-        return trial, trial.smoothness()
+        return replace(trial, lap=None, basis=None), trial.smoothness()
 
     return _map_runs(run, runs, parallel.usable_cpus())
 

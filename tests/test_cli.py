@@ -1,5 +1,4 @@
 import dataclasses
-import errno
 import json
 import os
 import subprocess
@@ -8,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from graphssl import bow, cli, fileio, harness, linalg, parallel, spectral
-from graphssl.bow import RefineConfig, refine
+from graphssl import bow, cli, fileio, harness, parallel, spectral
+from graphssl.bow import refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import gaussian_knn_graph, normalized_laplacian
 from graphssl.harness import _STREAM_EIGEN, child_seed, confidence_halfwidth
@@ -183,21 +182,6 @@ class TestClassify:
                 == (outputs[1] / "predictions.txt").read_bytes())
         assert fileio.parse_metrics((outputs[1] / "metrics.txt").read_text())["classes"] == 3
 
-    @pytest.mark.parametrize("lines, message", [("0,0\n60,1\n", "label index 60 out of range"),
-                                                ("0,0\n0,1\n", "duplicate label index 0"),
-                                                ("0,0\n1,-1\n", "class -1 out of range")])
-    def test_bad_labels_fail_before_the_eigensolve(self, tmp_path, monkeypatch, capsys,
-                                                   lines, message):
-        features, labels, _, _ = write_blob_dataset(tmp_path)
-        labels.write_text(lines)
-        monkeypatch.setattr(harness, "laplacian_basis", fail_if_called)
-        out = tmp_path / "out"
-        code = cli.main(["classify", "--input", str(features), "--labels", str(labels),
-                         "--output", str(out), "--k", "6", "--m", "10"])
-        assert code == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestNoiseSweep:
     def test_degenerate_grid_reduces_to_clean(self):
@@ -236,37 +220,6 @@ class TestNoiseSweep:
                        "--seed", 5, "--workers", 4)
         assert one.stdout == four.stdout
 
-
-class TestMoonsSizes:
-    """moons-demo and noise-sweep check k and m against the n=200 moons while parsing."""
-
-    @pytest.mark.parametrize("command", ["moons-demo", "noise-sweep"])
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--m", "500", "usage error: argument --m: must be in [1, 200], got '500'"),
-        ("--m", "201", "usage error: argument --m: must be in [1, 200], got '201'"),
-        ("--k", "200", "usage error: argument --k: must be in [1, 199], got '200'"),
-    ], ids=["m-500", "m-201", "k-200"])
-    def test_size_beyond_moons_is_config_error(self, tmp_path, capsys, command, flag,
-                                                value, message):
-        out = tmp_path / "out"
-        argv = [command, "--runs", "1", "--noise-fraction", "0", flag, value]
-        assert cli.main(argv + ["--output", str(out)]) == 1
-        assert capsys.readouterr().err.strip() == message
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["moons-demo", "noise-sweep"])
-    @pytest.mark.parametrize("value", ["100", "101"])
-    def test_labels_leaving_no_unlabeled_point_are_config_error(self, tmp_path, capsys,
-                                                                 monkeypatch, command, value):
-        # Rejected before any trial runs, not after the work is done.
-        monkeypatch.setattr(harness, "two_moons", None)
-        out = tmp_path / "out"
-        argv = [command, "--runs", "1", "--noise-fraction", "0", "--labels-per-class", value]
-        assert cli.main(argv + ["--output", str(out)]) == 1
-        assert capsys.readouterr().err.strip() == (
-            f"usage error: argument --labels-per-class: must be in [1, 99], got '{value}'")
-        assert not out.exists()
-
     def test_noise_sweep_full_basis_is_accepted(self):
         result = run_cli("noise-sweep", "--runs", 1, "--noise-fraction", 0, "--m", 200)
         assert result.returncode == 0
@@ -287,20 +240,6 @@ class TestRefineBow:
         metrics = fileio.parse_metrics((out / "metrics.txt").read_text())
         assert metrics["visual.changed_entries"] > 0
         assert metrics["visual.changed_entries"] == int(np.count_nonzero(refined != original))
-
-    def test_refined_files_equal_write_bow_of_refined_matrices(self, tmp_path):
-        visual, textual = write_corpus(tmp_path, seed=3)
-        out = tmp_path / "out"
-        result = run_cli(
-            "refine-bow", "--input", visual, textual, "--output", out,
-            "--k", 29, "--m", 4, "--lambda", 0.01, "--gamma", 0.075, "--seed", 2,
-        )
-        assert result.returncode == 0, result.stderr
-        cfg = RefineConfig(lam=0.01, gamma=0.075, k=29, m=4)
-        ref_v, _ = refine(fileio.read_bow(visual), fileio.read_bow(textual), cfg, seed=2)
-        ref_t, _ = refine(fileio.read_bow(textual), fileio.read_bow(visual), cfg, seed=2)
-        for name, matrix in (("refined_visual.txt", ref_v), ("refined_textual.txt", ref_t)):
-            assert (out / name).read_bytes() == b"".join(fileio.bow_chunks(matrix))
 
     def test_unregularized_round_trips_input_bits(self, tmp_path):
         visual, textual = write_corpus(tmp_path, seed=1)
@@ -405,193 +344,15 @@ class TestComponents:
             predictions.add((out / "predictions.txt").read_bytes())
         assert len(predictions) == 1
 
-    def test_eigensolver_failure_names_the_component(self, tmp_path, monkeypatch, capsys):
-        # With one usable CPU the components are solved in this process, with
-        # two in forked workers; the message and exit code are the same.
-        features, _, _, _ = write_blob_dataset(tmp_path, n=1800)
-        monkeypatch.setattr(linalg, "_lanczos_budget", lambda m: 1)
-        outcomes = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(parallel, "usable_cpus", lambda cpus=cpus: cpus)
-            code = cli.main(["eigen-dump", "--input", str(features), "--k", "10", "--m", "20"])
-            outcomes.append((code, capsys.readouterr().err))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == 2
-        assert outcomes[0][1].startswith(
-            "numerical failure: component 0 of 3 (600 points): eigensolver did not converge "
-            "within 1 iterations")
-
-
-def fail_if_called(*args, **kwargs):
-    pytest.fail("the command ran its computation before checking its input")
-
-
-class TestOutputRequiredUpFront:
-    def test_classify_without_output_does_no_work(self, tmp_path, monkeypatch, capsys):
-        features, labels, _, _ = write_blob_dataset(tmp_path)
-        monkeypatch.setattr(harness, "l1_classify", fail_if_called)
-        assert cli.main(["classify", "--input", str(features), "--labels", str(labels)]) == 1
-        assert "required: --output" in capsys.readouterr().err
-
-    def test_refine_bow_without_output_does_no_work(self, tmp_path, monkeypatch, capsys):
-        visual, textual = write_corpus(tmp_path)
-        monkeypatch.setattr(bow, "co_refine", fail_if_called)
-        assert cli.main(["refine-bow", "--input", str(visual), str(textual)]) == 1
-        assert "required: --output" in capsys.readouterr().err
-
-
-class TestExitCodes:
-    # tests/test_failures.py runs one failure through a process of its own.
-    def test_no_command_is_usage_error(self, capsys):
-        assert cli.main([]) == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
-
-    def test_unknown_flag_is_usage_error(self, capsys):
-        assert cli.main(["moons-demo", "--does-not-exist"]) == 1
-        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: ")
-
-    def test_missing_required_input(self, capsys):
-        assert cli.main(["classify"]) == 1
-        assert capsys.readouterr().err.startswith("usage error: ")
-
-    def test_graph_whose_every_weight_underflows_exits_two(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        assert cli.main(["moons-demo", "--sigma", "1e-300", "--runs", "1",
-                         "--output", str(out)]) == 2
-        assert "isolated" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_numerical_failure_in_a_sweep_worker_matches_the_serial_one(self, monkeypatch,
-                                                                         capsys):
-        # With two usable CPUs, --workers 2 runs the sweep in forked workers,
-        # whose IsolatedVertexError reaches the parent pickled.
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        outcomes = []
-        for workers in ("1", "2"):
-            code = cli.main(["noise-sweep", "--sigma", "1e-300", "--runs", "2",
-                             "--workers", workers])
-            outcomes.append((code, capsys.readouterr().err))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == 2
-        assert outcomes[0][1].startswith("numerical failure: vertex 0 is isolated")
-
-    def test_dead_sweep_worker_is_a_clean_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(harness, "multiclass_trial", exit_worker)
-        assert cli.main(["noise-sweep", "--runs", "2", "--workers", "2"]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: a worker process ended without a result")
-
-    @pytest.mark.parametrize("name, text, message", [
-        ("truth.txt", "0\n9223372036854775808\n",
-         "line 2: class 9223372036854775808 does not fit in 64 bits"),
-        ("visual.txt", "99999999999 99999 0\n",
-         "line 1: a 99999999999 x 99999 matrix is too large to allocate"),
-        ("labels.csv", "0,0\n60,99999999999\n",
-         "class 1 has no label; each class from 0 to 99999999999 needs one"),
-    ], ids=["truth-class", "triplet-header", "skipped-class"])
-    def test_input_too_large_for_its_arrays_is_usage_error(self, tmp_path, capsys, name, text,
-                                                           message):
-        # Each input once died with an OverflowError or a MemoryError traceback.
-        features, labels, truth, _ = write_blob_dataset(tmp_path, n=300)
-        visual, textual = write_corpus(tmp_path)
-        (tmp_path / name).write_text(text)
-        argv = (["refine-bow", "--input", str(visual), str(textual)] if name == "visual.txt" else
-                ["classify", "--input", str(features), "--labels", str(labels),
-                 "--truth", str(truth)])
-        assert cli.main(argv + ["--output", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
-        assert not (tmp_path / "out").exists()
-
 
 class TestAtomicOutput:
-    def test_failed_second_write_leaves_no_files(self, tmp_path, monkeypatch, capsys):
-        real_open = open
-        opened = []
-
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        def flaky_open(path, *args, **kwargs):
-            opened.append(path)
-            fh = real_open(path, *args, **kwargs)
-            return FullDisk(fh) if len(opened) == 2 else fh
-
-        monkeypatch.setattr(cli, "open", flaky_open, raising=False)
-        out = tmp_path / "out"
-        assert cli.main(["moons-demo", "--runs", "1", "--output", str(out)]) == 1
-        assert len(opened) == 2
-        assert not out.exists()
-        assert "No space left on device" in capsys.readouterr().err
-
     def test_success_leaves_only_the_named_files(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["moons-demo", "--runs", "1", "--output", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["metrics.txt", "moons_points.txt"]
 
 
-REFINE_ARGS = ("--k", "29", "--m", "4", "--lambda", "0.01", "--gamma", "0.075", "--seed", "2")
-
-
-def run_refine_bow(tmp_path, monkeypatch, workers, formatter=None):
-    """cli.main refine-bow on a 60-document corpus; (exit code, output dir).
-
-    The output is formatted in blocks of 16 rows on the given worker count,
-    with the block formatter replaced by formatter, if given.
-    """
-    visual, textual = write_corpus(tmp_path, seed=3)
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: workers)
-    monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 16)
-    if formatter is not None:
-        monkeypatch.setattr(fileio, "_format_block", formatter)
-    out = tmp_path / "out"
-    code = cli.main(["refine-bow", "--input", str(visual), str(textual),
-                     "--output", str(out), *REFINE_ARGS])
-    return code, out
-
-
-def exit_worker(*args, **kwargs):
-    os._exit(3)
-
-
-def raise_in_worker(*args):
-    raise RuntimeError("block formatter failed")
-
-
 class TestStreamedBowOutput:
-    # 60 documents make 4 blocks, the last one short.
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_refined_files_equal_format_bow(self, tmp_path, monkeypatch, workers):
-        code, out = run_refine_bow(tmp_path, monkeypatch, workers)
-        assert code == 0
-        cfg = RefineConfig(lam=0.01, gamma=0.075, k=29, m=4)
-        visual = fileio.read_bow(tmp_path / "visual.txt")
-        textual = fileio.read_bow(tmp_path / "textual.txt")
-        ref_v, _ = refine(visual, textual, cfg, seed=2)
-        ref_t, _ = refine(textual, visual, cfg, seed=2)
-        assert (out / "refined_visual.txt").read_bytes() == b"".join(fileio.bow_chunks(ref_v))
-        assert (out / "refined_textual.txt").read_bytes() == b"".join(fileio.bow_chunks(ref_t))
-
-    @pytest.mark.parametrize("formatter", [raise_in_worker, exit_worker])
-    def test_worker_failure_is_a_clean_error(self, tmp_path, monkeypatch, capsys, formatter):
-        # Forked workers inherit the patched block formatter.
-        code, out = run_refine_bow(tmp_path, monkeypatch, 2, formatter)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "refined_visual.txt" in err
-        assert not out.exists()
-
     def test_importing_the_cli_does_not_import_multiprocessing(self):
         # Nor does a sweep on two forked workers: fork_map calls os.fork
         # itself. concurrent.futures may be loaded by the import already
@@ -701,15 +462,13 @@ class TestRowBlockOutput:
 
 
 class TestDeterminism:
-    def test_moons_demo_byte_identical(self):
-        a = run_cli("moons-demo", "--runs", 3, "--seed", 9)
-        b = run_cli("moons-demo", "--runs", 3, "--seed", 9)
-        assert a.stdout == b.stdout and a.stdout
-
     def test_seed_changes_output(self):
         a = run_cli("moons-demo", "--runs", 3, "--seed", 9)
         b = run_cli("moons-demo", "--runs", 3, "--seed", 10)
         assert a.stdout != b.stdout
+
+
+REFINE_ARGS = ("--k", "29", "--m", "4", "--lambda", "0.01", "--gamma", "0.075", "--seed", "2")
 
 
 def logging_set_calls(log):

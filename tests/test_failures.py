@@ -18,6 +18,7 @@ Duplicate points and a component without a label give wrong answers, not
 failures, and get rows with ROADMAP item 13.
 """
 
+import ast
 import errno
 import os
 import subprocess
@@ -27,9 +28,21 @@ import tempfile
 import numpy as np
 import pytest
 
+import test_routes
 from graphssl import bow, cli, fileio, harness, linalg, parallel
 from graphssl.datasets import gaussian_blobs, two_block_corpus
-from test_cli import exit_worker, fail_if_called, raise_in_worker
+
+
+def fail_if_called(*args, **kwargs):
+    pytest.fail("the command ran its computation before checking its input")
+
+
+def exit_worker(*args, **kwargs):
+    os._exit(3)
+
+
+def raise_in_worker(*args):
+    raise RuntimeError("block formatter failed")
 
 
 class FullDisk:
@@ -94,6 +107,8 @@ ROWS = [
     row("no-command", "", 1, "usage error: the following arguments are required: command"),
     row("moons-demo-abbreviated-flag", "moons-demo --run 1", 1,
         "usage error: unrecognized arguments: --run 1"),
+    row("moons-demo-unknown-flag", "moons-demo --does-not-exist", 1,
+        "usage error: unrecognized arguments: --does-not-exist"),
     row("classify-no-flags", "classify", 1,
         "usage error: the following arguments are required: --output, --input, --labels"),
     *[row(f"{command}-no-output", VALID[command][0].replace(" --output {out}", ""), 1,
@@ -129,6 +144,7 @@ ROWS = [
           ("out-of-range", b"0,0\n60,1\n", "error: label index 60 out of range [0, 60)"),
           ("duplicated", b"0,0\n0,1\n", "error: duplicate label index 0"),
           ("negative", b"0,0\n1,-1\n", "error: class -1 out of range [0, 1)"),
+          ("negative-only", b"0,-1\n", "error: class -1 out of range [0, 1)"),
           ("skipped-class", b"0,0\n1,2\n",
            "error: {t}/l.csv: class 1 has no label; each class from 0 to 2 needs one"),
           ("class-beyond-the-labels", b"0,0\n59,99999999999\n",
@@ -282,3 +298,15 @@ def test_a_row_in_a_process_of_its_own(inputs, tmp_path):
     assert result.stderr.startswith(line.format(**paths))
     assert not paths["out"].exists()
     assert list((tmp_path / "tmp").iterdir()) == []
+
+
+def test_row_ids_are_unique():
+    # pytest renames a repeated id without warning, and a dict literal keeps
+    # only the last of a repeated key, so the route table's keys are read
+    # from its source.
+    assert len({param.id for param in ROWS}) == len(ROWS)
+    with open(test_routes.__file__, encoding="utf-8") as fh:
+        module = ast.parse(fh.read())
+    [keys] = [node.value.keys for node in module.body if isinstance(node, ast.Assign)
+              and [getattr(target, "id", None) for target in node.targets] == ["ROWS"]]
+    assert len(keys) == len(test_routes.ROWS)

@@ -24,24 +24,6 @@ class TestFeatures:
         path.write_text("1,2\n\n3,4\n")
         assert fileio.read_features(path).shape == (2, 2)
 
-    def test_malformed_row_names_line(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2\n3,oops\n")
-        with pytest.raises(ValueError, match="line 2"):
-            fileio.read_features(path)
-
-    def test_ragged_row_names_line(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2\n3\n")
-        with pytest.raises(ValueError, match="line 2"):
-            fileio.read_features(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,inf\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            fileio.read_features(path)
-
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_bad_byte_names_its_line_and_its_offset_in_the_file(self, tmp_path, newline):
         path = tmp_path / "x.csv"
@@ -92,12 +74,6 @@ class TestLabels:
         path = tmp_path / "labels.csv"
         path.write_text("0,1\n5,0\n")
         assert fileio.read_label_assignments(path) == [(0, 1), (5, 0)]
-
-    def test_bad_line(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        path.write_text("0,1,2\n")
-        with pytest.raises(ValueError, match="line 1"):
-            fileio.read_label_assignments(path)
 
     def test_truth(self, tmp_path):
         path = tmp_path / "truth.txt"
@@ -163,16 +139,18 @@ class TestBowFormat:
         second.write_text(format_bow(parsed))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_header_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("2 2 3\n0 0 1.0\n", "declares 3"),
+        ("2 2 2\n0 0 1.0\n1.5 0 1.0\n", "line 3: malformed triplet"),
+        # Six tokens split as 4 + 2 would still read as two valid triplets.
+        ("3 3 2\n0 0 1.0 2\n1 1.5\n", "line 2: expected `row col value`"),
+        # The first bad line is named, not a later one.
+        ("2 2 2\n0 0 1.0\n0 9 1.0\n0 0 x\n", "line 3: index out of range"),
+    ], ids=["header-mismatch", "non-integer-index", "four-field-line", "first-bad-line"])
+    def test_rejects_bad_triplets(self, tmp_path, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text("2 2 3\n0 0 1.0\n")
-        with pytest.raises(ValueError, match="declares 3"):
-            fileio.read_bow(path)
-
-    def test_index_out_of_range(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2 1\n0 5 1.0\n")
-        with pytest.raises(ValueError, match="line 2"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             fileio.read_bow(path)
 
     def test_storage_threshold(self, tmp_path):
@@ -186,30 +164,11 @@ class TestBowFormat:
         with pytest.raises(ValueError, match=r"line 5: duplicate coordinate \(0, 1\)"):
             fileio.read_bow(path)
 
-    def test_non_integer_index(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2 2\n0 0 1.0\n1.5 0 1.0\n")
-        with pytest.raises(ValueError, match="line 3: malformed triplet"):
-            fileio.read_bow(path)
-
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_value_names_line(self, tmp_path, value):
         path = tmp_path / "bad.txt"
         path.write_text(f"3 2 3\n0 0 1.0\n\n1 1 2.0\n2 0 {value}\n")
         with pytest.raises(ValueError, match="line 5: non-finite value"):
-            fileio.read_bow(path)
-
-    def test_four_field_line(self, tmp_path):
-        # Six tokens split as 4 + 2 would still read as two valid triplets.
-        path = tmp_path / "bad.txt"
-        path.write_text("3 3 2\n0 0 1.0 2\n1 1.5\n")
-        with pytest.raises(ValueError, match="line 2: expected `row col value`"):
-            fileio.read_bow(path)
-
-    def test_first_bad_line_is_named(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2 2 2\n0 0 1.0\n0 9 1.0\n0 0 x\n")
-        with pytest.raises(ValueError, match="line 3: index out of range"):
             fileio.read_bow(path)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -303,21 +262,11 @@ class TestFormatBow:
         matrix = rng.standard_normal((30, 20)) * 10.0 ** rng.integers(-15, 20, (30, 20))
         assert format_bow(matrix) == json_triplets(matrix)
 
-    def test_rejects_infinite_entries(self):
+    # NaN compares false against the threshold; it must not be dropped as small.
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            format_bow(np.array([[1.0, np.inf]]))
-
-    def test_rejects_nan_entries(self):
-        # NaN compares false against the threshold; it must not be dropped as small.
-        with pytest.raises(ValueError, match="finite"):
-            format_bow(np.array([[np.nan, 1.0]]))
-
-    def test_rejects_nan_in_a_later_block(self, monkeypatch):
-        monkeypatch.setattr(fileio, "FORMAT_BLOCK_ROWS", 1)
-        matrix = np.ones((3, 2))
-        matrix[2, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            format_bow(matrix)
+            format_bow(np.array([[bad, 1.0]]))
 
     @pytest.mark.parametrize("block_rows", [1, 7, 256, 10_000])
     @pytest.mark.parametrize("kind", ["random", "empty rows", "nothing kept"])
@@ -379,3 +328,7 @@ class TestMetrics:
         b = fileio.render_metrics([("x", 0.1 + 0.2)])
         assert a == b
         assert "0.30000000000000004" in a
+
+    def test_line_without_separator_is_rejected(self):
+        with pytest.raises(ValueError, match="^metrics line 3: missing ` = ` separator$"):
+            fileio.parse_metrics("schema = 1\n\nschema: 2\n")

@@ -59,32 +59,34 @@ def degrees(w):
     return d
 
 
-class TestGraphConfig:
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError, match="sigma must be positive"):
-            gaussian_knn_graph(np.eye(3), sigma=0, k=1)
+# Calls that differ only in their input: (id, call, message), each a ValueError.
+REJECTED = [
+    ("sigma-zero", lambda: gaussian_knn_graph(np.eye(3), sigma=0, k=1), "sigma must be positive"),
+    ("gaussian-k-zero", lambda: gaussian_knn_graph(np.eye(3), 1.0, 0), "k must be at least 1"),
+    ("linear-k-zero", lambda: linear_knn_graph(np.eye(3), 0), "k must be at least 1"),
+    ("gaussian-k-too-large", lambda: gaussian_knn_graph(np.zeros((3, 2)), sigma=1.0, k=3),
+     "smaller"),
+    ("linear-k-too-large", lambda: linear_knn_graph(np.ones((3, 2)), k=3), "smaller"),
+    ("linear-negative-features",
+     lambda: linear_knn_graph(np.array([[1.0, -0.1], [0.5, 0.2]]), k=1), "nonnegative"),
+    # Affinity matrices are checked where they enter normalized_laplacian.
+    ("nonpositive-weight",
+     lambda: normalized_laplacian(sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))),
+     "positive"),
+    ("diagonal-weight",
+     lambda: normalized_laplacian(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]))),
+     "diagonal"),
+    ("asymmetric-weights",
+     lambda: normalized_laplacian(sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))),
+     "not symmetric"),
+]
 
-    @pytest.mark.parametrize("build", [lambda x, k: gaussian_knn_graph(x, 1.0, k),
-                                       linear_knn_graph], ids=["gaussian", "linear"])
-    def test_rejects_k_below_one(self, build):
-        with pytest.raises(ValueError, match="k must be at least 1"):
-            build(np.eye(3), 0)
 
-
-class TestWeightMatrixInvariants:
-    """Affinity matrices are checked where they enter normalized_laplacian."""
-
-    def test_rejects_nonpositive_weight(self):
-        with pytest.raises(ValueError, match="positive"):
-            normalized_laplacian(sp.csr_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]])))
-
-    def test_rejects_diagonal(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            normalized_laplacian(sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]])))
-
-    def test_rejects_asymmetric_weights(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            normalized_laplacian(sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]])))
+@pytest.mark.parametrize("call, message", [pytest.param(*case, id=name)
+                                           for name, *case in REJECTED])
+def test_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestGaussianWeights:
@@ -264,14 +266,6 @@ class TestLinearKnnGraph:
         assert edges(out) == {(0, 1), (0, 2), (1, 2), (3, 4)}
         assert same_graph(out, linear_reference(x, 3))
 
-    def test_rejects_negative_features(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            linear_knn_graph(np.array([[1.0, -0.1], [0.5, 0.2]]), k=1)
-
-    def test_rejects_k_too_large(self):
-        with pytest.raises(ValueError, match="smaller"):
-            linear_knn_graph(np.ones((3, 2)), k=3)
-
 
 class TestGaussianKnnGraph:
     def test_matches_dense_route(self):
@@ -330,10 +324,6 @@ class TestGaussianKnnGraph:
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = expected[2, 3] = expected[3, 2] = 1.0
         assert np.array_equal(g.toarray(), expected)
-
-    def test_rejects_k_too_large(self):
-        with pytest.raises(ValueError, match="smaller"):
-            gaussian_knn_graph(np.zeros((3, 2)), sigma=1.0, k=3)
 
 
 def directed_picks(rng, n, count):

