@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fileio, parallel
+from . import fileio, parallel, solver
 from .errors import IsolatedVertexError
 from .graph import linear_knn_graph, normalized_laplacian
-from .solver import kkt_residual, l1_coefficients, objective, soft_threshold
 from .spectral import SpectralBasis, build_basis
 
 
@@ -40,18 +39,6 @@ class RefineConfig:
 # Cross-validated presets for visual-refined-by-textual and the reverse.
 TABLE2_VISUAL = RefineConfig(lam=0.010, gamma=0.005, k=15, m=30)
 TABLE2_TEXTUAL = RefineConfig(lam=0.005, gamma=0.075, k=15, m=35)
-
-
-@dataclass
-class RefineReports:
-    """Optimality checks of the smoothing step.
-
-    total_objective sums the weighted-L1 objective over all columns and
-    max_kkt_residual is the largest optimality violation among them.
-    """
-
-    total_objective: float
-    max_kkt_residual: float
 
 
 def _as_bow(matrix, name):
@@ -83,7 +70,7 @@ def apply_error_sparsity(y_star, y, gamma):
         # soft(x, 0) = x, so the update is exactly the smoothed matrix; skip
         # the arithmetic to keep the identity bit-exact.
         return y_star.copy()
-    return soft_threshold(y_star - y, gamma) + y
+    return solver.soft_threshold(y_star - y, gamma) + y
 
 
 @dataclass(frozen=True)
@@ -91,15 +78,17 @@ class Refinement:
     """A refined matrix as the parts its rows are rebuilt from; basis is None when lam is 0.
 
     rows(start, stop) equals those rows of refine's matrix bit for bit, so
-    the matrix is never held whole. co_refine counts changed_entries, the
-    entries that differ from y, and nnz, those that a triplet file keeps.
+    the matrix is never held whole. total_objective and max_kkt_residual are
+    the smoothing fit's, 0.0 when lam is 0. co_refine counts changed_entries,
+    the entries that differ from y, and nnz, those that a triplet file keeps.
     """
 
     y: np.ndarray
     basis: SpectralBasis | None
     alpha: np.ndarray | None
     gamma: float
-    reports: RefineReports
+    total_objective: float = 0.0
+    max_kkt_residual: float = 0.0
     changed_entries: int = 0
     nnz: int = 0
 
@@ -139,13 +128,12 @@ def _refinement(y, other, cfg, seed):
         # The smoothing objective reduces to 0.5 ||F - Y||^2, whose exact
         # minimizer is Y itself; skip the graph machinery so the identity is
         # bit-exact.
-        return Refinement(y, None, None, cfg.gamma, RefineReports(0.0, 0.0))
+        return Refinement(y, None, None, cfg.gamma)
     graph = linear_knn_graph(other, cfg.k)
     basis = build_basis(normalized_laplacian(graph), cfg.m, seed=seed)
-    alpha = np.asfortranarray(l1_coefficients(basis, y, cfg.lam))  # expanded column by column
-    reports = RefineReports(total_objective=objective(basis, y, cfg.lam, alpha),
-                            max_kkt_residual=kkt_residual(basis, y, cfg.lam, alpha))
-    return Refinement(y, basis, alpha, cfg.gamma, reports)
+    alpha, kkt = solver.l1_fit(basis, y, cfg.lam)
+    total = solver.objective(basis, y, cfg.lam, alpha)
+    return Refinement(y, basis, alpha, cfg.gamma, total, kkt)
 
 
 def refine(y, other, cfg, seed=0):
@@ -153,12 +141,11 @@ def refine(y, other, cfg, seed=0):
 
     The graph is the k-NN linear-kernel graph of `other`; a document
     whose counterpart row is all zero has no edges and raises
-    IsolatedVertexError naming it. Returns (refined, RefineReports), with
-    the whole refined matrix.
+    IsolatedVertexError naming it. Returns (refined, Refinement): the whole
+    refined matrix, and the parts it was rebuilt from.
     """
     parts = _refinement(y, other, cfg, seed)
-    smoothed = parts.y.copy() if parts.basis is None else parts.basis.expand(parts.alpha)
-    return apply_error_sparsity(smoothed, parts.y, cfg.gamma), parts.reports
+    return parts.rows(0, parts.shape[0]), parts
 
 
 def co_refine(y_visual, y_textual, cfg_visual, cfg_textual, seed=0):

@@ -344,8 +344,8 @@ def cmd_refine_bow(args):
             (f"{prefix}.k", cfg.k),
             (f"{prefix}.m", cfg.m),
             (f"{prefix}.changed_entries", refinement.changed_entries),
-            (f"{prefix}.total_objective", refinement.reports.total_objective),
-            (f"{prefix}.max_kkt_residual", refinement.reports.max_kkt_residual),
+            (f"{prefix}.total_objective", refinement.total_objective),
+            (f"{prefix}.max_kkt_residual", refinement.max_kkt_residual),
         ]
     refined_visual, refined_textual = fileio.bow_documents(refinements)
     _emit(args, [

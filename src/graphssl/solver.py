@@ -16,6 +16,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import ConvergenceError
+
+# KKT residual, relative to max|y|, that every L1 fit must meet.
+KKT_TOL = 1e-8
+
 
 def soft_threshold(x, t):
     """sign(x) * max(|x| - t, 0), elementwise; the proximal map of t * |.|."""
@@ -96,6 +101,20 @@ def kkt_residual(basis, y, lam, alpha):
         np.abs(g + w * np.sign(alpha)),
     )
     return float(violation.max()) if violation.size else 0.0
+
+
+def l1_fit(basis, y, lam):
+    """The one checked L1 fit: l1_coefficients in Fortran order, and its kkt_residual.
+
+    A residual above KKT_TOL * max|y| raises ConvergenceError.
+    """
+    alpha = np.asfortranarray(l1_coefficients(basis, y, lam))
+    kkt = kkt_residual(basis, y, lam, alpha)
+    bound = KKT_TOL * float(np.max(np.abs(y), initial=0.0))
+    if not kkt <= bound:  # a NaN residual fails too
+        raise ConvergenceError(
+            f"KKT residual {kkt:.3e} exceeds {KKT_TOL:g} * max|y| = {bound:.3e}", residual=kkt)
+    return alpha, kkt
 
 
 def l2_system(lap, lam):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .errors import ConvergenceError
 from .linalg import spd_factor
-from .solver import l1_coefficients, l2_system
 
 # Relative residual ||(I + lam L) f - y|| / ||y|| that every quadratic
 # baseline column must meet.
@@ -50,22 +50,20 @@ def encode_labels(assignments, n, c):
     return y
 
 
-def fit_scores(basis, y_matrix, lam):
-    """Solve the weighted-L1 problem for every column of y_matrix.
-
-    Returns (scores, coefficients): the closed-form coefficients of each
-    column and their basis expansions.
-    """
+def _label_matrix(y_matrix, n):
+    """The label matrix as both fits take it: finite float64, n rows, a column per class."""
     y_matrix = np.asarray(y_matrix, dtype=np.float64)
-    if y_matrix.ndim != 2 or y_matrix.shape[0] != basis.n:
-        raise ValueError("label matrix rows must match the basis dimension")
-    alpha = l1_coefficients(basis, y_matrix, lam)
-    return basis.expand(alpha), alpha
+    if y_matrix.ndim != 2 or y_matrix.shape[0] != n:
+        raise ValueError(f"label matrix rows must match the {n} points; got {y_matrix.shape}")
+    if not np.all(np.isfinite(y_matrix)):
+        raise ValueError("label matrix must be finite")
+    return y_matrix
 
 
 def l1_ssl_fit(basis, y_matrix, lam):
-    """Sparse spectral semi-supervised fit; argmax labels over class scores."""
-    scores, _ = fit_scores(basis, y_matrix, lam)
+    """Sparse spectral semi-supervised fit by solver.l1_fit; argmax labels over class scores."""
+    alpha, _ = solver.l1_fit(basis, _label_matrix(y_matrix, basis.n), lam)
+    scores = basis.expand(alpha)
     return Solution(scores=scores, labels=np.argmax(scores, axis=1))
 
 
@@ -79,17 +77,13 @@ def l2_ssl_fit(lap, y_matrix, lam, names=None):
     miss raises ConvergenceError naming its column: names[j] when given,
     else "class j".
     """
-    y_matrix = np.asarray(y_matrix, dtype=np.float64)
-    if y_matrix.ndim != 2 or y_matrix.shape[0] != lap.shape[0]:
-        raise ValueError("label matrix rows must match the Laplacian dimension")
-    if not np.all(np.isfinite(y_matrix)):
-        raise ValueError("label matrix must be finite")
+    y_matrix = _label_matrix(y_matrix, lap.shape[0])
     n, c = y_matrix.shape
     if names is None:
         names = [f"class {j}" for j in range(c)]
     elif len(names) != c:
         raise ValueError(f"{len(names)} column names for {c} label columns")
-    system = l2_system(lap, lam)
+    system = solver.l2_system(lap, lam)
     lu = spd_factor(system)
     scores = np.zeros((n, c))
     for j in range(c):

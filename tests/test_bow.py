@@ -88,13 +88,13 @@ class TestRefine:
         out, _ = refine(corrupted, other, RefineConfig(lam=0.05, gamma=0.0, k=19, m=4))
         # Manually run the smoothing stage on the same graph and basis.
         from graphssl.graph import linear_knn_graph, normalized_laplacian
+        from graphssl.solver import l1_fit
         from graphssl.spectral import build_basis
-        from graphssl.ssl import fit_scores
 
         lap = normalized_laplacian(linear_knn_graph(other, k=19))
         basis = build_basis(lap, 4, seed=0)
-        smoothed, _ = fit_scores(basis, corrupted, 0.05)
-        assert np.array_equal(out, smoothed)
+        alpha, _ = l1_fit(basis, corrupted, 0.05)
+        assert np.array_equal(out, basis.expand(alpha))
 
     def test_noise_free_corpus_with_large_gamma_is_untouched(self):
         clean, _, _, other = small_corpus()
@@ -166,8 +166,9 @@ class TestCoRefine:
         _, corrupted, _, other = small_corpus(seed=7)
         cfg = RefineConfig(lam=lam, gamma=gamma, k=9, m=4)
         refinement, _ = co_refine(corrupted, other, cfg, cfg)
-        refined, reports = refine(corrupted, other, cfg)
-        assert refinement.reports == reports
+        refined, parts = refine(corrupted, other, cfg)
+        assert ((refinement.total_objective, refinement.max_kkt_residual)
+                == (parts.total_objective, parts.max_kkt_residual))
         assert refinement.changed_entries == np.count_nonzero(refined != corrupted)
         assert (b"".join(fileio.bow_chunks(refinement))
                 == b"".join(fileio.bow_chunks(refined)))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from graphssl import bow, cli, fileio, harness, parallel, spectral
+from graphssl import bow, cli, fileio, harness, parallel, solver, spectral
 from graphssl.bow import refine
 from graphssl.datasets import gaussian_blobs, two_block_corpus
 from graphssl.graph import gaussian_knn_graph, normalized_laplacian
@@ -576,6 +576,24 @@ def valid_argv(tmp_path):
                        "--k", "29", "--m", "4"],
         "eigen-dump": ["eigen-dump", "--input", str(features), "--k", "6", "--m", "10"],
     }
+
+
+@pytest.mark.parametrize("command, flags, fits", [
+    ("moons-demo", [], 1),
+    ("classify", [], 1),
+    ("noise-sweep", ["--runs", "3"], 3),
+    ("refine-bow", [], 2),
+    ("refine-bow", ["--lambda", "0"], 0),
+], ids=["moons-demo", "classify", "noise-sweep", "refine-bow", "refine-bow-lambda-0"])
+def test_every_l1_fit_is_a_checked_l1_fit(valid_argv, tmp_path, monkeypatch,
+                                           command, flags, fits):
+    # One CPU keeps every fit in this process, where the spy counts it.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    calls = []
+    original = solver.l1_fit
+    monkeypatch.setattr(solver, "l1_fit", lambda *args: calls.append(args) or original(*args))
+    assert cli.main(valid_argv[command] + flags + ["--output", str(tmp_path / "out")]) == 0
+    assert len(calls) == fits
 
 
 class TestParserContract:

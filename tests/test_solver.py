@@ -5,10 +5,14 @@ import scipy.sparse as sp
 from oracle_graph import gaussian_kernel
 from oracle_grid import grid_minimum, random_instance
 
+from graphssl import solver
+from graphssl.errors import ConvergenceError
 from graphssl.graph import normalized_laplacian
 from graphssl.solver import (
+    KKT_TOL,
     kkt_residual,
     l1_coefficients,
+    l1_fit,
     objective,
     soft_threshold,
 )
@@ -190,6 +194,26 @@ class TestFista:
             l1_coefficients(basis, np.zeros(8), -0.1)
         with pytest.raises(ValueError, match="shape"):
             l1_coefficients(basis, np.zeros(7), 0.1)
+
+
+class TestL1Fit:
+    """solver.l1_fit checks the residual against KKT_TOL * max|y|, so y's scale is moot."""
+
+    @pytest.mark.parametrize("scale", [1e6, 1e-6])
+    def test_scaling_y_keeps_the_verdict_and_the_labels(self, monkeypatch, scale):
+        # lam scales with y, so the minimizer scales with it.
+        basis = random_basis(np.random.default_rng(20), 30, 8)
+        y = np.zeros((30, 3))
+        y[[0, 5, 9, 14, 22, 27], [0, 1, 2, 0, 1, 2]] = 1.0
+        labels = np.argmax(basis.expand(l1_fit(basis, y, 0.2)[0]), axis=1)
+        alpha, kkt = l1_fit(basis, scale * y, scale * 0.2)
+        assert kkt <= KKT_TOL * scale
+        assert np.array_equal(np.argmax(basis.expand(alpha), axis=1), labels)
+        original = solver.l1_coefficients
+        monkeypatch.setattr(solver, "l1_coefficients",
+                            lambda *args: original(*args) + 1e-6 * scale)
+        with pytest.raises(ConvergenceError, match="KKT residual .* exceeds"):
+            l1_fit(basis, scale * y, scale * 0.2)
 
 
 def l2_solve(lap, y, lam):

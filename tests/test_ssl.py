@@ -131,6 +131,28 @@ class TestL1Fit:
         assert np.allclose(scores_perm, scores[perm], atol=1e-8)
 
 
+def nan_entry(y):
+    y = y.copy()
+    y[3, 1] = np.nan
+    return y
+
+
+@pytest.mark.parametrize("fit", ["l1", "l2"])
+@pytest.mark.parametrize("bad, message", [
+    (nan_entry, "label matrix must be finite"),
+    (lambda y: y[:, 0], "label matrix rows must match"),
+    (lambda y: y[:-1], "label matrix rows must match"),
+], ids=["nan-entry", "one-dimensional", "wrong-rows"])
+def test_both_fits_reject_a_bad_label_matrix(fit, bad, message):
+    _, _, lap, basis = moons_setup(seed=0, n=10, m=4, k=3)
+    y = encode_labels([(0, 0), (9, 1)], 10, 2)
+    with pytest.raises(ValueError, match=message):
+        if fit == "l1":
+            l1_ssl_fit(basis, bad(y), 0.5)
+        else:
+            l2_ssl_fit(lap, bad(y), 0.5)
+
+
 class TestL2Fit:
     def test_zero_lam_returns_labels(self):
         _, truth, lap, _ = moons_setup(seed=8, n=60, m=5)
