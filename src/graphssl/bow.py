@@ -79,8 +79,8 @@ class Refinement:
 
     rows(start, stop) equals those rows of refine's matrix bit for bit, so
     the matrix is never held whole. total_objective and max_kkt_residual are
-    the smoothing fit's, 0.0 when lam is 0. co_refine counts changed_entries,
-    the entries that differ from y, and nnz, those that a triplet file keeps.
+    the smoothing fit's, 0.0 when lam is 0. changed_entries counts the
+    entries that differ from y, and nnz those that a triplet file keeps.
     """
 
     y: np.ndarray
@@ -113,7 +113,7 @@ class Refinement:
 
 
 def _refinement(y, other, cfg, seed):
-    """The Refinement of y on the graph of other, its counts not yet walked."""
+    """y's Refinement on the graph of other, with its counts; a NaN or inf raises ValueError."""
     y = _as_bow(y, "bow matrix")
     other = _as_bow(other, "counterpart matrix")
     n = y.shape[0]
@@ -128,12 +128,15 @@ def _refinement(y, other, cfg, seed):
         # The smoothing objective reduces to 0.5 ||F - Y||^2, whose exact
         # minimizer is Y itself; skip the graph machinery so the identity is
         # bit-exact.
-        return Refinement(y, None, None, cfg.gamma)
-    graph = linear_knn_graph(other, cfg.k)
-    basis = build_basis(normalized_laplacian(graph), cfg.m, seed=seed)
-    alpha, kkt = solver.l1_fit(basis, y, cfg.lam)
-    total = solver.objective(basis, y, cfg.lam, alpha)
-    return Refinement(y, basis, alpha, cfg.gamma, total, kkt)
+        parts = Refinement(y, None, None, cfg.gamma)
+    else:
+        graph = linear_knn_graph(other, cfg.k)
+        basis = build_basis(normalized_laplacian(graph), cfg.m, seed=seed)
+        alpha, kkt = solver.l1_fit(basis, y, cfg.lam)
+        total = solver.objective(basis, y, cfg.lam, alpha)
+        parts = Refinement(y, basis, alpha, cfg.gamma, total, kkt)
+    changed, nnz = parts.walk()
+    return replace(parts, changed_entries=changed, nnz=nnz)
 
 
 def refine(y, other, cfg, seed=0):
@@ -142,7 +145,7 @@ def refine(y, other, cfg, seed=0):
     The graph is the k-NN linear-kernel graph of `other`; a document
     whose counterpart row is all zero has no edges and raises
     IsolatedVertexError naming it. Returns (refined, Refinement): the whole
-    refined matrix, and the parts it was rebuilt from.
+    refined matrix, and the parts it was rebuilt from, with its counts.
     """
     parts = _refinement(y, other, cfg, seed)
     return parts.rows(0, parts.shape[0]), parts
@@ -153,17 +156,14 @@ def co_refine(y_visual, y_textual, cfg_visual, cfg_textual, seed=0):
 
     Both read the unmodified counterpart, so swapping the arguments swaps
     the outputs. They run on parallel.fork_map's forked workers, one per
-    usable CPU, which inherit the matrices, walk the refined rows once (a
-    NaN or infinite entry raises ValueError) and pickle back all but y. A
+    usable CPU, which inherit the matrices and pickle back all but y. A
     failure of the visual refinement is raised before one of the textual one.
     """
     halves = ((y_visual, y_textual, cfg_visual), (y_textual, y_visual, cfg_textual))
 
     def half(i):
-        refinement = _refinement(*halves[i], seed)
-        changed, nnz = refinement.walk()
-        return replace(refinement, y=None, changed_entries=changed, nnz=nnz)
+        return replace(_refinement(*halves[i], seed), y=None)
 
-    parts = parallel.fork_map(half, (0, 1), parallel.usable_cpus())
+    parts = parallel.fork_map(half, (0, 1))
     return tuple(replace(part, y=np.asarray(y, dtype=np.float64))
                  for part, (y, _, _) in zip(parts, halves))

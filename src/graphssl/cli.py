@@ -124,7 +124,7 @@ COMMAND_FLAGS = {
         ("--input", {"nargs": 2, "metavar": ("VISUAL", "TEXTUAL"),
                      "help": "two sparse triplet files"}),
     ),
-    "eigen-dump": ("--output", "--preset", "--k", "--sigma", "--m", "--input"),
+    "eigen-dump": ("--output", "--k", "--sigma", "--m", "--input"),
 }
 
 
@@ -323,7 +323,7 @@ def cmd_refine_bow(args):
 
     # Read on forked workers, one file each; results arrive in order, so a
     # bad visual file is reported before a bad textual one.
-    visual, textual = parallel.fork_map(fileio.read_bow, args.input, parallel.usable_cpus())
+    visual, textual = parallel.fork_map(fileio.read_bow, args.input)
     if visual.shape[0] != textual.shape[0]:
         raise ValueError(f"document counts differ: {visual.shape[0]} vs {textual.shape[0]}")
     n = visual.shape[0]

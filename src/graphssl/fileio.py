@@ -274,8 +274,7 @@ def bow_documents(sources):
                for source in sources]
     items = [(index, start) for index, source in enumerate(sources)
              for start in range(0, source.shape[0], FORMAT_BLOCK_ROWS)]
-    texts = parallel.fork_map(functools.partial(_format_block, sources), items,
-                              parallel.usable_cpus())
+    texts = parallel.fork_map(functools.partial(_format_block, sources), items)
     counts = [-(-source.shape[0] // FORMAT_BLOCK_ROWS) for source in sources]
     counts[-1] = None  # the last document runs the pool to its end, which closes it
     return [itertools.chain([header], itertools.islice(texts, count))

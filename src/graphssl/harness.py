@@ -135,15 +135,15 @@ def multiclass_trial(master_seed, run_index, noise_fractions, labels_per_class,
     return Trial(x, truth, labeled, lap, basis, y, scores)
 
 
-def _map_runs(run, runs, workers):
+def _map_runs(run, runs, workers=None):
     """[run(0), ..., run(runs - 1)], from up to `workers` forked processes.
 
-    The process count is capped by the run count and the usable CPUs. Runs
-    derive their own seeds, so the results do not depend on it.
+    The process count, capped by the run count, defaults to the usable
+    CPUs. Runs derive their own seeds, so the results do not depend on it.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    return list(parallel.fork_map(run, range(runs), min(workers, parallel.usable_cpus())))
+    return list(parallel.fork_map(run, range(runs), workers))
 
 
 def run_moons_demo(master_seed, fraction, runs, labels_per_class, sigma, k, lam, m):
@@ -158,7 +158,7 @@ def run_moons_demo(master_seed, fraction, runs, labels_per_class, sigma, k, lam,
                                  sigma, k, lam, m)
         return replace(trial, lap=None, basis=None), trial.smoothness()
 
-    return _map_runs(run, runs, parallel.usable_cpus())
+    return _map_runs(run, runs)
 
 
 def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, lam, m, workers=1):
@@ -167,8 +167,8 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
     The design is paired: run r is multiclass_trial(master_seed, r, ...), so
     every fraction is measured on one instance, labeled set, graph and basis,
     and only the injected noise differs along the curve. Runs are evaluated
-    in up to `workers` forked processes. Returns each run's (L1, L2)
-    accuracy pairs, one per fraction, in run order.
+    in up to min(workers, usable CPUs) forked processes. Returns each run's
+    (L1, L2) accuracy pairs, one per fraction, in run order.
     """
     fractions = list(fractions)
     if not fractions:
@@ -178,7 +178,7 @@ def run_noise_sweep(master_seed, fractions, runs, labels_per_class, sigma, k, la
         return multiclass_trial(master_seed, run_index, fractions, labels_per_class,
                                 sigma, k, lam, m).accuracies()
 
-    return _map_runs(run, runs, workers)
+    return _map_runs(run, runs, min(workers, parallel.usable_cpus()))
 
 
 def l1_classify(x, assignments, classes, sigma, k, lam, m, seed=0):

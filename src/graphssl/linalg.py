@@ -283,7 +283,7 @@ def _by_component(a, m, seed):
             else:
                 solved[c] = solve(c)
         lanczos.sort(key=lambda c: -members[c].size)
-        solved.update(zip(lanczos, parallel.fork_map(solve, lanczos, parallel.usable_cpus())))
+        solved.update(zip(lanczos, parallel.fork_map(solve, lanczos)))
 
         values = np.concatenate([solved[c][0] for c in range(count)])
         component = np.repeat(np.arange(count), wanted)

@@ -3,19 +3,19 @@
 fork_map runs a function over items in forked children, which inherit it
 and everything it refers to, and reads their results back from files in
 TMPDIR, unlinked from the start. pin_one_blas_thread sets OpenBLAS to one
-thread, and one_blas_thread does so for a block. The pin is in place
-before the fork and therefore in every worker: several workers each
-running multi-threaded BLAS would oversubscribe the CPUs, and the rounding
-of some BLAS routines depends on their thread count, so without the pin
-the answer would depend on the worker count and the environment.
+thread for good; cli.main and fork_map call it. The pin is in place before
+the fork and therefore in every worker: several workers each running
+multi-threaded BLAS would oversubscribe the CPUs, and the rounding of some
+BLAS routines depends on their thread count, so without the pin the answer
+would depend on the worker count and the environment.
 
 OpenBLAS stops its server threads when the process forks, in the parent as
 in the child, and its next set call starts them again, even to the count
 it already has. Each started thread spins before it sleeps: with numpy's
 and scipy's libraries, one set call each after a fork cost 0.13-0.16 s
-of CPU on a 2-vCPU Xeon. So a pin calls set only for a library whose
-count is not already one, and restores only what it changed: a pin inside
-another pin, or in a forked worker, makes no OpenBLAS call at all.
+of CPU on a 2-vCPU Xeon. So the pin calls set only for a library whose
+count is not already one, and never restores a count: a second pin, or a
+pin in a forked worker, makes no OpenBLAS call at all.
 """
 
 from __future__ import annotations
@@ -80,54 +80,36 @@ def _openblas_controls():
 
 
 def pin_one_blas_thread():
-    """Set every mapped OpenBLAS library that is not on one thread to one.
+    """Set every mapped OpenBLAS library that is not on one thread to one, for good.
 
-    Returns the (set, earlier count) pairs of the libraries it changed. A
-    library already on one thread, as in a forked worker or under another
-    pin, is only read: a set call after a fork restarts its server threads.
+    A library already on one thread, as in a forked worker or after an
+    earlier pin, is only read: a set call after a fork restarts its server
+    threads. The setting is process wide, so it holds for every thread.
     """
-    changed = []
     for get, set_ in _openblas_controls():
-        count = get()
-        if count != 1:
+        if get() != 1:
             set_(1)
-            changed.append((set_, count))
-    return changed
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body with every mapped OpenBLAS library set to one thread.
-
-    The counts the pin changed are restored on exit. The setting is process
-    wide, so it also holds for other threads while the body runs.
-    """
-    changed = pin_one_blas_thread()
-    try:
-        yield
-    finally:
-        for set_, count in changed:
-            set_(count)
-
-
-def fork_map(fn, items, workers):
+def fork_map(fn, items, workers=None):
     """Yield fn(item) for each item, in order, computed in forked processes.
 
-    min(workers, len(items)) processes are started; with at most one,
-    without os.fork, or inside a worker of another fork_map (so pools never
-    nest), fn runs in this process. Either way BLAS runs on one thread, so
-    results do not depend on the worker count. fn reaches the workers
-    through the fork; results are pickled. An exception raised by fn or by
-    pickling its result is re-raised here when its item is reached, and an
-    item whose worker died raises ChildProcessError.
+    min(workers, len(items)) processes are started, workers defaulting to
+    usable_cpus(); with at most one, without os.fork, or inside a worker of
+    another fork_map (so pools never nest), fn runs in this process. Either
+    way BLAS is first pinned to one thread for good, so results do not
+    depend on the worker count. fn reaches the workers through the fork;
+    results are pickled. An exception raised by fn or by pickling its result
+    is re-raised here when its item is reached, and an item whose worker
+    died raises ChildProcessError.
     """
     items = list(items)
-    workers = min(workers, len(items))
-    with one_blas_thread():
-        if workers > 1 and _inherited is None and hasattr(os, "fork"):
-            yield from _pool_map(fn, items, workers)
-        else:
-            yield from map(fn, items)
+    workers = min(usable_cpus() if workers is None else workers, len(items))
+    pin_one_blas_thread()
+    if workers > 1 and _inherited is None and hasattr(os, "fork"):
+        yield from _pool_map(fn, items, workers)
+    else:
+        yield from map(fn, items)
 
 
 def _pool_map(fn, items, workers):

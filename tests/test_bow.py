@@ -162,7 +162,8 @@ class TestCoRefine:
 
     @pytest.mark.parametrize("lam, gamma", [(0.05, 0.02), (0.0, 0.02), (0.05, 0.0)])
     def test_counts_and_triplets_equal_refine(self, lam, gamma):
-        # The counts come from the walk in the worker.
+        # co_refine's counts come from the walk in the worker, refine's from
+        # the same walk in this process: each Refinement is a whole source.
         _, corrupted, _, other = small_corpus(seed=7)
         cfg = RefineConfig(lam=lam, gamma=gamma, k=9, m=4)
         refinement, _ = co_refine(corrupted, other, cfg, cfg)
@@ -170,8 +171,11 @@ class TestCoRefine:
         assert ((refinement.total_objective, refinement.max_kkt_residual)
                 == (parts.total_objective, parts.max_kkt_residual))
         assert refinement.changed_entries == np.count_nonzero(refined != corrupted)
-        assert (b"".join(fileio.bow_chunks(refinement))
-                == b"".join(fileio.bow_chunks(refined)))
+        assert ((parts.changed_entries, parts.nnz)
+                == (refinement.changed_entries, refinement.nnz))
+        triplets = b"".join(fileio.bow_chunks(refined))
+        assert b"".join(fileio.bow_chunks(refinement)) == triplets
+        assert b"".join(fileio.bow_chunks(parts)) == triplets
 
     def test_all_zero_matrix_stays_zero(self):
         _, _, _, other = small_corpus(seed=6)

@@ -547,6 +547,7 @@ UNREAD_FLAGS = [
     ("eigen-dump", "--noise-fraction", "0.1"),
     ("eigen-dump", "--labels-per-class", "2"),
     ("eigen-dump", "--runs", "2"),
+    ("eigen-dump", "--preset", "mnist-style"),
 ]
 # A preset the command does not offer is an invalid choice where the command
 # takes --preset, and an unrecognized argument where it takes none.
@@ -555,7 +556,7 @@ UNREAD_PRESETS = [
     for command, error in (("moons-demo", "unrecognized arguments"),
                            ("classify", "invalid choice"),
                            ("noise-sweep", "unrecognized arguments"),
-                           ("eigen-dump", "invalid choice"),
+                           ("eigen-dump", "unrecognized arguments"),
                            ("refine-bow", "unrecognized arguments"))
     for preset in ("table2-visual", "table2-textual")
 ] + [pytest.param("refine-bow", "mnist-style", "unrecognized arguments",

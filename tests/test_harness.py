@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -16,6 +15,7 @@ from graphssl.harness import (
     run_moons_demo,
     run_noise_sweep,
 )
+from test_parallel import spy_forks
 
 
 class TestSeedFanOut:
@@ -105,7 +105,7 @@ class TestMoonsTrial:
                         reason="no OpenBLAS library is mapped")
     def test_smoothness_does_not_depend_on_the_blas_pin(self):
         # The runs go through fork_map, which pins BLAS to one thread, so a
-        # bare call at two threads equals one under the pin; eigenvectors
+        # bare call at two threads equals one after the pin; eigenvectors
         # differ in their last bits between thread counts.
         def floats():
             return [(report.fitting_error, report.l2_smoothness, report.l1_smoothness)
@@ -115,14 +115,14 @@ class TestMoonsTrial:
         controls = parallel._openblas_controls()
         before = [get() for get, _ in controls]
         try:
+            parallel.pin_one_blas_thread()
+            pinned = floats()
             for _, set_ in controls:
                 set_(2)
             bare = floats()
         finally:
             for (_, set_), count in zip(controls, before):
                 set_(count)
-        with parallel.one_blas_thread():
-            pinned = floats()
         assert bare == pinned
 
     def test_full_basis_is_not_solved_again(self, monkeypatch):
@@ -156,19 +156,9 @@ class TestNoiseSweep:
     @pytest.mark.parametrize("cpus, expected", [(2, 2), (8, 3)])
     def test_process_count_is_capped_by_runs_and_usable_cpus(self, monkeypatch, cpus,
                                                              expected):
-        forks = []
-        fork = os.fork
-
-        def exit_at_once():
-            # Each worker ends before it claims a run, so no run starts.
-            pid = fork()
-            if pid == 0:
-                os._exit(0)
-            forks.append(pid)
-            return pid
-
+        # Each worker ends before it claims a run, so no run starts.
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(os, "fork", exit_at_once)
+        forks = spy_forks(monkeypatch)
         with pytest.raises(ChildProcessError, match="ended without a result"):
             run_noise_sweep(0, [0.0], 3, 5, sigma=0.1, k=10, lam=5.0, m=20, workers=10**6)
         assert len(forks) == expected

@@ -22,31 +22,25 @@ needs_openblas = pytest.mark.skipif(not parallel._openblas_controls(),
                                     reason="no OpenBLAS library is mapped")
 
 
-class TestOneBlasThread:
+class TestPin:
     @needs_openblas
-    def test_pins_every_library_and_restores_the_earlier_counts(self):
+    def test_a_map_pins_for_good_and_a_second_map_sets_nothing(self, monkeypatch):
         controls = parallel._openblas_controls()
         before = blas_thread_counts()
         try:
             for _, set_ in controls:
                 set_(2)
-            with parallel.one_blas_thread():
-                assert blas_thread_counts() == [1] * len(controls)
-                with parallel.one_blas_thread():
-                    pass
-                assert blas_thread_counts() == [1] * len(controls)
-            assert blas_thread_counts() == [2] * len(controls)
+            list(parallel.fork_map(abs, range(2), 2))
+            assert blas_thread_counts() == [1] * len(controls)
+            calls = []
+            monkeypatch.setattr(parallel, "_openblas_controls",
+                                lambda: [(get, calls.append) for get, _ in controls])
+            list(parallel.fork_map(abs, range(2), 2))
+            assert calls == []
+            assert blas_thread_counts() == [1] * len(controls)
         finally:
             for (_, set_), count in zip(controls, before):
                 set_(count)
-
-    @needs_openblas
-    def test_restores_the_counts_when_the_body_raises(self):
-        before = blas_thread_counts()
-        with pytest.raises(RuntimeError, match="body failed"):
-            with parallel.one_blas_thread():
-                raise RuntimeError("body failed")
-        assert blas_thread_counts() == before
 
 
 # Threads of this process, read in each worker after a nested fork_map and in
@@ -55,6 +49,7 @@ class TestOneBlasThread:
 # OpenBLAS server thread sleeps once it has spun, and stays.
 NESTED_POOL_THREADS = """
 import json, os, time
+import numpy
 from graphssl import parallel
 
 def threads():
@@ -67,9 +62,8 @@ def inner(_):
     list(parallel.fork_map(abs, range(2), 2))
     return threads()
 
-with parallel.one_blas_thread():
-    workers = list(parallel.fork_map(inner, range(2), 2))
-    parent = threads()
+workers = list(parallel.fork_map(inner, range(2), 2))
+parent = threads()
 print(json.dumps([workers, parent]))
 """
 
@@ -80,7 +74,10 @@ class TestNoRestartAfterFork:
     OpenBLAS stops its server threads on a fork, and its next set call
     starts them again, even to the count it already has. Each then spins
     on a CPU before it sleeps. With a set call on entry and exit of every
-    pin, each worker and the parent held one such thread per library.
+    pin, each worker and the parent held one such thread per library. A pin
+    that always sets leaves one in each worker, whose inner map pins after
+    the fork; a restore after the map leaves one in the parent. numpy is
+    imported so that its OpenBLAS, started on two threads, is mapped.
     """
 
     @needs_openblas
@@ -91,6 +88,42 @@ class TestNoRestartAfterFork:
                                 env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [[1, 1], 1]
+
+
+def spy_forks(monkeypatch):
+    """Patch os.fork so that each worker exits before it claims an item; return the pids.
+
+    A map that forks then raises ChildProcessError at its first item.
+    """
+    forks = []
+    fork = os.fork
+
+    def exit_at_once():
+        pid = fork()
+        if pid == 0:
+            os._exit(0)
+        forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", exit_at_once)
+    return forks
+
+
+@pytest.mark.parametrize("cpus, workers, items, expected", [
+    (2, None, 5, 2),
+    (8, None, 3, 3),
+    (1, None, 5, 0),
+    (1, 2, 5, 2),  # an explicit count is capped by the items, not the CPUs
+])
+def test_process_count(monkeypatch, cpus, workers, items, expected):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    forks = spy_forks(monkeypatch)
+    if expected:
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            list(parallel.fork_map(abs, range(items), workers))
+    else:
+        assert list(parallel.fork_map(abs, range(items), workers)) == list(range(items))
+    assert len(forks) == expected
 
 
 def fail_on_three(item):
